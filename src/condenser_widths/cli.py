@@ -25,7 +25,8 @@ from .balayage import balayage_to_E, balayage_to_gamma, counting_alpha_beta
 from .equilibrium import (equilibrium_result, fekete_green, m_hat_theta, m_theta,
                           theta_sweep)
 from .errors import (BudgetExceeded, CondenserWidthsError, ConfigError,
-                     GeometryValidationError, GridTooCoarse)
+                     GeometryValidationError, GridTooCoarse, UnsupportedCurve,
+                     UnsupportedDomain)
 from .extremal import chi_asymptotic_pair, chi_bruteforce
 from .geometry import Condenser, boundary_samples, green_kernel, log_capacity
 from .measure import DiscreteMeasure, log_potential
@@ -70,7 +71,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
         raise ConfigError("config is missing the 'condenser' section")
     try:
         cond = Condenser.from_json_dict(raw["condenser"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, GeometryValidationError) as exc:
         raise ConfigError(f"malformed condenser section: {exc}") from exc
 
     cfg = RunConfig(condenser=cond, task=raw.get("task", overrides.get("task", "")))
@@ -78,13 +79,29 @@ def load_config(path: str, overrides: dict) -> RunConfig:
                  "seed", "threads", "out", "formats", "fixtures", "method"):
         if name in raw:
             setattr(cfg, name, raw[name])
-    if "k" not in raw and "n" in raw and "theta" in raw:
-        cfg.k = int(round(cfg.theta * cfg.n))  # theta-ratio shorthand
     for name, val in overrides.items():
         if val is not None:
             setattr(cfg, name, val)
+    _check_types(cfg)
+    if "k" not in raw and "n" in raw and "theta" in raw:
+        cfg.k = int(round(cfg.theta * cfg.n))  # theta-ratio shorthand
     _validate_config(cfg)
     return cfg
+
+
+def _check_types(cfg: RunConfig):
+    """Reject non-numeric fields up front, so they fail as ConfigError."""
+    def bad(val, types):
+        return isinstance(val, bool) or not isinstance(val, types)
+
+    for name in ("n", "k", "n_points", "grid_n", "restarts", "threads", "seed"):
+        val = getattr(cfg, name)
+        if bad(val, int) and not (name == "seed" and val is None):
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
+    thetas = cfg.thetas if isinstance(cfg.thetas, list) else [cfg.thetas]
+    for val in [cfg.theta, *thetas]:
+        if bad(val, (int, float)):
+            raise ConfigError(f"theta values must be numbers, got {val!r}")
 
 
 def _validate_config(cfg: RunConfig):
@@ -113,6 +130,8 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("need 0 <= k <= n")
     if cfg.task == "chi" and cfg.seed is None:
         raise ConfigError("chi task requires an explicit seed")
+    if cfg.task == "chi" and cfg.method == "bruteforce" and cfg.n > 6:
+        raise ConfigError(f"method bruteforce is restricted to n <= 6, got n = {cfg.n}")
     if not set(cfg.formats) <= {"json", "csv"}:
         raise ConfigError("formats must be a subset of {json, csv}")
 
@@ -287,7 +306,8 @@ def run(cfg: RunConfig) -> int:
                    "balayage-demo": _task_balayage_demo,
                    "validate": _task_validate}[cfg.task]
         payload, csv_files = task_fn(cfg)
-    except (ConfigError, GeometryValidationError, GridTooCoarse) as exc:
+    except (ConfigError, GeometryValidationError, GridTooCoarse, UnsupportedCurve,
+            UnsupportedDomain) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -11,7 +11,9 @@ Their gap is a discretization residual and shrinks as the point count grows.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .geometry import (Condenser, TWO_PI, green_pole_infinity, kernel_from_phi,
 from .measure import DiscreteMeasure, energy_J, log_potential
 
 _ENDPOINT_TOL = 1e-12
+_FIELD_BLOCK = 1024  # grid rows of the curve-field kernel built at a time
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,51 @@ class SweepReport:
 # exchange engine on a fixed grid
 
 
-def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200):
+class ExchangeRun(NamedTuple):
+    """Chosen grid slots of one exchange run, with its pass and move counts.
+
+    ``converged`` is False when the run stopped at ``max_passes`` with the
+    last pass still moving atoms.  The engine builds m + moves kernel columns.
+    """
+
+    chosen: np.ndarray
+    passes: int
+    moves: int
+    converged: bool
+
+
+def _column_fill(phi_grid):
+    """fill(idx, out): the kernel column g(., z_idx) over the grid, 0 at slot idx.
+
+    When every slot lies outside the plate the column is built without
+    kernel_from_phi's plate mask, by the same operations into reused
+    buffers; it is bit-identical there and several times cheaper.
+    """
+    if np.all(np.abs(phi_grid) > 1.0):
+        cbuf = np.empty_like(phi_grid)
+        rbuf, logs = np.empty(phi_grid.size), np.empty(phi_grid.size)
+
+        def fill(idx, out):
+            t = phi_grid[idx]
+            # log|1 - phi conj(t)| - log|phi - t|
+            np.multiply(phi_grid, np.conj(t), out=cbuf)
+            np.subtract(1.0, cbuf, out=cbuf)
+            np.abs(cbuf, out=rbuf)
+            np.log(rbuf, out=out)
+            np.subtract(phi_grid, t, out=cbuf)
+            np.abs(cbuf, out=rbuf)
+            with np.errstate(divide="ignore"):
+                np.log(rbuf, out=logs)
+            np.subtract(out, logs, out=out)
+            out[idx] = 0.0
+    else:
+        def fill(idx, out):
+            out[:] = kernel_from_phi(phi_grid, phi_grid[idx])
+            out[idx] = 0.0
+    return fill
+
+
+def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200) -> ExchangeRun:
     """Greedy insertion plus single-point exchange passes maximizing
 
         F = -sum_{i<j} g(z_i, z_j) + field_coeff * sum_i g(z_i, inf)
@@ -96,46 +143,65 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200):
     over m distinct slots of the grid.  Deterministic for a fixed seed: the
     seed only shuffles the exchange visiting order, ties go to the lowest
     grid index, and every accepted move strictly increases F.
+
+    State kept across visits: cols[i] is atom i's kernel column with 0 at its
+    own slot, so pot = sum_i cols[i] is finite everywhere and pot[chosen[i]]
+    is the potential of the other atoms at atom i.  dp = drive - pot with
+    -inf at occupied slots (occupancy lives in free_drive, a copy of drive
+    set to -inf there).  Visiting atom i is then one add and one argmax:
+    score = dp + cols[i] is atom i's objective at every free slot, and
+    drive - pot at its own slot is the value of staying.  A move updates
+    pot by two column passes, free_drive at two slots, and recomputes dp.
+    tests/test_exchange_oracle.py keeps the per-visit loop that recomputes
+    every score, which this engine must match slot for slot.
     """
     grid_n = phi_grid.size
-
-    def col(idx):
-        # kernel column; +inf exactly at the slot itself
-        return kernel_from_phi(phi_grid, phi_grid[idx])
-
+    fill = _column_fill(phi_grid)
     drive = field_coeff * g_inf
+    free_drive = drive.copy()
     chosen = np.empty(m, dtype=int)
-    chosen[0] = int(np.argmax(drive))
     cols = np.empty((m, grid_n))
-    cols[0] = col(chosen[0])
-    pot = cols[0].copy()
-    for j in range(1, m):
-        idx = int(np.argmax(drive - pot))  # occupied slots score -inf
+    pot = np.zeros(grid_n)
+    dp = np.empty(grid_n)
+
+    idx = int(np.argmax(drive))
+    for j in range(m):
         chosen[j] = idx
-        cols[j] = col(idx)
-        pot = pot + cols[j]
+        free_drive[idx] = -np.inf
+        fill(idx, cols[j])
+        pot += cols[j]
+        np.subtract(free_drive, pot, out=dp)
+        idx = int(dp.argmax())
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_passes):
-        moved = False
+    score = np.empty(grid_n)
+    passes = moves = 0
+    converged = False
+    while not converged and passes < max_passes:
+        passes += 1
+        moves_before = moves
         for i in rng.permutation(m):
             pos = chosen[i]
-            with np.errstate(invalid="ignore"):
-                base = pot - cols[i]
-            # pot and cols[i] are both +inf at pos; recompute that slot exactly
-            others = np.concatenate([cols[:i, pos], cols[i + 1:, pos]])
-            base[pos] = float(np.sum(others))
-            score = drive - base
-            best = int(np.argmax(score))
+            np.add(dp, cols[i], out=score)
+            best = int(score.argmax())
             # strict improvement with a drift guard so float noise cannot cycle
-            if score[best] > score[pos] + 1e-12:
+            if score[best] > drive[pos] - pot[pos] + 1e-12:
+                pot -= cols[i]
+                fill(best, cols[i])
+                pot += cols[i]
+                free_drive[pos] = drive[pos]
+                free_drive[best] = -np.inf
+                np.subtract(free_drive, pot, out=dp)
                 chosen[i] = best
-                cols[i] = col(best)
-                pot = base + cols[i]
-                moved = True
-        if not moved:
-            break
-    return chosen
+                moves += 1
+        converged = moves == moves_before
+    return ExchangeRun(chosen, passes, moves, converged)
+
+
+def _warn_unconverged(run: ExchangeRun, m: int, grid_n: int):
+    if not run.converged:
+        warnings.warn(f"exchange engine stopped at max_passes = {run.passes} before "
+                      f"converging (m = {m}, grid_n = {grid_n})", RuntimeWarning, stacklevel=2)
 
 
 def _pair_energy(phi_pts, weights):
@@ -155,7 +221,9 @@ def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int):
     phi_g = phi_exterior(c.e_domain, samples.points)
     g_inf = green_pole_infinity(c.e_domain, samples.points)
     coeff = (m - 1) / (1.0 - theta)
-    idx = _exchange_maximize(phi_g, g_inf, m, coeff, seed)
+    run = _exchange_maximize(phi_g, g_inf, m, coeff, seed)
+    _warn_unconverged(run, m, grid_n)
+    idx = run.chosen
     f_val = (-0.5 * _pair_energy(phi_g[idx], np.ones(m))
              + coeff * float(np.sum(g_inf[idx])))
     return samples, idx, f_val
@@ -238,8 +306,13 @@ def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     phi_atoms = phi_exterior(c.e_domain, lam.points)
     vals = np.empty(grid_n)
     free = ~mask
-    kern = kernel_from_phi(phi_g[free, None], phi_atoms[None, :])
-    vals[free] = kern @ lam.weights - g_inf[free]
+    phi_free = phi_g[free]
+    pot = np.empty(phi_free.size)
+    # the free x atoms kernel in row blocks, so its complex temporaries stay small
+    for s in range(0, phi_free.size, _FIELD_BLOCK):
+        rows = slice(s, s + _FIELD_BLOCK)
+        pot[rows] = kernel_from_phi(phi_free[rows, None], phi_atoms[None, :]) @ lam.weights
+    vals[free] = pot - g_inf[free]
     vals[mask] = np.min(vals[free]) if np.any(free) else 0.0
     return samples.params, vals, mask
 
@@ -260,16 +333,32 @@ def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
         v = -float(np.max(g_inf))
         return v, v
     lam = fekete_green(c, theta, n_points, grid_n, seed)
-    return _m_theta_from_lambda(c, lam, theta, grid_n)
+    _, vals, mask = gamma_field(c, lam, grid_n)
+    return _m_energy(c, lam, theta), float(np.min(vals[~mask]))
 
 
-def _m_theta_from_lambda(c: Condenser, lam: DiscreteMeasure, theta: float, grid_n: int):
+def _m_energy(c: Condenser, lam: DiscreteMeasure, theta: float) -> float:
     g_atoms = green_pole_infinity(c.e_domain, lam.points)
     j_val = energy_J(lam, c.e_domain, theta)
-    m_energy = (j_val + float(np.sum(lam.weights * g_atoms))) / (1.0 - theta)
-    _, vals, mask = gamma_field(c, lam, grid_n)
-    m_field = float(np.min(vals[~mask]))
-    return m_energy, m_field
+    return (j_val + float(np.sum(lam.weights * g_atoms))) / (1.0 - theta)
+
+
+def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int, seed: int):
+    """lambda_n and both curve constants at one theta, from one curve-field
+    evaluation; returns (lam, m_energy, m_field, params, field values, field_min)."""
+    at_zero = theta <= _ENDPOINT_TOL
+    at_one = theta >= 1.0 - _ENDPOINT_TOL
+    lam = DiscreteMeasure.zero() if at_one else fekete_green(c, theta, n_points, grid_n, seed)
+    params, vals, mask = gamma_field(c, lam, grid_n)
+    # lam = 0 at theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
+    field_min = float(np.min(vals[~mask]))
+    if at_zero:
+        m_energy = m_field = 0.0
+    elif at_one:
+        m_energy = m_field = field_min
+    else:
+        m_energy, m_field = _m_energy(c, lam, theta), field_min
+    return lam, m_energy, m_field, params, vals, field_min
 
 
 def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
@@ -285,11 +374,15 @@ def support_S_theta(c: Condenser, lambda_n: DiscreteMeasure, m_field: float,
                     tol: float | None = None, grid_n: int = 4096) -> list:
     """Maximal parameter intervals of the curve grid where the field stays
     within tol of its minimum; the whole curve is reported as [(0, 2*pi)]."""
+    params, vals, _ = gamma_field(c, lambda_n, grid_n)
+    return _support_arcs(params, vals, m_field, tol)
+
+
+def _support_arcs(params: np.ndarray, vals: np.ndarray, m_field: float,
+                  tol: float | None = None) -> list:
     if tol is None:
         tol = 1e-2 * abs(m_field) + 1e-4
-    params, vals, _ = gamma_field(c, lambda_n, grid_n)
-    qualify = vals <= m_field + tol
-    return _runs_to_arcs(params, qualify)
+    return _runs_to_arcs(params, vals <= m_field + tol)
 
 
 def _runs_to_arcs(params: np.ndarray, qualify: np.ndarray) -> list:
@@ -342,8 +435,9 @@ def condenser_capacity(c: Condenser, m: int = 256, grid_n: int = 4096,
     m2 = m1 // 2
     energies = {}
     for mm in (m1, m2):
-        idx = _exchange_maximize(phi_g, g_inf, mm, 0.0, seed)
-        energies[mm] = _pair_energy(phi_g[idx], np.full(mm, 1.0 / mm))
+        run = _exchange_maximize(phi_g, g_inf, mm, 0.0, seed)
+        _warn_unconverged(run, mm, keep.size)
+        energies[mm] = _pair_energy(phi_g[run.chosen], np.full(mm, 1.0 / mm))
 
     # fit E(m) = E_inf - (log m + b) / m through the two levels
     u1, u2 = 1.0 / m1, 1.0 / m2
@@ -362,30 +456,13 @@ def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,
     and cross-check residuals."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    at_zero = theta <= _ENDPOINT_TOL
-    at_one = theta >= 1.0 - _ENDPOINT_TOL
+    lam, m_energy, m_field, params, vals, field_min = _theta_stage(c, theta, n_points,
+                                                                   grid_n, seed)
+    mu = (DiscreteMeasure.zero() if theta <= _ENDPOINT_TOL
+          else leja_weighted(c, lam, theta, n_points, grid_n))
+    arcs = _support_arcs(params, vals, field_min, support_tol)
 
-    if at_one:
-        lam = DiscreteMeasure.zero()
-    else:
-        lam = fekete_green(c, theta, n_points, grid_n, seed)
-
-    if at_zero:
-        mu = DiscreteMeasure.zero()
-        m_energy = m_field = 0.0
-    else:
-        mu = leja_weighted(c, lam, theta, n_points, grid_n)
-        if at_one:
-            g_inf = green_pole_infinity(c.e_domain, sample_curve(c.gamma, grid_n).points)
-            m_energy = m_field = -float(np.max(g_inf))
-        else:
-            m_energy, m_field = _m_theta_from_lambda(c, lam, theta, grid_n)
-
-    _, vals, mask = gamma_field(c, lam, grid_n)
-    field_min = float(np.min(vals[~mask])) if np.any(~mask) else m_field
-    arcs = support_S_theta(c, lam, field_min, tol=support_tol, grid_n=grid_n)
-
-    support_vals = vals[_arc_mask(sample_curve(c.gamma, grid_n).params, arcs)]
+    support_vals = vals[_arc_mask(params, arcs)]
     residuals = {
         "two_route": abs(m_energy - m_field),
         "support_field_stddev": float(np.std(support_vals)) if support_vals.size else 0.0,
@@ -416,26 +493,14 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     cap_full = condenser_capacity(c, m=cap_points, grid_n=grid_n, seed=seed)
     m_e_list, m_f_list, m_hat_list, caps, arcs_list = [], [], [], [], []
     for theta in thetas:
-        at_zero = theta <= _ENDPOINT_TOL
-        at_one = theta >= 1.0 - _ENDPOINT_TOL
-        lam = (DiscreteMeasure.zero() if at_one
-               else fekete_green(c, theta, n_points, grid_n, seed))
-        if at_zero:
-            m_energy = m_field = 0.0
-        elif at_one:
-            g_inf = green_pole_infinity(c.e_domain, sample_curve(c.gamma, grid_n).points)
-            m_energy = m_field = -float(np.max(g_inf))
-        else:
-            m_energy, m_field = _m_theta_from_lambda(c, lam, theta, grid_n)
-
-        _, vals, mask = gamma_field(c, lam, grid_n)
-        field_min = float(np.min(vals[~mask])) if np.any(~mask) else m_field
+        lam, m_energy, m_field, params, vals, field_min = _theta_stage(c, theta, n_points,
+                                                                       grid_n, seed)
         # widen the threshold by the inter-atom field ripple: the grid point
         # nearest an atom sits (1-theta)/m * log(1/sin(pi m/grid_n)) above the
         # mid-gap minimum for a fully supported configuration
         ripple = (1.0 - theta) / n_points * np.log(1.0 / np.sin(np.pi * min(0.499, n_points / grid_n)))
         tol = 1e-2 * abs(field_min) + 1e-4 + 1.15 * ripple
-        arcs = support_S_theta(c, lam, field_min, tol=tol, grid_n=grid_n)
+        arcs = _support_arcs(params, vals, field_min, tol)
         if arcs == [(0.0, TWO_PI)]:
             cap_tau = cap_full
         else:

@@ -148,3 +148,26 @@ def test_unknown_task_rejected(tmp_path):
     cfg = write_cfg(tmp_path)
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", cfg])
+
+
+@pytest.mark.parametrize("task, extra, message", [
+    ("chi", {"n": "4"}, "n must be an integer"),
+    ("chi", {"n": 4, "k": 2.0}, "k must be an integer"),
+    ("equilibrium", {"theta": "0.5"}, "must be numbers"),
+    ("chi", {"n": 8, "k": 4, "method": "bruteforce"}, "restricted to n <= 6"),
+    ("balayage-demo", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+        "gamma": {"kind": "ellipse", "center": [0, 0], "semi_axes": [3.0, 2.0]}},
+        "grid_n": 1024}, "circles only"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": -1.0},
+        "gamma": {"kind": "circle", "center": [0, 0], "radius": 3.0}}},
+        "disk radius must be positive"),
+], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "balayage-ellipse",
+        "negative-radius"])
+def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
+    cfg = write_cfg(tmp_path, **extra)
+    rc = main([task, "--config", cfg, "--seed", "0", "--out", str(tmp_path / "bad")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "validation failure" in err and message in err

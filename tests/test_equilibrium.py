@@ -209,3 +209,29 @@ def test_sweep_rejects_bad_grid(concentric):
     with pytest.raises(ValueError):
         from condenser_widths import theta_sweep
         theta_sweep(concentric, [0.5, 0.25], 64, 2048)
+
+
+def test_exchange_reports_passes_and_convergence(offset):
+    from condenser_widths.equilibrium import _exchange_maximize
+    from condenser_widths.geometry import phi_exterior, sample_curve
+    pts = sample_curve(offset.gamma, 1024).points
+    phi_g, g_inf = phi_exterior(offset.e_domain, pts), green_pole_infinity(offset.e_domain, pts)
+    full = _exchange_maximize(phi_g, g_inf, 32, 31 / 0.5, seed=0)
+    assert full.converged and full.passes >= 2 and full.moves > 0
+    cut = _exchange_maximize(phi_g, g_inf, 32, 31 / 0.5, seed=0, max_passes=1)
+    assert not cut.converged and cut.passes == 1 and 0 < cut.moves <= full.moves
+
+
+def test_exchange_budget_exhaustion_warns(offset, monkeypatch):
+    import warnings
+    from condenser_widths import equilibrium as eq
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # converged runs stay silent
+        fekete_green(offset, 0.5, 32, 1024, seed=0)
+    engine = eq._exchange_maximize
+    monkeypatch.setattr(eq, "_exchange_maximize",
+                        lambda *args, **kw: engine(*args, **kw, max_passes=1))
+    with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = 32, grid_n = 1024"):
+        fekete_green(offset, 0.5, 32, 1024, seed=0)
+    with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = (16|8), grid_n = 512"):
+        condenser_capacity(offset, 16, 512)
