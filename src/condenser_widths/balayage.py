@@ -68,6 +68,32 @@ def _circle_grid(center: complex, radius: float, grid_n: int) -> np.ndarray:
     return center + radius * np.exp(1j * TWO_PI * np.arange(grid_n) / grid_n)
 
 
+def _sweep_part(points, weights, sweep, center: complex, radius: float,
+                grid_n: int) -> DiscreteMeasure:
+    """Atoms where sweep holds moved onto the circle grid (empty cells
+    dropped); the other atoms pass through unchanged."""
+    out = DiscreteMeasure.zero()
+    if np.any(sweep):
+        masses = _sweep_to_circle(points[sweep], weights[sweep], center, radius, grid_n)
+        keep = masses > 0.0
+        out = DiscreteMeasure(_circle_grid(center, radius, grid_n)[keep], masses[keep])
+    if np.any(~sweep):
+        out = out + DiscreteMeasure(points[~sweep], weights[~sweep])
+    return out
+
+
+def _balayage_outside(nu: DiscreteMeasure, center: complex, radius: float, green,
+                      grid_n: int) -> BalayageResult:
+    """Sweep the atoms of nu outside the closed disk onto its boundary circle;
+    the shift constant is sum of w * green(z0) over the swept atoms."""
+    if nu.is_zero:
+        return BalayageResult(DiscreteMeasure.zero(), 0.0)
+    outside = np.abs(nu.points - center) / radius > 1.0 + 1e-12
+    shift = float(np.sum(nu.weights[outside] * np.atleast_1d(green(nu.points[outside]))))
+    return BalayageResult(_sweep_part(nu.points, nu.weights, outside, center, radius, grid_n),
+                          shift)
+
+
 def balayage_to_E(nu: DiscreteMeasure, e: EDomain, boundary_grid_n: int = 4096) -> BalayageResult:
     """Sweep the part of nu outside the plate onto the plate boundary grid.
 
@@ -77,22 +103,8 @@ def balayage_to_E(nu: DiscreteMeasure, e: EDomain, boundary_grid_n: int = 4096) 
     """
     if e.kind != "disk":
         raise UnsupportedDomain("balayage onto the plate is implemented for disk plates only")
-    if nu.is_zero:
-        return BalayageResult(DiscreteMeasure.zero(), 0.0)
-    dist = np.abs(nu.points - e.center) / e.radius
-    outside = dist > 1.0 + 1e-12
-    shift = float(np.sum(nu.weights[outside] *
-                         np.atleast_1d(green_pole_infinity(e, nu.points[outside]))))
-    swept = DiscreteMeasure.zero()
-    if np.any(outside):
-        masses = _sweep_to_circle(nu.points[outside], nu.weights[outside],
-                                  e.center, e.radius, boundary_grid_n)
-        keep = masses > 0.0
-        swept = DiscreteMeasure(_circle_grid(e.center, e.radius, boundary_grid_n)[keep],
-                                masses[keep])
-    if np.any(~outside):
-        swept = swept + DiscreteMeasure(nu.points[~outside], nu.weights[~outside])
-    return BalayageResult(swept, shift)
+    return _balayage_outside(nu, e.center, e.radius, lambda z: green_pole_infinity(e, z),
+                             boundary_grid_n)
 
 
 def balayage_to_gamma(nu: DiscreteMeasure, gamma: CurveSpec,
@@ -105,22 +117,8 @@ def balayage_to_gamma(nu: DiscreteMeasure, gamma: CurveSpec,
     """
     if gamma.kind != "circle":
         raise UnsupportedCurve("balayage onto the curve is implemented for circles only")
-    if nu.is_zero:
-        return BalayageResult(DiscreteMeasure.zero(), 0.0)
-    dist = np.abs(nu.points - gamma.center) / gamma.radius
-    outside = dist > 1.0 + 1e-12
-    shift = float(np.sum(nu.weights[outside] *
-                         np.atleast_1d(green_exterior_gamma(gamma, nu.points[outside]))))
-    swept = DiscreteMeasure.zero()
-    if np.any(outside):
-        masses = _sweep_to_circle(nu.points[outside], nu.weights[outside],
-                                  gamma.center, gamma.radius, boundary_grid_n)
-        keep = masses > 0.0
-        swept = DiscreteMeasure(_circle_grid(gamma.center, gamma.radius, boundary_grid_n)[keep],
-                                masses[keep])
-    if np.any(~outside):
-        swept = swept + DiscreteMeasure(nu.points[~outside], nu.weights[~outside])
-    return BalayageResult(swept, shift)
+    return _balayage_outside(nu, gamma.center, gamma.radius,
+                             lambda z: green_exterior_gamma(gamma, z), boundary_grid_n)
 
 
 def _alpha_measure(p_zeros: np.ndarray, c: Condenser, n: int,
@@ -128,21 +126,13 @@ def _alpha_measure(p_zeros: np.ndarray, c: Condenser, n: int,
     """Zeros of p weighted 1/n with the strict plate interior swept onto its boundary."""
     if p_zeros.size == 0:
         return DiscreteMeasure.zero()
-    if c.e_domain.kind != "disk":
+    weights = np.full(p_zeros.size, 1.0 / n)
+    e = c.e_domain
+    if e.kind != "disk":
         # a segment has empty planar interior: nothing to sweep
-        return DiscreteMeasure(p_zeros, np.full(p_zeros.size, 1.0 / n))
-    inside = np.abs(p_zeros - c.e_domain.center) / c.e_domain.radius < 1.0 - 1e-12
-    alpha = DiscreteMeasure.zero()
-    if np.any(inside):
-        masses = _sweep_to_circle(p_zeros[inside], np.full(int(np.sum(inside)), 1.0 / n),
-                                  c.e_domain.center, c.e_domain.radius, boundary_grid_n)
-        keep = masses > 0.0
-        grid = _circle_grid(c.e_domain.center, c.e_domain.radius, boundary_grid_n)
-        alpha = DiscreteMeasure(grid[keep], masses[keep])
-    if np.any(~inside):
-        alpha = alpha + DiscreteMeasure(p_zeros[~inside],
-                                        np.full(int(np.sum(~inside)), 1.0 / n))
-    return alpha
+        return DiscreteMeasure(p_zeros, weights)
+    inside = np.abs(p_zeros - e.center) / e.radius < 1.0 - 1e-12
+    return _sweep_part(p_zeros, weights, inside, e.center, e.radius, boundary_grid_n)
 
 
 def _beta_measure(q_zeros: np.ndarray, c: Condenser, n: int, k: int,

@@ -5,7 +5,8 @@
 Tasks: equilibrium, sweep, chi, nwidth, balayage-demo, validate.  Exit codes:
 0 success, 2 validation failure (config, geometry, or grid knobs), 3 numeric
 budget failure.  result.json is byte-identical across reruns with the same
-config and seed; wall time lives only in manifest.json.
+config and seed; wall time lives only in manifest.json.  --threads and the
+threads config field are accepted and echoed but have no effect.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, parallel
+from . import __version__
 from .balayage import balayage_to_E, balayage_to_gamma, counting_alpha_beta
-from .equilibrium import (equilibrium_result, fekete_green, m_hat_theta, m_theta,
-                          theta_sweep)
+from .equilibrium import (_ENDPOINT_TOL, equilibrium_result, fekete_green, m_hat_theta,
+                          m_theta, theta_sweep)
 from .errors import (BudgetExceeded, CondenserWidthsError, ConfigError,
                      GeometryValidationError, GridTooCoarse, UnsupportedCurve,
                      UnsupportedDomain)
@@ -179,7 +180,7 @@ def _task_nwidth(cfg: RunConfig):
     rep = dc_replace(rep, chi_lower_bounds=[(cfg.n, cfg.k, rate)])
     csv_files = []
     if "csv" in cfg.formats:
-        lam = (DiscreteMeasure.zero() if cfg.theta >= 1 - 1e-12 else
+        lam = (DiscreteMeasure.zero() if cfg.theta >= 1.0 - _ENDPOINT_TOL else
                fekete_green(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
                             seed=cfg.seed or 0))
         xs = np.linspace(-4.0, 4.0, 41)
@@ -295,7 +296,6 @@ def _stable_dumps(obj) -> str:
 
 
 def run(cfg: RunConfig) -> int:
-    parallel.set_threads(cfg.threads)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -344,7 +344,8 @@ def main(argv=None) -> int:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility and echoed; has no effect")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--fixtures", action="store_true",
                         help="chi task: also record a regression fixture block")

@@ -107,16 +107,22 @@ class ExchangeRun(NamedTuple):
 def _column_fill(phi_grid):
     """fill(idx, out): the kernel column g(., z_idx) over the grid, 0 at slot idx.
 
-    When every slot lies outside the plate the column is built without
-    kernel_from_phi's plate mask, by the same operations into reused
-    buffers; it is bit-identical there and several times cheaper.
+    The column is built by kernel_from_phi's operations into reused buffers
+    and is bit-identical to it off slot idx.  The plate mask is computed once
+    per grid: slots on the plate are zeroed, and so is the whole column when
+    the pole is on the plate.
     """
-    if np.all(np.abs(phi_grid) > 1.0):
-        cbuf = np.empty_like(phi_grid)
-        rbuf, logs = np.empty(phi_grid.size), np.empty(phi_grid.size)
+    on_plate = np.abs(phi_grid) <= 1.0
+    plate = np.flatnonzero(on_plate)
+    cbuf = np.empty_like(phi_grid)
+    rbuf, logs = np.empty(phi_grid.size), np.empty(phi_grid.size)
 
-        def fill(idx, out):
-            t = phi_grid[idx]
+    def fill(idx, out):
+        if on_plate[idx]:
+            out[:] = 0.0
+            return
+        t = phi_grid[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
             # log|1 - phi conj(t)| - log|phi - t|
             np.multiply(phi_grid, np.conj(t), out=cbuf)
             np.subtract(1.0, cbuf, out=cbuf)
@@ -124,14 +130,10 @@ def _column_fill(phi_grid):
             np.log(rbuf, out=out)
             np.subtract(phi_grid, t, out=cbuf)
             np.abs(cbuf, out=rbuf)
-            with np.errstate(divide="ignore"):
-                np.log(rbuf, out=logs)
+            np.log(rbuf, out=logs)
             np.subtract(out, logs, out=out)
-            out[idx] = 0.0
-    else:
-        def fill(idx, out):
-            out[:] = kernel_from_phi(phi_grid, phi_grid[idx])
-            out[idx] = 0.0
+        out[plate] = 0.0
+        out[idx] = 0.0
     return fill
 
 
@@ -211,15 +213,26 @@ def _pair_energy(phi_pts, weights):
     return float(weights @ k @ weights)
 
 
+def _curve_grid(c: Condenser, grid_n: int):
+    """The curve grid: (samples, phi at the samples, g(., inf) at the samples)."""
+    samples = sample_curve(c.gamma, grid_n)
+    return (samples, phi_exterior(c.e_domain, samples.points),
+            green_pole_infinity(c.e_domain, samples.points))
+
+
 def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int):
-    """Shared solver state: curve samples, chosen indices, and the value of F."""
-    if m < 2:
-        raise ValueError("fekete stage needs m >= 2")
+    """Shared solver state: curve samples, chosen indices, and the value of F.
+
+    A single atom has no pair term, so it sits at the grid maximum of g(., inf).
+    """
+    if m < 1:
+        raise ValueError("fekete stage needs m >= 1")
     if grid_n < 16 * m:
         raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
-    samples = sample_curve(c.gamma, grid_n)
-    phi_g = phi_exterior(c.e_domain, samples.points)
-    g_inf = green_pole_infinity(c.e_domain, samples.points)
+    samples, phi_g, g_inf = _curve_grid(c, grid_n)
+    if m == 1:
+        idx = np.array([np.argmax(g_inf)])
+        return samples, idx, 0.0
     coeff = (m - 1) / (1.0 - theta)
     run = _exchange_maximize(phi_g, g_inf, m, coeff, seed)
     _warn_unconverged(run, m, grid_n)
@@ -244,6 +257,8 @@ def fekete_diameter(c: Condenser, theta: float, m: int, grid_n: int,
 
     Non-increasing in m for exact maximizers; used as a sanity diagnostic.
     """
+    if m < 2:
+        raise ValueError("fekete_diameter needs m >= 2")
     _, _, f_val = _fekete_state(c, theta, m, grid_n, seed)
     return float(np.exp(2.0 * f_val / (m * (m - 1))))
 
@@ -296,9 +311,7 @@ def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     slots (the discrete potential is infinite there; the continuum field
     attains its minimum on the support).
     """
-    samples = sample_curve(c.gamma, grid_n)
-    phi_g = phi_exterior(c.e_domain, samples.points)
-    g_inf = green_pole_infinity(c.e_domain, samples.points)
+    samples, phi_g, g_inf = _curve_grid(c, grid_n)
     mask = _grid_support_mask(samples.points, lam)
     if lam.is_zero:
         vals = -g_inf
@@ -328,13 +341,8 @@ def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
         raise ValueError("m_theta needs theta in [0, 1]")
     if theta <= _ENDPOINT_TOL:
         return 0.0, 0.0
-    if theta >= 1.0 - _ENDPOINT_TOL:
-        g_inf = green_pole_infinity(c.e_domain, sample_curve(c.gamma, grid_n).points)
-        v = -float(np.max(g_inf))
-        return v, v
-    lam = fekete_green(c, theta, n_points, grid_n, seed)
-    _, vals, mask = gamma_field(c, lam, grid_n)
-    return _m_energy(c, lam, theta), float(np.min(vals[~mask]))
+    _, m_energy, m_field, *_ = _theta_stage(c, theta, n_points, grid_n, seed)
+    return m_energy, m_field
 
 
 def _m_energy(c: Condenser, lam: DiscreteMeasure, theta: float) -> float:

@@ -21,8 +21,7 @@ import numpy as np
 from .balayage import _alpha_measure
 from .errors import BudgetExceeded, GridTooClose
 from .equilibrium import fekete_green, leja_weighted
-from .geometry import (Condenser, boundary_samples, green_pole_infinity,
-                       interior_spots, sample_curve)
+from .geometry import Condenser, boundary_samples, interior_spots, sample_curve
 from .measure import DiscreteMeasure, LOG_CLAMP, log_potential, minimax_scan_sets
 
 _IMPROVE_EPS = 1e-13
@@ -277,11 +276,8 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     e_cands = scorer.cands["e"]
     g_cands = scorer.cands["gamma"]
 
-    p_starts = [_greedy_product_points(boundary_samples(c.e_domain, 128), k)]
-    if c.e_domain.kind == "disk":
-        p_starts.append([complex(c.e_domain.center)] * k)
-    else:
-        p_starts.append([complex(0.5 * (c.e_domain.a + c.e_domain.b))] * k)
+    p_starts = [_greedy_product_points(boundary_samples(c.e_domain, 128), k),
+                [c.e_domain.midpoint] * k]
     for _ in range(max(0, restarts)):
         p_starts.append([complex(e_cands[i]) for i in rng.integers(0, len(e_cands), size=k)])
 
@@ -362,13 +358,6 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     if k == n:
         lam = DiscreteMeasure.zero()
         q0 = []
-    elif n - k == 1:
-        # single-point stage: the weighted functional reduces to the field term
-        samples = sample_curve(c.gamma, fek_grid)
-        g_inf = green_pole_infinity(c.e_domain, samples.points)
-        z = complex(samples.points[int(np.argmax(g_inf))])
-        lam = DiscreteMeasure([z], [(1.0 - theta)])
-        q0 = [z]
     else:
         lam = fekete_green(c, theta, n - k, fek_grid, seed)
         q0 = [complex(z) for z in lam.points]
@@ -393,10 +382,7 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     # distribution); single-zero moves cannot cross between the two basins
     p_starts = [list(p0)]
     if k > 0:
-        if c.e_domain.kind == "disk":
-            p_starts.append([complex(c.e_domain.center)] * k)
-        else:
-            p_starts.append([complex(0.5 * (c.e_domain.a + c.e_domain.b))] * k)
+        p_starts.append([c.e_domain.midpoint] * k)
     log_lower, p_star = None, list(p0)
     for ps in p_starts:
         low_cfg = _Config(scorer, q0, list(ps), "e")

@@ -53,6 +53,13 @@ class EDomain:
             raise GeometryValidationError("segment requires b > a")
         return EDomain(kind="segment", a=float(a), b=float(b))
 
+    @property
+    def midpoint(self) -> complex:
+        """The disk center, or the segment midpoint."""
+        if self.kind == "disk":
+            return complex(self.center)
+        return complex(0.5 * (self.a + self.b))
+
     def to_json_dict(self):
         if self.kind == "disk":
             return {"kind": "disk", "center": [self.center.real, self.center.imag],
@@ -364,11 +371,7 @@ class Condenser:
                 "winding/positivity check failed: Gamma touches or intersects E "
                 "(min over curve samples of g(.,inf) is not positive)")
 
-        if self.e_domain.kind == "disk":
-            inner = self.e_domain.center
-        else:
-            inner = complex(0.5 * (self.e_domain.a + self.e_domain.b), 0.0)
-        if winding_number(curve, inner) != 1:
+        if winding_number(curve, self.e_domain.midpoint) != 1:
             raise GeometryValidationError(
                 "winding-number check failed: Gamma does not wind once around E")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import condenser_capacity, m_theta
+from .equilibrium import _ENDPOINT_TOL, condenser_capacity, m_theta
 from .errors import GridTooClose
 from .extremal import chi_asymptotic_pair, chi_bruteforce
 from .geometry import (Condenser, green_pole_infinity, kernel_from_phi,
@@ -50,7 +50,7 @@ def width_rate_predict(c: Condenser, theta: float, n_points: int = 256,
     """
     _, m_field = m_theta(c, theta, n_points, grid_n, seed)
     cap = condenser_capacity(c, m=min(256, max(8, grid_n // 16)), grid_n=grid_n, seed=seed)
-    normalization = "per-k for theta=0" if theta <= 1e-12 else "per-n"
+    normalization = "per-k for theta=0" if theta <= _ENDPOINT_TOL else "per-n"
     return WidthReport(theta=float(theta), predicted_rate=m_field,
                        widom_rate=-1.0 / cap, chi_lower_bounds=[],
                        normalization=normalization)

@@ -1,23 +1,10 @@
-"""Deterministic chunked execution for grid scans.
+"""Fixed-chunk execution for grid scans.
 
-The thread count only changes how chunks are executed, never how results are
-combined: chunk boundaries are fixed and outputs are assembled in chunk order,
-so results are identical for any worker count.
+Chunking bounds the size of the point x atom temporaries of the potential
+scans; chunk boundaries are fixed and results come back in chunk order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
-_THREADS = 1
 _CHUNK = 8192
-
-
-def set_threads(n: int) -> None:
-    global _THREADS
-    _THREADS = max(1, int(n))
-
-
-def get_threads() -> int:
-    return _THREADS
 
 
 def run_chunked(fn, n_items: int, chunk: int = _CHUNK):
@@ -25,9 +12,4 @@ def run_chunked(fn, n_items: int, chunk: int = _CHUNK):
 
     Returns the list of per-chunk results in chunk order.
     """
-    bounds = [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
-    if _THREADS <= 1 or len(bounds) <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=min(_THREADS, len(bounds))) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futures]
+    return [fn(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]

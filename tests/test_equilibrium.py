@@ -3,7 +3,7 @@ import pytest
 
 from condenser_widths import (DiscreteMeasure, condenser_capacity, equilibrium_result,
                               fekete_green, green_pole_infinity, leja_weighted,
-                              m_hat_theta, m_theta, support_S_theta)
+                              m_hat_theta, m_theta, sample_curve, support_S_theta)
 from condenser_widths.equilibrium import fekete_diameter, gamma_field
 from condenser_widths.errors import GridTooCoarse
 
@@ -25,6 +25,17 @@ def test_fekete_concentric_equidistributes(concentric):
 def test_fekete_grid_too_coarse(concentric):
     with pytest.raises(GridTooCoarse):
         fekete_green(concentric, 0.5, 64, 256, seed=0)
+
+
+def test_fekete_single_atom_at_field_max(offset):
+    # one atom has no pair term: it sits at the grid maximum of g(., inf)
+    lam = fekete_green(offset, 0.25, 1, 4096, seed=0)
+    curve = sample_curve(offset.gamma, 4096).points
+    want = curve[np.argmax(green_pole_infinity(offset.e_domain, curve))]
+    assert lam.points.tolist() == [want]
+    assert lam.weights.tolist() == [0.75]
+    with pytest.raises(GridTooCoarse):
+        fekete_green(offset, 0.25, 1, 8, seed=0)
 
 
 def test_fekete_scale_monotone_in_m(concentric):

@@ -95,6 +95,12 @@ def test_chi_asymptotic_offset_theta_one(offset):
     assert abs(est.chi_lower - exact) <= 0.01 * exact
 
 
+def test_chi_asymptotic_single_curve_zero(offset):
+    # k = n - 1 runs the one-atom Fekete stage
+    est = chi_asymptotic_pair(offset, 8, 7, seed=0)
+    assert est.chi_lower <= est.chi_upper
+
+
 def test_chi_envelope(concentric):
     # coarse envelope: between half the full-mass floor and 1 + tolerance
     for n, k in ((4, 2), (6, 3)):

@@ -7,7 +7,8 @@ from condenser_widths import (DiscreteMeasure, EDomain, M_functional, energy_I,
                               energy_J, green_kernel, green_potential,
                               log_potential, sample_curve, CurveSpec)
 from condenser_widths.errors import EmptyMeasure, MassMismatch
-from condenser_widths.measure import minimax_scan_sets
+from condenser_widths.geometry import kernel_from_phi, phi_exterior
+from condenser_widths.measure import LOG_CLAMP, minimax_scan_sets
 
 
 def uniform_circle(radius, mass, m=4096, center=0j):
@@ -180,21 +181,20 @@ def test_norm_ratio_matches_M_identity(concentric):
         assert abs(lhs - rhs) <= 1e-9
 
 
-def test_grid_potentials_identical_across_thread_counts(concentric):
-    # chunk boundaries and reduction order are fixed, so worker count is moot
-    from condenser_widths import parallel
+def test_grid_potentials_identical_across_chunk_boundaries(concentric):
+    # 20000 points x 300 atoms is scanned in two chunks; the rows of each chunk
+    # must equal a one-block evaluation bit for bit
     rng = np.random.default_rng(21)
     mu = DiscreteMeasure(rng.normal(size=300) + 1j * rng.normal(size=300),
                          rng.uniform(0.1, 1.0, 300))
     zs = 5.0 * (rng.normal(size=20000) + 1j * rng.normal(size=20000))
-    try:
-        parallel.set_threads(1)
-        one = log_potential(mu, zs)
-        parallel.set_threads(4)
-        four = log_potential(mu, zs)
-    finally:
-        parallel.set_threads(1)
-    assert np.array_equal(one, four)
+    d = np.abs(zs[:, None] - mu.points[None, :])
+    want_log = -np.sum(mu.weights * np.log(np.maximum(d, LOG_CLAMP)), axis=1)
+    assert np.array_equal(log_potential(mu, zs), want_log)
+    e = concentric.e_domain
+    k = kernel_from_phi(phi_exterior(e, zs)[:, None], phi_exterior(e, mu.points)[None, :])
+    want_green = np.sum(mu.weights * k, axis=1)
+    assert np.array_equal(green_potential(mu, e, zs), want_green)
 
 
 def test_scan_sets_include_interior_spots(concentric):
