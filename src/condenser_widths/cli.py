@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .balayage import balayage_to_E, balayage_to_gamma, counting_alpha_beta
-from .equilibrium import (_ENDPOINT_TOL, equilibrium_result, fekete_green, m_hat_theta,
-                          m_theta, theta_sweep)
+from .equilibrium import equilibrium_result, fekete_green, m_hat_theta, m_theta, theta_sweep
 from .errors import (BudgetExceeded, CondenserWidthsError, ConfigError,
                      GeometryValidationError, GridTooCoarse, UnsupportedCurve,
                      UnsupportedDomain)
@@ -180,9 +179,8 @@ def _task_nwidth(cfg: RunConfig):
     rep = dc_replace(rep, chi_lower_bounds=[(cfg.n, cfg.k, rate)])
     csv_files = []
     if "csv" in cfg.formats:
-        lam = (DiscreteMeasure.zero() if cfg.theta >= 1.0 - _ENDPOINT_TOL else
-               fekete_green(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
-                            seed=cfg.seed or 0))
+        lam = fekete_green(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
+                           seed=cfg.seed or 0)
         xs = np.linspace(-4.0, 4.0, 41)
         grid = np.array([complex(x, y) for y in xs for x in xs])
         if not lam.is_zero:

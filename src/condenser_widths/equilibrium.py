@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GridTooCoarse
 from .geometry import (Condenser, TWO_PI, green_pole_infinity, kernel_from_phi,
                        log_capacity, boundary_samples, phi_exterior, sample_curve)
-from .measure import DiscreteMeasure, energy_J, log_potential
+from .measure import DiscreteMeasure, energy_J, green_pair_energy, log_abs, log_potential
 
 _ENDPOINT_TOL = 1e-12
 _FIELD_BLOCK = 1024  # grid rows of the curve-field kernel built at a time
@@ -206,13 +206,6 @@ def _warn_unconverged(run: ExchangeRun, m: int, grid_n: int):
                       f"converging (m = {m}, grid_n = {grid_n})", RuntimeWarning, stacklevel=2)
 
 
-def _pair_energy(phi_pts, weights):
-    """sum_{i != j} w_i w_j g(x_i, x_j), diagonal excluded."""
-    k = kernel_from_phi(phi_pts[:, None], phi_pts[None, :])
-    np.fill_diagonal(k, 0.0)
-    return float(weights @ k @ weights)
-
-
 def _curve_grid(c: Condenser, grid_n: int):
     """The curve grid: (samples, phi at the samples, g(., inf) at the samples)."""
     samples = sample_curve(c.gamma, grid_n)
@@ -237,16 +230,21 @@ def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int):
     run = _exchange_maximize(phi_g, g_inf, m, coeff, seed)
     _warn_unconverged(run, m, grid_n)
     idx = run.chosen
-    f_val = (-0.5 * _pair_energy(phi_g[idx], np.ones(m))
+    f_val = (-0.5 * green_pair_energy(phi_g[idx], np.ones(m))
              + coeff * float(np.sum(g_inf[idx])))
     return samples, idx, f_val
 
 
 def fekete_green(c: Condenser, theta: float, m: int, grid_n: int,
                  seed: int = 0) -> DiscreteMeasure:
-    """Weighted Fekete configuration on the curve grid, each atom of mass (1-theta)/m."""
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("fekete_green needs theta in [0, 1)")
+    """Weighted Fekete configuration on the curve grid, each atom of mass (1-theta)/m.
+
+    theta = 1 gives the zero measure, for any m.
+    """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("fekete_green needs theta in [0, 1]")
+    if theta >= 1.0 - _ENDPOINT_TOL:
+        return DiscreteMeasure.zero()
     samples, idx, _ = _fekete_state(c, theta, m, grid_n, seed)
     return DiscreteMeasure(samples.points[idx], np.full(m, (1.0 - theta) / m))
 
@@ -265,28 +263,40 @@ def fekete_diameter(c: Condenser, theta: float, m: int, grid_n: int,
 
 def leja_weighted(c: Condenser, lambda_n: DiscreteMeasure, theta: float, m: int,
                   grid_n: int) -> DiscreteMeasure:
-    """Greedy weighted Leja points on the plate boundary grid.
+    """Greedy weighted Leja points (see _leja_indices) on the plate boundary
+    grid, with U^{lambda_n} as the field; each atom carries mass theta / m.
 
-    Point j+1 maximizes sum_{i <= j} log|z - z_i| - (j / theta) U^{lambda_n}(z);
-    the first point maximizes -U^{lambda_n} with ties going to the smallest
-    parameter.  Each atom carries mass theta / m.
+    theta = 0 gives the zero measure, for any m.
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("leja_weighted needs theta in (0, 1]")
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("leja_weighted needs theta in [0, 1]")
+    if theta <= _ENDPOINT_TOL:
+        return DiscreteMeasure.zero()
     if m < 1:
         raise ValueError("leja_weighted needs m >= 1")
     if grid_n < 16 * m:
         raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
     grid = boundary_samples(c.e_domain, grid_n)
     u_ext = np.atleast_1d(log_potential(lambda_n, grid))
+    return DiscreteMeasure(grid[_leja_indices(grid, m, u_ext, theta)], np.full(m, theta / m))
+
+
+def _leja_indices(pts: np.ndarray, m: int, u_ext=0.0, theta: float = 1.0) -> list:
+    """Indices of m greedy weighted Leja points of pts.
+
+    Point j+1 maximizes sum_{i <= j} log|z - z_i| - (j / theta) u_ext(z); the
+    first point maximizes -u_ext.  Ties go to the lowest index.  The default
+    zero field gives plain Leja (greedy max-product) points.
+    """
+    if m == 0:
+        return []
     chosen = [int(np.argmax(-u_ext))]
-    acc = np.log(np.maximum(np.abs(grid - grid[chosen[0]]), 1e-300))
+    acc = log_abs(pts - pts[chosen[0]])
     for j in range(1, m):
-        obj = acc - (j / theta) * u_ext
-        idx = int(np.argmax(obj))
+        idx = int(np.argmax(acc - (j / theta) * u_ext))
         chosen.append(idx)
-        acc = acc + np.log(np.maximum(np.abs(grid - grid[idx]), 1e-300))
-    return DiscreteMeasure(grid[chosen], np.full(m, theta / m))
+        acc = acc + log_abs(pts - pts[idx])
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +323,25 @@ def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     """
     samples, phi_g, g_inf = _curve_grid(c, grid_n)
     mask = _grid_support_mask(samples.points, lam)
-    if lam.is_zero:
-        vals = -g_inf
-        return samples.params, vals, mask
-    phi_atoms = phi_exterior(c.e_domain, lam.points)
-    vals = np.empty(grid_n)
     free = ~mask
-    phi_free = phi_g[free]
-    pot = np.empty(phi_free.size)
-    # the free x atoms kernel in row blocks, so its complex temporaries stay small
-    for s in range(0, phi_free.size, _FIELD_BLOCK):
-        rows = slice(s, s + _FIELD_BLOCK)
-        pot[rows] = kernel_from_phi(phi_free[rows, None], phi_atoms[None, :]) @ lam.weights
-    vals[free] = pot - g_inf[free]
+    vals = np.empty(grid_n)
+    vals[free] = _field_values(c, lam, phi_g[free], g_inf[free])
     vals[mask] = np.min(vals[free]) if np.any(free) else 0.0
     return samples.params, vals, mask
+
+
+def _field_values(c: Condenser, lam: DiscreteMeasure, phi_pts: np.ndarray,
+                  g_inf: np.ndarray) -> np.ndarray:
+    """U_D^{lam} - g(., inf) at points given by phi and g(., inf) there."""
+    if lam.is_zero:
+        return -g_inf
+    phi_atoms = phi_exterior(c.e_domain, lam.points)
+    pot = np.empty(phi_pts.size)
+    # the points x atoms kernel in row blocks, so its complex temporaries stay small
+    for s in range(0, phi_pts.size, _FIELD_BLOCK):
+        rows = slice(s, s + _FIELD_BLOCK)
+        pot[rows] = kernel_from_phi(phi_pts[rows, None], phi_atoms[None, :]) @ lam.weights
+    return pot - g_inf
 
 
 def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
@@ -354,15 +368,13 @@ def _m_energy(c: Condenser, lam: DiscreteMeasure, theta: float) -> float:
 def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int, seed: int):
     """lambda_n and both curve constants at one theta, from one curve-field
     evaluation; returns (lam, m_energy, m_field, params, field values, field_min)."""
-    at_zero = theta <= _ENDPOINT_TOL
-    at_one = theta >= 1.0 - _ENDPOINT_TOL
-    lam = DiscreteMeasure.zero() if at_one else fekete_green(c, theta, n_points, grid_n, seed)
+    lam = fekete_green(c, theta, n_points, grid_n, seed)
     params, vals, mask = gamma_field(c, lam, grid_n)
-    # lam = 0 at theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
     field_min = float(np.min(vals[~mask]))
-    if at_zero:
+    if theta <= _ENDPOINT_TOL:
         m_energy = m_field = 0.0
-    elif at_one:
+    elif lam.is_zero:
+        # theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
         m_energy = m_field = field_min
     else:
         m_energy, m_field = _m_energy(c, lam, theta), field_min
@@ -371,11 +383,8 @@ def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int, seed: i
 
 def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
     """The plate constant: -log cp(E) - sum_i w_i g(x_i, inf)."""
-    base = -float(np.log(log_capacity(c.e_domain)))
-    if lambda_n.is_zero:
-        return base
     g_atoms = green_pole_infinity(c.e_domain, lambda_n.points)
-    return base - float(np.sum(lambda_n.weights * g_atoms))
+    return -float(np.log(log_capacity(c.e_domain))) - float(np.sum(lambda_n.weights * g_atoms))
 
 
 def support_S_theta(c: Condenser, lambda_n: DiscreteMeasure, m_field: float,
@@ -432,11 +441,11 @@ def condenser_capacity(c: Condenser, m: int = 256, grid_n: int = 4096,
     """
     if m < 8:
         raise ValueError("condenser_capacity needs m >= 8")
-    samples = sample_curve(c.gamma, grid_n)
+    samples, phi_all, _ = _curve_grid(c, grid_n)
     keep = np.arange(grid_n) if arcs is None else np.nonzero(_arc_mask(samples.params, arcs))[0]
     if keep.size < 32:
         raise GridTooCoarse("capacity support arcs contain fewer than 32 grid samples")
-    phi_g = phi_exterior(c.e_domain, samples.points[keep])
+    phi_g = phi_all[keep]
     g_inf = np.zeros(keep.size)
 
     m1 = min(m, keep.size // 16)
@@ -445,7 +454,7 @@ def condenser_capacity(c: Condenser, m: int = 256, grid_n: int = 4096,
     for mm in (m1, m2):
         run = _exchange_maximize(phi_g, g_inf, mm, 0.0, seed)
         _warn_unconverged(run, mm, keep.size)
-        energies[mm] = _pair_energy(phi_g[run.chosen], np.full(mm, 1.0 / mm))
+        energies[mm] = green_pair_energy(phi_g[run.chosen], np.full(mm, 1.0 / mm))
 
     # fit E(m) = E_inf - (log m + b) / m through the two levels
     u1, u2 = 1.0 / m1, 1.0 / m2
@@ -466,8 +475,7 @@ def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,
         raise ValueError("theta must lie in [0, 1]")
     lam, m_energy, m_field, params, vals, field_min = _theta_stage(c, theta, n_points,
                                                                    grid_n, seed)
-    mu = (DiscreteMeasure.zero() if theta <= _ENDPOINT_TOL
-          else leja_weighted(c, lam, theta, n_points, grid_n))
+    mu = leja_weighted(c, lam, theta, n_points, grid_n)
     arcs = _support_arcs(params, vals, field_min, support_tol)
 
     support_vals = vals[_arc_mask(params, arcs)]

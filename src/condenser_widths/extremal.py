@@ -14,17 +14,20 @@ vectorized batch, which makes cyclic coordinate descent affordable.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .balayage import _alpha_measure
 from .errors import BudgetExceeded, GridTooClose
-from .equilibrium import fekete_green, leja_weighted
+from .equilibrium import _leja_indices, fekete_green, leja_weighted
 from .geometry import Condenser, boundary_samples, interior_spots, sample_curve
-from .measure import DiscreteMeasure, LOG_CLAMP, log_potential, minimax_scan_sets
+from .measure import (DiscreteMeasure, M_functional, log_abs, log_potential,
+                      minimax_scan_sets)
 
 _IMPROVE_EPS = 1e-13
+_MAX_SWEEPS = 40  # coordinate-descent budget of the chi estimators
 
 
 @dataclass(frozen=True)
@@ -72,24 +75,21 @@ class ChiEstimate:
         return d
 
 
-def _log_abs(diff):
-    return np.log(np.maximum(np.abs(diff), LOG_CLAMP))
-
-
 def ratio_norms(zc: ZeroConfig, c: Condenser, grid_n: int = 4096) -> float:
     """||pq||_plate / ||pq||_curve by log-domain evaluation on the scan grids."""
     return float(np.exp(log_ratio_norms(zc, c, grid_n)))
 
 
 def log_ratio_norms(zc: ZeroConfig, c: Condenser, grid_n: int = 4096) -> float:
-    """log of the norm ratio; stays finite where the ratio itself underflows."""
-    zeros = np.array(list(zc.p_zeros) + list(zc.q_zeros), dtype=complex)
-    if zeros.size == 0:
+    """log of the norm ratio; stays finite where the ratio itself underflows.
+
+    It is M of the unit-weight counting measure of the zeros, on the same scan
+    sets (log|pq| = -U^sigma), so the empty configuration gives 0.
+    """
+    zeros = list(zc.p_zeros) + list(zc.q_zeros)
+    if not zeros:
         return 0.0
-    gamma_pts, e_pts = minimax_scan_sets(c, grid_n, grid_n)
-    le = np.sum(_log_abs(e_pts[:, None] - zeros[None, :]), axis=1)
-    lg = np.sum(_log_abs(gamma_pts[:, None] - zeros[None, :]), axis=1)
-    return float(np.max(le) - np.max(lg))
+    return M_functional(DiscreteMeasure(zeros, np.ones(len(zeros))), c, grid_n, grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,8 @@ class NormRatioScorer:
                       "e": _plate_candidates(c, e_cand_n)}
         self.mats = {}
         for kind, pts in self.cands.items():
-            self.mats[("e", kind)] = _log_abs(self.e_eval[:, None] - pts[None, :])
-            self.mats[("gamma", kind)] = _log_abs(self.gamma_eval[:, None] - pts[None, :])
+            self.mats[("e", kind)] = log_abs(self.e_eval[:, None] - pts[None, :])
+            self.mats[("gamma", kind)] = log_abs(self.gamma_eval[:, None] - pts[None, :])
         self.budget = budget
         self.evals_used = 0
 
@@ -125,7 +125,7 @@ class NormRatioScorer:
 
     def columns(self, z: complex):
         """Log-distance columns of a single zero over both eval sets."""
-        return (_log_abs(self.e_eval - z), _log_abs(self.gamma_eval - z))
+        return (log_abs(self.e_eval - z), log_abs(self.gamma_eval - z))
 
 
 def _plate_candidates(c: Condenser, n: int) -> np.ndarray:
@@ -202,12 +202,13 @@ class _Config:
         return self.scorer.cands[self.kind]
 
 
-def _coordinate_descent(cfg: _Config, sign: float, allow_drop: bool = True,
-                        max_sweeps: int = 40):
-    """Cyclic single-zero improvement until a clean sweep; returns final objective.
+def _coordinate_descent(cfg: _Config, sign: float, max_sweeps: int = _MAX_SWEEPS):
+    """Cyclic single-zero improvement until a clean sweep; returns
+    (final objective, converged).
 
     sign = +1 maximizes, -1 minimizes; every accepted step strictly improves,
-    so the loop terminates.
+    so the loop terminates.  converged is False when the last of max_sweeps
+    sweeps still improved.
     """
     best = cfg.objective()
     for _ in range(max_sweeps):
@@ -220,30 +221,43 @@ def _coordinate_descent(cfg: _Config, sign: float, allow_drop: bool = True,
                 cfg.apply_move(i, j)
                 best = float(scores[j])
                 improved = True
-            if allow_drop and len(cfg.zeros) > 0:
-                dropped = cfg.drop_score(i)
-                if sign * dropped > sign * best + _IMPROVE_EPS:
-                    cfg.apply_drop(i)
-                    best = dropped
-                    improved = True
-                    continue  # indices shifted; do not advance
+            dropped = cfg.drop_score(i)
+            if sign * dropped > sign * best + _IMPROVE_EPS:
+                cfg.apply_drop(i)
+                best = dropped
+                improved = True
+                continue  # indices shifted; do not advance
             i += 1
         if not improved:
-            break
-    return best
+            return best, True
+    return best, False
 
 
-def _greedy_product_points(cands: np.ndarray, m: int) -> list:
-    """Unweighted greedy max-product points over a candidate set (Leja style)."""
-    if m == 0:
-        return []
-    chosen = [0]
-    acc = _log_abs(cands - cands[0])
-    for _ in range(1, m):
-        idx = int(np.argmax(acc))
-        chosen.append(idx)
-        acc = acc + _log_abs(cands - cands[idx])
-    return [complex(cands[i]) for i in chosen]
+def _warn_unconverged(converged: bool, n: int, k: int):
+    if not converged:
+        warnings.warn(f"coordinate descent stopped at max_sweeps = {_MAX_SWEEPS} before "
+                      f"converging (n = {n}, k = {k})", RuntimeWarning, stacklevel=2)
+
+
+def _sup_over_q(scorer: NormRatioScorer, p_zeros, starts, max_sweeps: int = _MAX_SWEEPS):
+    """sup over q of the objective at fixed p zeros: ascend from each start,
+    then compare with the empty q.  A later start, and the empty q, win only
+    if strictly better.  Returns (value, q zeros, every ascent converged)."""
+    best_val, best_q, converged = None, [], True
+    for q0 in starts:
+        cfg = _Config(scorer, p_zeros, q0, "gamma")
+        val, ok = _coordinate_descent(cfg, +1.0, max_sweeps)
+        converged = converged and ok
+        if best_val is None or val > best_val:
+            best_val, best_q = val, list(cfg.zeros)
+    empty = _Config(scorer, p_zeros, [], "gamma").objective()
+    if empty > best_val:
+        best_val, best_q = empty, []
+    return best_val, best_q, converged
+
+
+def _leja_points(cands: np.ndarray, m: int) -> list:
+    return [complex(z) for z in cands[_leja_indices(cands, m)]]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +272,8 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     grids, with lower degrees explored through zero-dropping moves.
 
     k = 0 is exact: the constant polynomial is the inner maximizer (the
-    maximum principle caps the ratio at 1), so chi = 1.
+    maximum principle caps the ratio at 1), so chi = 1.  The inner sups that
+    re-check a trial p are truncated at 6 sweeps on purpose and never warn.
     """
     if n > 6:
         raise ValueError("chi_bruteforce is restricted to n <= 6")
@@ -276,33 +291,21 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     e_cands = scorer.cands["e"]
     g_cands = scorer.cands["gamma"]
 
-    p_starts = [_greedy_product_points(boundary_samples(c.e_domain, 128), k),
+    p_starts = [_leja_points(boundary_samples(c.e_domain, 128), k),
                 [c.e_domain.midpoint] * k]
     for _ in range(max(0, restarts)):
         p_starts.append([complex(e_cands[i]) for i in rng.integers(0, len(e_cands), size=k)])
-
-    def inner_sup(p_zeros, warm=None, sweeps=40, with_random=False):
-        """sup over q of the objective at fixed p; multistart + empty config."""
-        starts = [_greedy_product_points(g_cands, n - k)]
-        if with_random and n - k > 0:
-            starts.append([complex(g_cands[i])
-                           for i in rng.integers(0, len(g_cands), size=n - k)])
-        if warm is not None:
-            starts.insert(0, list(warm))
-        best_val, best_q = None, []
-        for q0 in starts:
-            cfg = _Config(scorer, p_zeros, q0, "gamma")
-            val = _coordinate_descent(cfg, +1.0, allow_drop=True, max_sweeps=sweeps)
-            if best_val is None or val > best_val:
-                best_val, best_q = val, list(cfg.zeros)
-        empty = _Config(scorer, p_zeros, [], "gamma").objective()
-        if empty > best_val:
-            best_val, best_q = empty, []
-        return best_val, best_q
+    q_leja = _leja_points(g_cands, n - k)
 
     best = None  # (value, p_zeros, q_zeros)
+    converged = True
     for p0 in p_starts:
-        val, q_star = inner_sup(p0, with_random=True)
+        q_starts = [q_leja]
+        if n - k > 0:
+            q_starts.append([complex(g_cands[i])
+                             for i in rng.integers(0, len(g_cands), size=n - k)])
+        val, q_star, ok = _sup_over_q(scorer, p0, q_starts)
+        converged = converged and ok
         p_cur = list(p0)
         for _ in range(6):  # outer sweeps
             improved = False
@@ -316,7 +319,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
                         break
                     trial = list(p_cur)
                     trial[i] = complex(e_cands[j])
-                    tv, tq = inner_sup(trial, warm=q_star, sweeps=6)
+                    tv, tq, _ = _sup_over_q(scorer, trial, [q_star, q_leja], 6)
                     if tv < val - _IMPROVE_EPS:
                         p_cur, val, q_star = trial, tv, tq
                         improved = True
@@ -324,7 +327,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
                 # degree reduction on p
                 if len(p_cur) > 0:
                     trial = p_cur[:i] + p_cur[i + 1:]
-                    tv, tq = inner_sup(trial, warm=q_star, sweeps=6)
+                    tv, tq, _ = _sup_over_q(scorer, trial, [q_star, q_leja], 6)
                     if tv < val - _IMPROVE_EPS:
                         p_cur, val, q_star = trial, tv, tq
                         improved = True
@@ -337,7 +340,8 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
 
     log_upper, p_best, q_best = best
     low_cfg = _Config(scorer, q_best, list(p_best), "e")
-    log_lower = _coordinate_descent(low_cfg, -1.0, allow_drop=True)
+    log_lower, ok = _coordinate_descent(low_cfg, -1.0)
+    _warn_unconverged(converged and ok, n, k)
     return _estimate(n, k, log_upper, log_lower, "bruteforce",
                      ZeroConfig(tuple(p_best), tuple(q_best), n, k))
 
@@ -349,56 +353,42 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
 
     chi_upper is the inner sup over q at the better of the two p configs;
     chi_lower descends p at the fixed Fekete q.  Both descents start from the
-    shared pair, which forces chi_lower <= chi_upper.
+    shared pair, which forces chi_lower <= chi_upper.  k = n and k = 0 need no
+    branch: theta = k / n is then exactly 1 or 0, where the stage solvers
+    return the zero measure.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     theta = k / n
-    fek_grid = max(4096, 16 * max(1, n - k))
-    if k == n:
-        lam = DiscreteMeasure.zero()
-        q0 = []
-    else:
-        lam = fekete_green(c, theta, n - k, fek_grid, seed)
-        q0 = [complex(z) for z in lam.points]
-    if k == 0:
-        p0 = []
-    else:
-        leja_grid = max(4096, 16 * k)
-        mu = leja_weighted(c, lam, theta, k, leja_grid)
-        p0 = [complex(z) for z in mu.points]
+    lam = fekete_green(c, theta, n - k, max(4096, 16 * (n - k)), seed)
+    mu = leja_weighted(c, lam, theta, k, max(4096, 16 * k))
+    q0 = [complex(z) for z in lam.points]
+    p0 = [complex(z) for z in mu.points]
 
     scorer = NormRatioScorer(c, grid_n=grid_n, gamma_cand_n=min(1024, grid_n),
                              e_cand_n=256, budget=budget)
 
-    up_cfg = _Config(scorer, p0, q0, "gamma")
-    log_upper = _coordinate_descent(up_cfg, +1.0, allow_drop=True)
-    empty_val = _Config(scorer, p0, [], "gamma").objective()
-    log_upper = max(log_upper, empty_val)
-    q_star = list(up_cfg.zeros) if log_upper > empty_val - _IMPROVE_EPS else []
+    log_upper, q_star, converged = _sup_over_q(scorer, p0, [q0])
 
     # the inf side descends from the Leja start and from the all-at-center
     # start (the config whose swept counting measure is the plate equilibrium
     # distribution); single-zero moves cannot cross between the two basins
-    p_starts = [list(p0)]
-    if k > 0:
-        p_starts.append([c.e_domain.midpoint] * k)
     log_lower, p_star = None, list(p0)
-    for ps in p_starts:
+    for ps in (p0, [c.e_domain.midpoint] * k):
         low_cfg = _Config(scorer, q0, list(ps), "e")
-        val = _coordinate_descent(low_cfg, -1.0, allow_drop=True)
+        val, ok = _coordinate_descent(low_cfg, -1.0)
+        converged = converged and ok
         if log_lower is None or val < log_lower:
             log_lower, p_star = val, list(low_cfg.zeros)
 
     if p_star != p0:
         # re-run the sup at the improved p, again from the Fekete start so the
         # sandwich ordering is preserved by construction
-        polish = _Config(scorer, p_star, list(q0), "gamma")
-        polished = _coordinate_descent(polish, +1.0, allow_drop=True)
-        polished = max(polished, _Config(scorer, p_star, [], "gamma").objective())
+        polished, q_polished, ok = _sup_over_q(scorer, p_star, [q0])
+        converged = converged and ok
         if polished < log_upper:
-            log_upper = polished
-            q_star = list(polish.zeros)
+            log_upper, q_star = polished, q_polished
+    _warn_unconverged(converged, n, k)
 
     return _estimate(n, k, log_upper, log_lower, "asymptotic_pair",
                      ZeroConfig(tuple(p_star), tuple(q_star), n, k))

@@ -17,6 +17,11 @@ from .geometry import (Condenser, EDomain, boundary_samples, green_pole_infinity
 LOG_CLAMP = 1e-300
 
 
+def log_abs(diff):
+    """log|diff| with the LOG_CLAMP distance clamp."""
+    return np.log(np.maximum(np.abs(diff), LOG_CLAMP))
+
+
 class DiscreteMeasure:
     """A finite positive measure given by weighted atoms.
 
@@ -116,8 +121,7 @@ def log_potential(mu: DiscreteMeasure, z):
     out = np.empty(zs.shape)
 
     def block(lo, hi):
-        d = np.abs(zs[lo:hi, None] - mu.points[None, :])
-        out[lo:hi] = -np.sum(mu.weights * np.log(np.maximum(d, LOG_CLAMP)), axis=1)
+        out[lo:hi] = -np.sum(mu.weights * log_abs(zs[lo:hi, None] - mu.points[None, :]), axis=1)
         return None
 
     parallel.run_chunked(block, zs.size, chunk=max(1, 2 ** 22 // max(1, len(mu))))
@@ -168,15 +172,19 @@ def energy_J(lam: DiscreteMeasure, e: EDomain, theta: float) -> float:
     The diagonal is excluded (point atoms have infinite self-energy).  The mass
     of lam must equal 1 - theta; theta = 1 pairs with the zero measure.
     """
-    _check_mass(lam.total_mass if not lam.is_zero else 0.0, 1.0 - theta)
+    _check_mass(lam.total_mass, 1.0 - theta)
     if lam.is_zero:
         return 0.0
-    p = phi_exterior(e, lam.points)
-    k = kernel_from_phi(p[:, None], p[None, :])
-    np.fill_diagonal(k, 0.0)
-    pair = float(lam.weights @ k @ lam.weights)
+    pair = green_pair_energy(phi_exterior(e, lam.points), lam.weights)
     g_inf = green_pole_infinity(e, lam.points)
     return pair - 2.0 * float(np.sum(lam.weights * g_inf))
+
+
+def green_pair_energy(phi_pts, weights) -> float:
+    """sum_{i != j} w_i w_j g(x_i, x_j) from phi at the atoms, diagonal excluded."""
+    k = kernel_from_phi(phi_pts[:, None], phi_pts[None, :])
+    np.fill_diagonal(k, 0.0)
+    return float(weights @ k @ weights)
 
 
 def energy_I(mu: DiscreteMeasure, lambda_theta: DiscreteMeasure, theta: float) -> float:
@@ -184,11 +192,10 @@ def energy_I(mu: DiscreteMeasure, lambda_theta: DiscreteMeasure, theta: float) -
 
         I(mu) = -sum_{i != j} w_i w_j log|x_i - x_j| + 2 sum_i w_i U^lambda(x_i).
     """
-    _check_mass(mu.total_mass if not mu.is_zero else 0.0, theta)
+    _check_mass(mu.total_mass, theta)
     if mu.is_zero:
         return 0.0
-    d = np.abs(mu.points[:, None] - mu.points[None, :])
-    logd = np.log(np.maximum(d, LOG_CLAMP))
+    logd = log_abs(mu.points[:, None] - mu.points[None, :])
     np.fill_diagonal(logd, 0.0)
     pair = -float(mu.weights @ logd @ mu.weights)
     ext = log_potential(lambda_theta, mu.points)

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _ENDPOINT_TOL, condenser_capacity, m_theta
+from .equilibrium import _ENDPOINT_TOL, _field_values, condenser_capacity, m_theta
 from .errors import GridTooClose
 from .extremal import chi_asymptotic_pair, chi_bruteforce
-from .geometry import (Condenser, green_pole_infinity, kernel_from_phi,
-                       phi_exterior)
+from .geometry import Condenser, green_pole_infinity, phi_exterior
 from .measure import DiscreteMeasure, FieldGrid
 
 
@@ -28,16 +27,12 @@ class WidthReport:
     predicted_rate: float       # the curve constant at theta (field route)
     widom_rate: float           # -1 / cp(E, Gamma), the per-k rate as theta -> 0
     chi_lower_bounds: list      # (n, k, (1/n) log chi estimate) triples
-    field_grid: FieldGrid | None = None
     normalization: str = "per-n"
 
     def to_json_dict(self):
-        d = {"theta": self.theta, "predicted_rate": self.predicted_rate,
-             "widom_rate": self.widom_rate, "normalization": self.normalization,
-             "chi_lower_bounds": [[n, k, r] for n, k, r in self.chi_lower_bounds]}
-        if self.field_grid is not None:
-            d["field_grid"] = self.field_grid.to_json_dict()
-        return d
+        return {"theta": self.theta, "predicted_rate": self.predicted_rate,
+                "widom_rate": self.widom_rate, "normalization": self.normalization,
+                "chi_lower_bounds": [[n, k, r] for n, k, r in self.chi_lower_bounds]}
 
 
 def width_rate_predict(c: Condenser, theta: float, n_points: int = 256,
@@ -81,11 +76,6 @@ def g_theta_field(c: Condenser, lambda_n: DiscreteMeasure, grid) -> FieldGrid:
         if np.min(d) < 1e-3:
             raise GridTooClose("field grid comes within 1e-3 of the measure support")
     g_inf = np.atleast_1d(green_pole_infinity(c.e_domain, pts))
-    if lambda_n.is_zero:
-        vals = -g_inf
-    else:
-        kern = kernel_from_phi(phi_exterior(c.e_domain, pts)[:, None],
-                               phi_exterior(c.e_domain, lambda_n.points)[None, :])
-        vals = kern @ lambda_n.weights - g_inf
+    vals = _field_values(c, lambda_n, phi_exterior(c.e_domain, pts), g_inf)
     return FieldGrid(grid_points=pts, values=vals,
                      description="U_D^lambda - g(., inf)")

@@ -38,6 +38,18 @@ def test_fekete_single_atom_at_field_max(offset):
         fekete_green(offset, 0.25, 1, 8, seed=0)
 
 
+def test_stage_solvers_own_the_theta_endpoints(offset):
+    # theta = 1 leaves no curve mass and theta = 0 no plate mass; the endpoint
+    # comes before the m and grid checks
+    for m, grid_n in ((0, 0), (64, 4096)):
+        assert fekete_green(offset, 1.0, m, grid_n).is_zero
+        assert leja_weighted(offset, DiscreteMeasure.atom(4.0, 1.0), 0.0, m, grid_n).is_zero
+    with pytest.raises(ValueError):
+        fekete_green(offset, 1.5, 4, 4096)
+    with pytest.raises(ValueError):
+        leja_weighted(offset, DiscreteMeasure.zero(), -0.5, 4, 4096)
+
+
 def test_fekete_scale_monotone_in_m(concentric):
     # the m-point scale of exact maximizers is non-increasing in m
     d8 = fekete_diameter(concentric, 0.5, 8, 1024, seed=0)

@@ -101,6 +101,47 @@ def test_chi_asymptotic_single_curve_zero(offset):
     assert est.chi_lower <= est.chi_upper
 
 
+def test_chi_asymptotic_reported_pair_reaches_upper(concentric):
+    # the empty q strictly beats the descended Fekete q here, so the reported
+    # pair must be (p, []) for its objective to equal chi_upper
+    n, k = 16, 8
+    est = chi_asymptotic_pair(concentric, n, k, seed=0)
+    assert log_ratio_norms(est.config, concentric, 2048) == pytest.approx(
+        n * est.log_rate_upper, abs=1e-9)
+
+
+def test_descent_budget_exhaustion_warns(concentric, offset, monkeypatch):
+    import warnings
+    from condenser_widths import extremal as ex
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # converged descents stay silent
+        chi_asymptotic_pair(offset, 16, 8, seed=0)
+        chi_bruteforce(concentric, 4, 2, seed=0)
+    descent = ex._coordinate_descent
+    monkeypatch.setattr(ex, "_MAX_SWEEPS", 1)
+    monkeypatch.setattr(ex, "_coordinate_descent",
+                        lambda cfg, sign, max_sweeps=None: descent(cfg, sign, 1))
+    with pytest.warns(RuntimeWarning, match=r"max_sweeps = 1 .*n = 16, k = 8"):
+        chi_asymptotic_pair(offset, 16, 8, seed=0)
+    with pytest.warns(RuntimeWarning, match=r"max_sweeps = 1 .*n = 4, k = 2"):
+        chi_bruteforce(concentric, 4, 2, seed=0)
+
+
+def test_leja_indices_zero_field_is_greedy_max_product(concentric, offset):
+    # the unweighted Leja points of the bruteforce starts, against the plain
+    # greedy max-product loop
+    from condenser_widths.equilibrium import _leja_indices
+    from condenser_widths.geometry import boundary_samples
+    for cands in (boundary_samples(concentric.e_domain, 128), sample_curve(offset.gamma, 256).points):
+        for m in (0, 1, 2, 7, 39):
+            chosen = [0] if m else []
+            acc = np.log(np.maximum(np.abs(cands - cands[0]), 1e-300))
+            for _ in range(1, m):
+                chosen.append(int(np.argmax(acc)))
+                acc = acc + np.log(np.maximum(np.abs(cands - cands[chosen[-1]]), 1e-300))
+            assert _leja_indices(cands, m) == chosen
+
+
 def test_chi_envelope(concentric):
     # coarse envelope: between half the full-mass floor and 1 + tolerance
     for n, k in ((4, 2), (6, 3)):
