@@ -10,6 +10,18 @@ substitution).  Its antiderivative is closed form,
 
 so cell masses are exact and total mass is preserved to roundoff.
 
+A measure sum_j w_j delta_{b_j} is swept in one pass.  The cell edges and
+their rotations e^{-it} are the same for every atom, and differencing is
+linear, so with W = sum_j w_j
+
+    sum_j w_j diff(psi_j) = W diff(t + 2 sum_j (w_j / W) arg(1 - a_j e^{-it})).
+
+The weighted angle sum is accumulated over fixed blocks of atoms, one
+(block x cells) arctan2 and one matrix-vector product per block, with
+buffers allocated once per sweep.  A single atom reproduces the one-atom
+formula bit for bit; several atoms agree with the atom-by-atom sum up to
+the order of the additions.
+
 Cell masses being exact, the only approximation is representing each cell by
 an atom at its center.  Potentials of the swept measure are good to about
 1e-6 with 4096 cells when sources keep distance >= 0.1 from the target
@@ -26,8 +38,10 @@ import numpy as np
 
 from .errors import UnsupportedCurve, UnsupportedDomain
 from .geometry import (Condenser, CurveSpec, EDomain, TWO_PI, green_exterior_gamma,
-                       green_pole_infinity, sample_curve)
+                       green_pole_infinity, sample_curve, winding_number)
 from .measure import DiscreteMeasure
+
+_SWEEP_BLOCK = 16  # atoms per block of the sweep; buffers of 24 B x block x (cells + 1)
 
 
 @dataclass(frozen=True)
@@ -41,27 +55,35 @@ class BalayageResult:
         return {"swept": self.swept.to_json_dict(), "shift_constant": self.shift_constant}
 
 
-def _cell_masses(a: complex, grid_n: int) -> np.ndarray:
-    """Exact harmonic-measure masses of the grid cells seen from unit-disk point a.
+def _sweep_to_circle(points, weights, center: complex, radius: float, grid_n: int):
+    """Sweep atoms (all off the circle) onto cell centers of the circle grid.
 
     Cells are centered at angles 2 pi k / n.  With |a| < 1 the map
     1 - a e^{-it} stays in the right half plane, so the principal branch of
-    the argument is smooth and the masses sum to 1 exactly up to roundoff.
+    the argument is smooth and the masses sum to the total weight up to
+    roundoff.
     """
+    total = float(np.sum(weights))
+    share = weights / total
+    b = (points - center) / radius
+    a = b.copy()
+    outside = np.abs(b) >= 1.0
+    a[outside] = 1.0 / np.conj(b[outside])
     h = TWO_PI / grid_n
     edges = h * np.arange(grid_n + 1) - 0.5 * h
-    psi = edges + 2.0 * np.angle(1.0 - a * np.exp(-1j * edges))
-    return np.diff(psi) / TWO_PI
-
-
-def _sweep_to_circle(points, weights, center: complex, radius: float, grid_n: int):
-    """Sweep atoms (all off the circle) onto cell centers of the circle grid."""
-    masses = np.zeros(grid_n)
-    for z, w in zip(points, weights):
-        b = (z - center) / radius
-        a = b if abs(b) < 1.0 else 1.0 / np.conj(b)
-        masses += w * _cell_masses(a, grid_n)
-    return masses
+    rot = np.exp(-1j * edges)
+    block = min(_SWEEP_BLOCK, a.size)
+    z = np.empty((block, grid_n + 1), dtype=complex)
+    ang = np.empty((block, grid_n + 1))
+    acc = np.zeros(grid_n + 1)
+    for lo in range(0, a.size, block):
+        ab = a[lo:lo + block]
+        zb, tb = z[:ab.size], ang[:ab.size]
+        np.multiply(ab[:, None], rot, out=zb)
+        np.subtract(1.0, zb, out=zb)
+        np.arctan2(zb.imag, zb.real, out=tb)
+        acc += share[lo:lo + block] @ tb
+    return total * (np.diff(edges + 2.0 * acc) / TWO_PI)
 
 
 def _circle_grid(center: complex, radius: float, grid_n: int) -> np.ndarray:
@@ -151,8 +173,8 @@ def _beta_measure(q_zeros: np.ndarray, c: Condenser, n: int, k: int,
             beta = beta + DiscreteMeasure(grid, np.full(boundary_grid_n,
                                                         defect / boundary_grid_n))
         return beta
-    inside = np.array([_point_in_region(c.gamma, z) for z in q_zeros], dtype=bool)
-    if defect > 0 or (q_zeros.size and not np.all(inside)):
+    curve = sample_curve(c.gamma, 1024).points if q_zeros.size else None
+    if defect > 0 or any(winding_number(curve, z) != 1 for z in q_zeros):
         raise UnsupportedCurve(
             "beta needs balayage onto the curve or a uniform curve term; "
             "both are implemented for circles only")
@@ -178,8 +200,3 @@ def counting_alpha_beta(p_zeros, q_zeros, c: Condenser, n: int, k: int,
     return (_alpha_measure(p_zeros, c, n, boundary_grid_n),
             _beta_measure(q_zeros, c, n, k, boundary_grid_n))
 
-
-def _point_in_region(gamma: CurveSpec, z: complex) -> bool:
-    from .geometry import winding_number
-    curve = sample_curve(gamma, 1024).points
-    return winding_number(curve, z) == 1

@@ -157,14 +157,19 @@ class _Config:
             self.fixed_lg += cg
         self.zeros = [complex(z) for z in movable_zeros]
         self.cols = [scorer.columns(z) for z in self.zeros]
+        self._sums = None
 
     def _totals(self):
-        le = self.fixed_le.copy()
-        lg = self.fixed_lg.copy()
-        for ce, cg in self.cols:
-            le += ce
-            lg += cg
-        return le, lg
+        """(le, lg) summed over all zeros; cached until the next move or drop.
+        Callers must not write to the returned arrays."""
+        if self._sums is None:
+            le = self.fixed_le.copy()
+            lg = self.fixed_lg.copy()
+            for ce, cg in self.cols:
+                le += ce
+                lg += cg
+            self._sums = (le, lg)
+        return self._sums
 
     def objective(self) -> float:
         self.scorer._charge(1)
@@ -193,10 +198,12 @@ class _Config:
         self.zeros[i] = z
         self.cols[i] = (self.scorer.mats[("e", self.kind)][:, cand_idx].copy(),
                         self.scorer.mats[("gamma", self.kind)][:, cand_idx].copy())
+        self._sums = None
 
     def apply_drop(self, i: int):
         del self.zeros[i]
         del self.cols[i]
+        self._sums = None
 
     def cands_of_kind(self):
         return self.scorer.cands[self.kind]

@@ -141,3 +141,13 @@ def test_counting_beta_noncircular_curve_flagged():
     # the defect term needs the curve equilibrium measure: circles only
     with pytest.raises(UnsupportedCurve):
         counting_alpha_beta([], [2.0 + 0.5j], c, 3, 0, 256)
+
+
+def test_counting_beta_noncircular_zero_outside_flagged():
+    from condenser_widths import Condenser
+    c = Condenser(EDomain.disk(0j, 1.0), CurveSpec.ellipse(0j, (3.0, 2.5))).validate()
+    # a q zero outside the curve region would need balayage onto the ellipse
+    with pytest.raises(UnsupportedCurve):
+        counting_alpha_beta([], [2.0 + 0.5j, 4.0], c, 2, 0, 256)
+    # no q zeros and no defect: beta is the zero measure
+    assert counting_alpha_beta([0.5j], [], c, 1, 1, 256)[1].is_zero

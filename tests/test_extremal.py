@@ -211,3 +211,18 @@ def test_scorer_budget_accounting(concentric):
     with pytest.raises(BudgetExceeded):
         for _ in range(100):
             cfg.objective()
+
+
+def test_config_sums_follow_moves_and_drops(concentric):
+    from condenser_widths.extremal import _Config
+    scorer = NormRatioScorer(concentric, grid_n=256, gamma_cand_n=64, e_cand_n=48)
+    fixed = [0j, 0.3j]
+    cfg = _Config(scorer, fixed, list(scorer.cands["gamma"][:3]), "gamma")
+    cfg.objective()
+    cfg.apply_move(1, 10)
+    cfg.move_scores(0)
+    cfg.apply_drop(0)
+    fresh = _Config(scorer, fixed, cfg.zeros, "gamma")
+    assert cfg.objective() == fresh.objective()
+    assert np.array_equal(cfg.move_scores(0), fresh.move_scores(0))
+    assert cfg.drop_score(1) == fresh.drop_score(1)
