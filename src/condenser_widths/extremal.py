@@ -8,8 +8,13 @@ zeros is scored by
 
 which is the log of ||pq||_plate / ||pq||_curve and, after dividing by n,
 exactly the minimax functional of the combined counting measure on the same
-scan sets.  Single-zero moves over a candidate grid are scored in one
-vectorized batch, which makes cyclic coordinate descent affordable.
+scan sets.  Cyclic coordinate descent scores every single-zero move over a
+candidate grid at once: a score is a maximum over the eval points of
+base + (the candidate's log-distance row).  Each maximum is taken only over
+the tiles of the candidate x eval matrix that can hold it: a tile is skipped
+when its largest possible sum falls below an attained sum of every candidate
+in it.  Float addition is monotone, so the scores are bit-identical to the
+dense maximum over all eval points.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from .measure import (DiscreteMeasure, M_functional, log_abs, log_potential,
 
 _IMPROVE_EPS = 1e-13
 _MAX_SWEEPS = 40  # coordinate-descent budget of the chi estimators
+# move-scoring tiles (candidates x eval rows), and the rows of the base sum
+# probed for the per-visit lower bounds
+_CAND_BLOCK = 64
+_ROW_BLOCK = 32
+_TOP_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -110,10 +120,14 @@ class NormRatioScorer:
         self.gamma_eval, self.e_eval = minimax_scan_sets(c, grid_n, grid_n)
         self.cands = {"gamma": sample_curve(c.gamma, gamma_cand_n).points,
                       "e": _plate_candidates(c, e_cand_n)}
-        self.mats = {}
+        # candidate-major: row c holds log|cand_c - eval| over one eval set,
+        # so a move copies a contiguous row and a tile is a 2-D slice
+        self.mats, self.tiles = {}, {}
         for kind, pts in self.cands.items():
-            self.mats[("e", kind)] = log_abs(self.e_eval[:, None] - pts[None, :])
-            self.mats[("gamma", kind)] = log_abs(self.gamma_eval[:, None] - pts[None, :])
+            for side, ev in (("e", self.e_eval), ("gamma", self.gamma_eval)):
+                m = log_abs(pts[:, None] - ev[None, :])
+                self.mats[(side, kind)] = m
+                self.tiles[(side, kind)] = _tile_bounds(m)
         self.budget = budget
         self.evals_used = 0
 
@@ -126,6 +140,45 @@ class NormRatioScorer:
     def columns(self, z: complex):
         """Log-distance columns of a single zero over both eval sets."""
         return (log_abs(self.e_eval - z), log_abs(self.gamma_eval - z))
+
+    def column_tops(self, side: str, kind: str, base: np.ndarray) -> np.ndarray:
+        """max over eval rows r of base[r] + M[c, r] for every candidate c.
+
+        Only tiles that can hold a candidate's maximum are summed.  A tile is
+        skipped when max(base over its rows) + (its largest entry) is below
+        the smallest lower bound of its candidates, each bound an attained sum
+        base[r] + M[c, r].  Float addition is monotone, so the tile holding a
+        candidate's maximum always passes, and the result is bit-identical to
+        the dense maximum.
+        """
+        m = self.mats[(side, kind)]
+        tile_max, best_row, best_val = self.tiles[(side, kind)]
+        n_cand, n_rows = m.shape
+        top = np.argpartition(base, -min(_TOP_ROWS, n_rows))[-_TOP_ROWS:]
+        lower = np.maximum(base[best_row] + best_val, np.max(m[:, top] + base[top], axis=1))
+        block_lower = np.minimum.reduceat(lower, np.arange(0, n_cand, _CAND_BLOCK))
+        row_max = np.maximum.reduceat(base, np.arange(0, n_rows, _ROW_BLOCK))
+        keep = row_max + tile_max >= block_lower[:, None]
+        # runs of kept row blocks, one (candidate block, first, end) per run
+        edges = np.diff(keep.astype(np.int8), axis=1, prepend=0, append=0)
+        blocks, first = np.nonzero(edges == 1)
+        end = np.nonzero(edges == -1)[1]
+        tops = np.full(n_cand, -np.inf)
+        for b, r0, r1 in zip(blocks.tolist(), (first * _ROW_BLOCK).tolist(),
+                             (end * _ROW_BLOCK).tolist()):
+            c = slice(b * _CAND_BLOCK, (b + 1) * _CAND_BLOCK)
+            np.maximum(tops[c], (m[c, r0:r1] + base[r0:r1]).max(axis=1), out=tops[c])
+        return tops
+
+
+def _tile_bounds(m: np.ndarray):
+    """(tile maxima, best row, best value) of a candidate-major matrix: the
+    largest entry of each _CAND_BLOCK x _ROW_BLOCK tile (ragged at the ends),
+    and each candidate's largest entry with its row."""
+    row_blocks = np.maximum.reduceat(m, np.arange(0, m.shape[1], _ROW_BLOCK), axis=1)
+    tile_max = np.maximum.reduceat(row_blocks, np.arange(0, m.shape[0], _CAND_BLOCK), axis=0)
+    best_row = np.argmax(m, axis=1)
+    return tile_max, best_row, m[np.arange(m.shape[0]), best_row]
 
 
 def _plate_candidates(c: Condenser, n: int) -> np.ndarray:
@@ -178,14 +231,11 @@ class _Config:
 
     def move_scores(self, i: int) -> np.ndarray:
         """Objective after moving zero i to each candidate of its kind."""
-        me = self.scorer.mats[("e", self.kind)]
-        mg = self.scorer.mats[("gamma", self.kind)]
-        self.scorer._charge(me.shape[1])
+        scorer = self.scorer
+        scorer._charge(len(self.cands_of_kind()))
         le, lg = self._totals()
-        base_e = le - self.cols[i][0]
-        base_g = lg - self.cols[i][1]
-        tops_e = np.max(base_e[:, None] + me, axis=0)
-        tops_g = np.max(base_g[:, None] + mg, axis=0)
+        tops_e = scorer.column_tops("e", self.kind, le - self.cols[i][0])
+        tops_g = scorer.column_tops("gamma", self.kind, lg - self.cols[i][1])
         return tops_e - tops_g
 
     def drop_score(self, i: int) -> float:
@@ -196,8 +246,8 @@ class _Config:
     def apply_move(self, i: int, cand_idx: int):
         z = complex(self.cands_of_kind()[cand_idx])
         self.zeros[i] = z
-        self.cols[i] = (self.scorer.mats[("e", self.kind)][:, cand_idx].copy(),
-                        self.scorer.mats[("gamma", self.kind)][:, cand_idx].copy())
+        self.cols[i] = (self.scorer.mats[("e", self.kind)][cand_idx].copy(),
+                        self.scorer.mats[("gamma", self.kind)][cand_idx].copy())
         self._sums = None
 
     def apply_drop(self, i: int):

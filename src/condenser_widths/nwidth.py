@@ -26,7 +26,8 @@ class WidthReport:
     theta: float
     predicted_rate: float       # the curve constant at theta (field route)
     widom_rate: float           # -1 / cp(E, Gamma), the per-k rate as theta -> 0
-    chi_lower_bounds: list      # (n, k, (1/n) log chi estimate) triples
+    chi_lower_bounds: list      # (n, k, (1/n) log chi_lower) triples; descent
+                                # estimates of lower bounds, not certified
     normalization: str = "per-n"
 
     def to_json_dict(self):
@@ -56,7 +57,11 @@ def width_lower_bound(c: Condenser, n: int, k: int, grid_n: int = 2048,
     """chi-based lower bound for the width at (n, k): any candidate q gives
     inf over p of the norm ratio, which sits below chi and hence below the
     width.  Small n goes through the nested search, larger n through the
-    equilibrium pair."""
+    equilibrium pair.
+
+    The returned chi_lower is a descent estimate of that bound, not a
+    certified one: it is where a descent over p stops, which can lie above
+    the infimum over p."""
     if n <= 6:
         est = chi_bruteforce(c, n, k, grid_n=grid_n, seed=seed)
     else:

@@ -171,3 +171,20 @@ def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
     err = capsys.readouterr().err
     assert rc == 2
     assert "validation failure" in err and message in err
+
+
+def test_library_budget_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
+    from condenser_widths import cli
+    from condenser_widths.errors import BudgetExceeded
+
+    def exhausted(*args, **kwargs):
+        raise BudgetExceeded("ratio evaluation budget of 10 exhausted")
+
+    monkeypatch.setattr(cli, "chi_asymptotic_pair", exhausted)
+    cfg = write_cfg(tmp_path, n=16, k=8, grid_n=1024, method="asymptotic_pair")
+    out = tmp_path / "budget"
+    rc = main(["chi", "--config", cfg, "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "numeric budget failure" in err and "budget of 10 exhausted" in err
+    assert not (out / "result.json").exists()

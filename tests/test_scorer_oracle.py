@@ -1,0 +1,193 @@
+"""Oracle for the tile-bounded move scoring: the dense column maximum over the
+eval-major score matrices, kept verbatim, must give bit-identical scores."""
+
+import numpy as np
+import pytest
+
+from condenser_widths import Condenser, CurveSpec, EDomain, concentric_condenser, offset_condenser
+from condenser_widths import extremal
+from condenser_widths.extremal import (NormRatioScorer, _Config, _coordinate_descent,
+                                       _tile_bounds, chi_asymptotic_pair)
+from condenser_widths.measure import log_abs
+
+CONDENSERS = {
+    "level": concentric_condenser,
+    "offset": offset_condenser,
+    "segment-ellipse": lambda: Condenser(EDomain.segment(-1.0, 1.0),
+                                         CurveSpec.ellipse(0.2j, (3.0, 2.0), 0.3)).validate(),
+}
+# (grid_n, gamma_cand_n, e_cand_n): eval and candidate counts off the tile
+# sizes, one exact fit, and a curve eval set smaller than the probed top rows
+GRIDS = [(100, 70, 37), (64, 64, 48), (77, 129, 65), (5, 4, 20)]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_bit_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(bits(a), bits(b))
+
+
+def eval_major(scorer):
+    """The score matrices in the layout the dense formula used: rows are eval
+    points, columns candidates."""
+    mats = {}
+    for kind, pts in scorer.cands.items():
+        mats[("e", kind)] = log_abs(scorer.e_eval[:, None] - pts[None, :])
+        mats[("gamma", kind)] = log_abs(scorer.gamma_eval[:, None] - pts[None, :])
+    return mats
+
+
+def dense_move_scores(cfg, i, mats):
+    """The dense move scoring, verbatim."""
+    me = mats[("e", cfg.kind)]
+    mg = mats[("gamma", cfg.kind)]
+    cfg.scorer._charge(me.shape[1])
+    le, lg = cfg._totals()
+    base_e = le - cfg.cols[i][0]
+    base_g = lg - cfg.cols[i][1]
+    tops_e = np.max(base_e[:, None] + me, axis=0)
+    tops_g = np.max(base_g[:, None] + mg, axis=0)
+    return tops_e - tops_g
+
+
+class DenseConfig(_Config):
+    """A configuration scored and moved through the eval-major matrices."""
+
+    def __init__(self, scorer, fixed_zeros, movable_zeros, kind, mats):
+        super().__init__(scorer, fixed_zeros, movable_zeros, kind)
+        self.mats = mats
+
+    def move_scores(self, i):
+        return dense_move_scores(self, i, self.mats)
+
+    def apply_move(self, i, cand_idx):
+        self.zeros[i] = complex(self.cands_of_kind()[cand_idx])
+        self.cols[i] = (self.mats[("e", self.kind)][:, cand_idx].copy(),
+                        self.mats[("gamma", self.kind)][:, cand_idx].copy())
+        self._sums = None
+
+
+def restrict(scorer, kind, idx):
+    """Keep only the candidates idx of one kind, with their tile bounds."""
+    scorer.cands[kind] = scorer.cands[kind][idx]
+    for side in ("e", "gamma"):
+        m = np.ascontiguousarray(scorer.mats[(side, kind)][idx])
+        scorer.mats[(side, kind)] = m
+        scorer.tiles[(side, kind)] = _tile_bounds(m)
+
+
+@pytest.fixture(scope="module", params=[(c, g) for c in CONDENSERS for g in GRIDS],
+                ids=lambda p: f"{p[0]}-{'x'.join(map(str, p[1]))}")
+def scorer(request):
+    name, (grid_n, gamma_cand_n, e_cand_n) = request.param
+    return NormRatioScorer(CONDENSERS[name](), grid_n=grid_n, gamma_cand_n=gamma_cand_n,
+                           e_cand_n=e_cand_n)
+
+
+def check_visits(cfg, mats):
+    for i in range(len(cfg.zeros)):
+        assert_bit_equal(cfg.move_scores(i), dense_move_scores(cfg, i, mats))
+
+
+def check_bases(scorer, mats, bases):
+    for (side, kind), m in mats.items():
+        n_rows = m.shape[0]
+        for base in bases(n_rows, side, kind):
+            assert_bit_equal(scorer.column_tops(side, kind, base), np.max(base[:, None] + m, axis=0))
+
+
+def test_stored_matrices_are_the_transpose(scorer):
+    for key, m in eval_major(scorer).items():
+        assert scorer.mats[key].flags.c_contiguous
+        assert_bit_equal(scorer.mats[key], m.T)
+
+
+def test_moves_match_dense_scores(scorer):
+    mats = eval_major(scorer)
+    p = list(scorer.cands["e"][::5][:4])
+    q = list(scorer.cands["gamma"][1::7][:5])
+    check_visits(_Config(scorer, p, q, "gamma"), mats)
+    check_visits(_Config(scorer, q, p, "e"), mats)
+
+
+def test_flat_base_all_p_at_center(scorer):
+    mats = eval_major(scorer)
+    center = scorer.condenser.e_domain.midpoint
+    cfg = _Config(scorer, [center] * 4, list(scorer.cands["gamma"][:3]), "gamma")
+    check_visits(cfg, mats)
+    # exactly flat: every row ties
+    check_bases(scorer, mats, lambda n, side, kind: [np.zeros(n), np.full(n, -3.25)])
+
+
+def test_clamped_dips_on_eval_points(scorer):
+    mats = eval_major(scorer)
+    on_eval = [scorer.e_eval[0], scorer.e_eval[-1], scorer.gamma_eval[len(scorer.gamma_eval) // 2]]
+    # movable zeros on candidates that can coincide with eval points
+    check_visits(_Config(scorer, on_eval, list(scorer.cands["gamma"][:4]), "gamma"), mats)
+    check_visits(_Config(scorer, on_eval, list(scorer.cands["e"][:3]), "e"), mats)
+    assert np.min(_Config(scorer, on_eval, [], "gamma")._totals()[0]) < -600.0
+
+
+def test_random_bases(scorer):
+    mats = eval_major(scorer)
+    rng = np.random.default_rng(7)
+
+    def bases(n_rows, side, kind):
+        yield from (scale * rng.standard_normal(n_rows) for scale in (1e-12, 1.0, 50.0))
+        # sums of random candidate columns, clamped dips included
+        cols = mats[(side, kind)]
+        for size in (1, 3, 9):
+            yield cols[:, rng.integers(0, cols.shape[1], size=size)].sum(axis=1)
+
+    check_bases(scorer, mats, bases)
+
+
+@pytest.mark.parametrize("keep", [slice(0, 1), slice(0, 63), slice(1, 66), slice(None, None, 2)],
+                         ids=["one", "63", "65", "odd-count"])
+def test_candidate_counts_off_the_tile_size(keep):
+    scorer = NormRatioScorer(offset_condenser(), grid_n=100, gamma_cand_n=131, e_cand_n=70)
+    for kind in ("gamma", "e"):
+        restrict(scorer, kind, np.arange(len(scorer.cands[kind]))[keep])
+    mats = eval_major(scorer)
+    for key in mats:
+        assert_bit_equal(scorer.mats[key], mats[key].T)
+    p = [complex(scorer.cands["e"][0])] * 2
+    q = [complex(scorer.cands["gamma"][-1]), 2.5 + 0.5j]
+    check_visits(_Config(scorer, p, q, "gamma"), mats)
+    check_visits(_Config(scorer, q, p, "e"), mats)
+
+
+@pytest.mark.parametrize("sign,kind", [(1.0, "gamma"), (-1.0, "e")])
+def test_descent_matches_dense_descent(sign, kind):
+    c = offset_condenser()
+    args = dict(grid_n=256, gamma_cand_n=96, e_cand_n=70)
+    tiled, dense = NormRatioScorer(c, **args), NormRatioScorer(c, **args)
+    p0 = [0.3 + 0.1j, -0.5j, 0.0j]
+    q0 = [complex(z) for z in tiled.cands["gamma"][::20]]
+    fixed, movable = (p0, q0) if kind == "gamma" else (q0, p0)
+    a = _Config(tiled, fixed, movable, kind)
+    b = DenseConfig(dense, fixed, movable, kind, eval_major(dense))
+    assert _coordinate_descent(a, sign) == _coordinate_descent(b, sign)
+    assert a.zeros == b.zeros
+    assert tiled.evals_used == dense.evals_used > 0
+
+
+@pytest.mark.parametrize("name,n,k", [("level", 16, 8), ("offset", 16, 8), ("offset", 12, 3)])
+def test_every_visit_of_a_chi_run_matches(monkeypatch, name, n, k):
+    tiled_tops = NormRatioScorer.column_tops
+    visits = []
+
+    def checked(self, side, kind, base):
+        out = tiled_tops(self, side, kind, base)
+        dense = np.max(base[:, None] + self.mats[(side, kind)].T, axis=0)
+        assert_bit_equal(out, dense)
+        visits.append(1)
+        return out
+
+    monkeypatch.setattr(extremal.NormRatioScorer, "column_tops", checked)
+    est = chi_asymptotic_pair(CONDENSERS[name](), n, k, grid_n=512, seed=0)
+    assert est.chi_lower <= est.chi_upper
+    assert len(visits) > 2 * n
