@@ -23,7 +23,7 @@ from .geometry import (Condenser, TWO_PI, green_pole_infinity, kernel_from_phi,
 from .measure import DiscreteMeasure, energy_J, green_pair_energy, log_abs, log_potential
 
 _ENDPOINT_TOL = 1e-12
-_FIELD_BLOCK = 1024  # grid rows of the curve-field kernel built at a time
+_FIELD_BLOCK = 64  # grid rows of the curve-field kernel built or gathered at a time
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,20 @@ class SweepReport:
 
 
 class ExchangeRun(NamedTuple):
-    """Chosen grid slots of one exchange run, with its pass and move counts.
+    """Chosen grid slots of one exchange run, with its pass and move counts
+    and the final kernel columns.
 
     ``converged`` is False when the run stopped at ``max_passes`` with the
-    last pass still moving atoms.  The engine builds m + moves kernel columns.
+    last pass still moving atoms.  The engine builds m + moves kernel columns;
+    cols[i] is g(., z_chosen[i]) over the grid, 0 at its own slot and on the
+    plate.
     """
 
     chosen: np.ndarray
     passes: int
     moves: int
     converged: bool
+    cols: np.ndarray
 
 
 def _column_fill(phi_grid):
@@ -197,7 +201,7 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200) ->
                 chosen[i] = best
                 moves += 1
         converged = moves == moves_before
-    return ExchangeRun(chosen, passes, moves, converged)
+    return ExchangeRun(chosen, passes, moves, converged, cols)
 
 
 def _warn_unconverged(run: ExchangeRun, m: int, grid_n: int):
@@ -213,10 +217,20 @@ def _curve_grid(c: Condenser, grid_n: int):
             green_pole_infinity(c.e_domain, samples.points))
 
 
-def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int):
-    """Shared solver state: curve samples, chosen indices, and the value of F.
+class FeketeStage(NamedTuple):
+    """One Fekete stage: the curve grid and the exchange run on it."""
 
-    A single atom has no pair term, so it sits at the grid maximum of g(., inf).
+    samples: object
+    phi: np.ndarray
+    g_inf: np.ndarray
+    run: ExchangeRun
+
+
+def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> FeketeStage:
+    """The curve grid and the exchange run of m weighted Fekete points on it.
+
+    A single atom has no pair term, so it sits at the grid maximum of g(., inf),
+    and its run holds only its own column.
     """
     if m < 1:
         raise ValueError("fekete stage needs m >= 1")
@@ -224,15 +238,14 @@ def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int):
         raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
     samples, phi_g, g_inf = _curve_grid(c, grid_n)
     if m == 1:
-        idx = np.array([np.argmax(g_inf)])
-        return samples, idx, 0.0
-    coeff = (m - 1) / (1.0 - theta)
-    run = _exchange_maximize(phi_g, g_inf, m, coeff, seed)
-    _warn_unconverged(run, m, grid_n)
-    idx = run.chosen
-    f_val = (-0.5 * green_pair_energy(phi_g[idx], np.ones(m))
-             + coeff * float(np.sum(g_inf[idx])))
-    return samples, idx, f_val
+        idx = int(np.argmax(g_inf))
+        cols = np.empty((1, grid_n))
+        _column_fill(phi_g)(idx, cols[0])
+        run = ExchangeRun(np.array([idx]), 0, 0, True, cols)
+    else:
+        run = _exchange_maximize(phi_g, g_inf, m, (m - 1) / (1.0 - theta), seed)
+        _warn_unconverged(run, m, grid_n)
+    return FeketeStage(samples, phi_g, g_inf, run)
 
 
 def fekete_green(c: Condenser, theta: float, m: int, grid_n: int,
@@ -245,19 +258,27 @@ def fekete_green(c: Condenser, theta: float, m: int, grid_n: int,
         raise ValueError("fekete_green needs theta in [0, 1]")
     if theta >= 1.0 - _ENDPOINT_TOL:
         return DiscreteMeasure.zero()
-    samples, idx, _ = _fekete_state(c, theta, m, grid_n, seed)
-    return DiscreteMeasure(samples.points[idx], np.full(m, (1.0 - theta) / m))
+    return _stage_measure(_fekete_state(c, theta, m, grid_n, seed), theta)
+
+
+def _stage_measure(stage: FeketeStage, theta: float) -> DiscreteMeasure:
+    m = stage.run.chosen.size
+    return DiscreteMeasure(stage.samples.points[stage.run.chosen], np.full(m, (1.0 - theta) / m))
 
 
 def fekete_diameter(c: Condenser, theta: float, m: int, grid_n: int,
                     seed: int = 0) -> float:
-    """The m-point scale exp(2 F_pairs / (m (m-1))) of the weighted configuration.
+    """The m-point scale exp(2 F_pairs / (m (m-1))) of the weighted configuration,
+    with F = -sum_{i<j} g(z_i, z_j) + (m-1)/(1-theta) * sum_i g(z_i, inf).
 
     Non-increasing in m for exact maximizers; used as a sanity diagnostic.
     """
     if m < 2:
         raise ValueError("fekete_diameter needs m >= 2")
-    _, _, f_val = _fekete_state(c, theta, m, grid_n, seed)
+    stage = _fekete_state(c, theta, m, grid_n, seed)
+    idx = stage.run.chosen
+    f_val = (-0.5 * green_pair_energy(stage.phi[idx], np.ones(m))
+             + (m - 1) / (1.0 - theta) * float(np.sum(stage.g_inf[idx])))
     return float(np.exp(2.0 * f_val / (m * (m - 1))))
 
 
@@ -330,6 +351,28 @@ def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     return samples.params, vals, mask
 
 
+def _stage_field(stage: FeketeStage, weights: np.ndarray):
+    """(field values, support mask) of U_D^{lam} - g(., inf) on the stage's
+    curve grid, lam the stage's atoms with the given weights.
+
+    The potential is summed from the exchange run's kernel columns in the same
+    row-block gemv as _field_values, so the values equal gamma_field's bit for
+    bit; atom slots carry the minimum over the free slots, as there.
+    """
+    cols = stage.run.cols
+    mask = np.zeros(cols.shape[1], dtype=bool)
+    mask[stage.run.chosen] = True
+    free = np.flatnonzero(~mask)
+    vals = np.empty(mask.size)
+    # the same blocks of free rows, each a C-contiguous rows x atoms matrix
+    for s in range(0, free.size, _FIELD_BLOCK):
+        rows = free[s:s + _FIELD_BLOCK]
+        vals[rows] = np.ascontiguousarray(cols[:, rows].T) @ weights
+    vals[free] -= stage.g_inf[free]
+    vals[mask] = np.min(vals[free])
+    return vals, mask
+
+
 def _field_values(c: Condenser, lam: DiscreteMeasure, phi_pts: np.ndarray,
                   g_inf: np.ndarray) -> np.ndarray:
     """U_D^{lam} - g(., inf) at points given by phi and g(., inf) there."""
@@ -367,15 +410,25 @@ def _m_energy(c: Condenser, lam: DiscreteMeasure, theta: float) -> float:
 
 def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int, seed: int):
     """lambda_n and both curve constants at one theta, from one curve-field
-    evaluation; returns (lam, m_energy, m_field, params, field values, field_min)."""
-    lam = fekete_green(c, theta, n_points, grid_n, seed)
-    params, vals, mask = gamma_field(c, lam, grid_n)
+    evaluation; returns (lam, m_energy, m_field, params, field values, field_min).
+
+    The field comes from the Fekete stage's own kernel columns, which are
+    released before the constants are computed.
+    """
+    if theta >= 1.0 - _ENDPOINT_TOL:
+        # theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
+        samples, _, g_inf = _curve_grid(c, grid_n)
+        vals = -g_inf
+        field_min = float(np.min(vals))
+        return DiscreteMeasure.zero(), field_min, field_min, samples.params, vals, field_min
+    stage = _fekete_state(c, theta, n_points, grid_n, seed)
+    lam = _stage_measure(stage, theta)
+    vals, mask = _stage_field(stage, lam.weights)
+    params = stage.samples.params
+    del stage
     field_min = float(np.min(vals[~mask]))
     if theta <= _ENDPOINT_TOL:
         m_energy = m_field = 0.0
-    elif lam.is_zero:
-        # theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
-        m_energy = m_field = field_min
     else:
         m_energy, m_field = _m_energy(c, lam, theta), field_min
     return lam, m_energy, m_field, params, vals, field_min

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balayage import _alpha_measure
-from .errors import BudgetExceeded, GridTooClose
+from .errors import BudgetExceeded, GridTooClose, GridTooCoarse
 from .equilibrium import _leja_indices, fekete_green, leja_weighted
 from .geometry import Condenser, boundary_samples, interior_spots, sample_curve
 from .measure import (DiscreteMeasure, M_functional, log_abs, log_potential,
@@ -182,10 +182,15 @@ def _tile_bounds(m: np.ndarray):
 
 
 def _plate_candidates(c: Condenser, n: int) -> np.ndarray:
+    """Plate candidates for a count of n: on a disk, a boundary ring of at
+    least 16 samples, the center and interior rings (at most n in all, so n
+    must be at least 17); on a segment, the boundary grid."""
     e = c.e_domain
     if e.kind != "disk":
         return boundary_samples(e, n)
     n_boundary = max(16, (2 * n) // 3)
+    if n < n_boundary + 1:
+        raise GridTooCoarse(f"e_cand_n = {n} < 17 on a disk plate")
     pts = [boundary_samples(e, n_boundary), np.array([e.center], dtype=complex)]
     rings = interior_spots(e, n - n_boundary - 1)
     if rings.size:

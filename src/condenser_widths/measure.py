@@ -15,6 +15,7 @@ from .geometry import (Condenser, EDomain, boundary_samples, green_pole_infinity
 
 # distance clamp under the log; prevents -inf without disturbing any tested digit
 LOG_CLAMP = 1e-300
+_CHUNK_ENTRIES = 2 ** 16  # points x atoms entries of one potential-scan chunk
 
 
 def log_abs(diff):
@@ -113,6 +114,13 @@ class FieldGrid:
 # potentials
 
 
+def _chunk_rows(mu: DiscreteMeasure) -> int:
+    """Rows of a points x atoms scan chunk: about _CHUNK_ENTRIES entries, so
+    the complex temporaries stay in cache.  A row sum does not depend on how
+    many rows its chunk has, so the chunk size never changes a value."""
+    return max(1, _CHUNK_ENTRIES // max(1, len(mu)))
+
+
 def log_potential(mu: DiscreteMeasure, z):
     """U^mu(z) = -sum_i w_i log|z - x_i|, with a 1e-300 distance clamp."""
     if mu.is_zero:
@@ -124,7 +132,7 @@ def log_potential(mu: DiscreteMeasure, z):
         out[lo:hi] = -np.sum(mu.weights * log_abs(zs[lo:hi, None] - mu.points[None, :]), axis=1)
         return None
 
-    parallel.run_chunked(block, zs.size, chunk=max(1, 2 ** 22 // max(1, len(mu))))
+    parallel.run_chunked(block, zs.size, chunk=_chunk_rows(mu))
     if np.ndim(z) == 0:
         return float(out[0])
     return out
@@ -149,7 +157,7 @@ def green_potential(mu: DiscreteMeasure, e: EDomain, z):
         out[lo:hi] = np.sum(mu.weights * k, axis=1)
         return None
 
-    parallel.run_chunked(block, zs.size, chunk=max(1, 2 ** 22 // max(1, len(mu))))
+    parallel.run_chunked(block, zs.size, chunk=_chunk_rows(mu))
     if np.ndim(z) == 0:
         return float(out[0])
     return out

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from condenser_widths import Condenser, CurveSpec, EDomain
-from condenser_widths.equilibrium import _column_fill, _exchange_maximize
+from condenser_widths.equilibrium import (_column_fill, _exchange_maximize, _theta_stage,
+                                          gamma_field)
 from condenser_widths.geometry import (green_pole_infinity, kernel_from_phi, phi_exterior,
                                        sample_curve)
 
@@ -102,3 +103,26 @@ def test_columns_bit_identical_to_kernel_from_phi():
             assert out[idx] == 0.0
             want[idx] = 0.0
             assert np.array_equal(out, want)
+
+
+LEVEL = Condenser(DISK, CurveSpec.circle(0j, float(np.e))).validate()
+OFFSET = Condenser(DISK, CURVES["circle"]).validate()
+SEGMENT_PAIR = Condenser(SEGMENT, CurveSpec.circle(0j, 3.0)).validate()
+SEGMENT_ELLIPSE = Condenser(SEGMENT, CURVES["ellipse"]).validate(samples=1024)
+
+
+@pytest.mark.parametrize("c", [LEVEL, OFFSET, SEGMENT_PAIR, SEGMENT_ELLIPSE],
+                         ids=["level", "offset", "segment-circle", "segment-ellipse"])
+@pytest.mark.parametrize("theta, m, grid_n", [(0.0, 64, 1024), (0.3, 1, 512), (0.0, 1, 256),
+                                              (0.4, 100, 4096), (0.1, 513, 8500),
+                                              (1.0, 64, 1024)])
+def test_stage_field_equals_gamma_field(c, theta, m, grid_n):
+    # the stage sums the field from the exchange's own columns; gamma_field
+    # rebuilds the kernel from the atoms and must give the same bits
+    lam, m_energy, m_field, params, vals, field_min = _theta_stage(c, theta, m, grid_n, 0)
+    want_params, want_vals, mask = gamma_field(c, lam, grid_n)
+    assert np.array_equal(params, want_params)
+    assert np.array_equal(vals, want_vals)
+    assert field_min == np.min(want_vals[~mask])
+    assert lam.is_zero == (theta == 1.0)
+    assert len(lam) == (0 if theta == 1.0 else m)

@@ -4,7 +4,7 @@ import pytest
 from condenser_widths import (CurveSpec, DiscreteMeasure, ZeroConfig,
                               chi_asymptotic_pair, chi_bruteforce, ratio_norms,
                               sample_curve, zero_distribution_diag)
-from condenser_widths.errors import BudgetExceeded, GridTooClose
+from condenser_widths.errors import BudgetExceeded, GridTooClose, GridTooCoarse
 from condenser_widths.extremal import NormRatioScorer, log_ratio_norms
 
 
@@ -226,3 +226,13 @@ def test_config_sums_follow_moves_and_drops(concentric):
     assert cfg.objective() == fresh.objective()
     assert np.array_equal(cfg.move_scores(0), fresh.move_scores(0))
     assert cfg.drop_score(1) == fresh.drop_score(1)
+
+
+def test_disk_plate_candidates_need_17(concentric):
+    # a boundary ring of 16, the center and interior rings: fewer than 17
+    # candidates cannot be laid out on a disk plate
+    with pytest.raises(GridTooCoarse, match="e_cand_n = 3"):
+        NormRatioScorer(concentric, grid_n=5, gamma_cand_n=4, e_cand_n=3)
+    with pytest.raises(GridTooCoarse, match="e_cand_n = 16"):
+        NormRatioScorer(concentric, grid_n=5, gamma_cand_n=4, e_cand_n=16)
+    assert NormRatioScorer(concentric, grid_n=5, gamma_cand_n=4, e_cand_n=17).cands["e"].size == 17

@@ -182,8 +182,9 @@ def test_norm_ratio_matches_M_identity(concentric):
 
 
 def test_grid_potentials_identical_across_chunk_boundaries(concentric):
-    # 20000 points x 300 atoms is scanned in two chunks; the rows of each chunk
-    # must equal a one-block evaluation bit for bit
+    # 20000 points x 300 atoms is scanned in 92 chunks of 218 rows, the last
+    # one short; the rows of each chunk must equal a one-block evaluation bit
+    # for bit
     rng = np.random.default_rng(21)
     mu = DiscreteMeasure(rng.normal(size=300) + 1j * rng.normal(size=300),
                          rng.uniform(0.1, 1.0, 300))
