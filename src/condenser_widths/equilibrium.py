@@ -7,6 +7,15 @@ Two independent routes to the curve constant are kept side by side:
   field route:   min over the curve grid of U_D^{lam_n} - g(., inf)
 
 Their gap is a discretization residual and shrinks as the point count grows.
+
+Fekete points and the capacity configurations come from one exchange engine
+(_exchange_maximize) with two starts: greedy insertion, or given grid slots.
+A stage solves coarse to fine: while the halved grid (every other slot) still
+has at least _COARSE_SLOTS slots per atom, it is solved first, the same way,
+and its slots, prolonged to the even slots of the full grid, start the
+full-grid exchange.  tests/test_exchange_oracle.py holds the per-visit
+reference loop for both starts.  The exchange run keeps its final kernel
+columns, and the curve field of a stage is summed from them.
 """
 
 from __future__ import annotations
@@ -18,12 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridTooCoarse
-from .geometry import (Condenser, TWO_PI, green_pole_infinity, kernel_from_phi,
+from .geometry import (Condenser, CurveSamples, TWO_PI, green_pole_infinity, kernel_from_phi,
                        log_capacity, boundary_samples, phi_exterior, sample_curve)
 from .measure import DiscreteMeasure, energy_J, green_pair_energy, log_abs, log_potential
 
 _ENDPOINT_TOL = 1e-12
 _FIELD_BLOCK = 64  # grid rows of the curve-field kernel built or gathered at a time
+_COARSE_SLOTS = 8  # slots per atom on the coarsest grid of a coarse-to-fine solve
 
 
 @dataclass(frozen=True)
@@ -141,14 +151,17 @@ def _column_fill(phi_grid):
     return fill
 
 
-def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200) -> ExchangeRun:
-    """Greedy insertion plus single-point exchange passes maximizing
+def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200,
+                       start=None) -> ExchangeRun:
+    """Single-point exchange passes maximizing
 
         F = -sum_{i<j} g(z_i, z_j) + field_coeff * sum_i g(z_i, inf)
 
-    over m distinct slots of the grid.  Deterministic for a fixed seed: the
-    seed only shuffles the exchange visiting order, ties go to the lowest
-    grid index, and every accepted move strictly increases F.
+    over m distinct slots of the grid, from one of two starts: greedy
+    insertion (start=None), or the m distinct grid slots given as start.
+    Deterministic for a fixed seed and start: the seed only shuffles the
+    exchange visiting order, ties go to the lowest grid index, and every
+    accepted move strictly increases F.
 
     State kept across visits: cols[i] is atom i's kernel column with 0 at its
     own slot, so pot = sum_i cols[i] is finite everywhere and pot[chosen[i]]
@@ -159,7 +172,8 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200) ->
     drive - pot at its own slot is the value of staying.  A move updates
     pot by two column passes, free_drive at two slots, and recomputes dp.
     tests/test_exchange_oracle.py keeps the per-visit loop that recomputes
-    every score, which this engine must match slot for slot.
+    every score, from greedy insertion and from given start slots; this
+    engine must match it slot for slot from either start.
     """
     grid_n = phi_grid.size
     fill = _column_fill(phi_grid)
@@ -170,14 +184,22 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200) ->
     pot = np.zeros(grid_n)
     dp = np.empty(grid_n)
 
-    idx = int(np.argmax(drive))
-    for j in range(m):
-        chosen[j] = idx
-        free_drive[idx] = -np.inf
-        fill(idx, cols[j])
-        pot += cols[j]
+    if start is None:
+        idx = int(np.argmax(drive))
+        for j in range(m):
+            chosen[j] = idx
+            free_drive[idx] = -np.inf
+            fill(idx, cols[j])
+            pot += cols[j]
+            np.subtract(free_drive, pot, out=dp)
+            idx = int(dp.argmax())
+    else:
+        chosen[:] = start
+        for j in range(m):
+            fill(chosen[j], cols[j])
+            pot += cols[j]
+        free_drive[chosen] = -np.inf
         np.subtract(free_drive, pot, out=dp)
-        idx = int(dp.argmax())
 
     rng = np.random.default_rng(seed)
     score = np.empty(grid_n)
@@ -204,6 +226,22 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200) ->
     return ExchangeRun(chosen, passes, moves, converged, cols)
 
 
+def _coarse_to_fine(phi_grid, g_inf, m, field_coeff, seed) -> ExchangeRun:
+    """The exchange run on the full grid, started from the run on the halved
+    grid (every other slot, solved the same way) while that grid keeps at
+    least _COARSE_SLOTS * m slots; coarse slot k starts fine slot 2k.
+
+    Only the full-grid run decides convergence; a coarse run is a start, and
+    its columns are freed before the next level allocates its own.
+    """
+    start = None
+    if (phi_grid.size + 1) // 2 >= _COARSE_SLOTS * m:
+        start = 2 * _coarse_to_fine(np.ascontiguousarray(phi_grid[::2]),
+                                    np.ascontiguousarray(g_inf[::2]),
+                                    m, field_coeff, seed).chosen
+    return _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=start)
+
+
 def _warn_unconverged(run: ExchangeRun, m: int, grid_n: int):
     if not run.converged:
         warnings.warn(f"exchange engine stopped at max_passes = {run.passes} before "
@@ -220,7 +258,7 @@ def _curve_grid(c: Condenser, grid_n: int):
 class FeketeStage(NamedTuple):
     """One Fekete stage: the curve grid and the exchange run on it."""
 
-    samples: object
+    samples: CurveSamples
     phi: np.ndarray
     g_inf: np.ndarray
     run: ExchangeRun
@@ -243,7 +281,7 @@ def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int) ->
         _column_fill(phi_g)(idx, cols[0])
         run = ExchangeRun(np.array([idx]), 0, 0, True, cols)
     else:
-        run = _exchange_maximize(phi_g, g_inf, m, (m - 1) / (1.0 - theta), seed)
+        run = _coarse_to_fine(phi_g, g_inf, m, (m - 1) / (1.0 - theta), seed)
         _warn_unconverged(run, m, grid_n)
     return FeketeStage(samples, phi_g, g_inf, run)
 
@@ -505,9 +543,11 @@ def condenser_capacity(c: Condenser, m: int = 256, grid_n: int = 4096,
     m2 = m1 // 2
     energies = {}
     for mm in (m1, m2):
-        run = _exchange_maximize(phi_g, g_inf, mm, 0.0, seed)
+        run = _coarse_to_fine(phi_g, g_inf, mm, 0.0, seed)
         _warn_unconverged(run, mm, keep.size)
-        energies[mm] = green_pair_energy(phi_g[run.chosen], np.full(mm, 1.0 / mm))
+        chosen = run.chosen
+        del run  # free the columns before the pair energy allocates its kernel
+        energies[mm] = green_pair_energy(phi_g[chosen], np.full(mm, 1.0 / mm))
 
     # fit E(m) = E_inf - (log m + b) / m through the two levels
     u1, u2 = 1.0 / m1, 1.0 / m2

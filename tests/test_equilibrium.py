@@ -258,3 +258,48 @@ def test_exchange_budget_exhaustion_warns(offset, monkeypatch):
         fekete_green(offset, 0.5, 32, 1024, seed=0)
     with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = (16|8), grid_n = 512"):
         condenser_capacity(offset, 16, 512)
+
+
+def test_coarse_started_stage_is_deterministic(offset):
+    from condenser_widths import equilibrium as eq
+    from condenser_widths.geometry import phi_exterior
+    a = fekete_green(offset, 0.3, 64, 2048, seed=5)
+    b = fekete_green(offset, 0.3, 64, 2048, seed=5)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
+    # the stage is the full-grid exchange started from the halved grid's slots
+    pts = sample_curve(offset.gamma, 2048).points
+    phi_g, g_inf = phi_exterior(offset.e_domain, pts), green_pole_infinity(offset.e_domain, pts)
+    coeff = 63 / 0.7
+    run = eq._coarse_to_fine(phi_g, g_inf, 64, coeff, 5)
+    half = eq._coarse_to_fine(phi_g[::2].copy(), g_inf[::2].copy(), 64, coeff, 5)
+    direct = eq._exchange_maximize(phi_g, g_inf, 64, coeff, 5, start=2 * half.chosen)
+    assert np.array_equal(run.chosen, direct.chosen)
+    assert np.array_equal(pts[run.chosen], a.points)
+
+
+def test_unconverged_warning_names_the_full_grid(offset, monkeypatch):
+    import warnings
+    from condenser_widths import equilibrium as eq
+    engine = eq._exchange_maximize
+    grids = []
+
+    def cut(phi_grid, *args, **kw):
+        grids.append(phi_grid.size)
+        return engine(phi_grid, *args, **kw, max_passes=1)
+
+    monkeypatch.setattr(eq, "_exchange_maximize", cut)
+    for solve, levels, want in [
+            (lambda: fekete_green(offset, 0.5, 32, 1024, seed=0), [256, 512, 1024],
+             ["m = 32, grid_n = 1024"]),
+            (lambda: condenser_capacity(offset, 16, 512), [128, 256, 512, 64, 128, 256, 512],
+             ["m = 16, grid_n = 512", "m = 8, grid_n = 512"])]:
+        grids.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve()
+        # every level stopped after one pass, but only the full grid warns
+        assert grids == levels
+        msgs = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(msgs) == len(want)
+        for msg, tail in zip(msgs, want):
+            assert "max_passes = 1" in msg and tail in msg

@@ -61,6 +61,47 @@ def reference_exchange(phi_grid, g_inf, m, field_coeff, seed, max_passes=200):
     return chosen
 
 
+def reference_exchange_from(phi_grid, g_inf, m, field_coeff, seed, start, max_passes=200):
+    """The exchange loop of reference_exchange, started from the given m
+    distinct slots in place of greedy insertion."""
+    grid_n = phi_grid.size
+
+    def col(idx):
+        # kernel column; +inf exactly at the slot itself
+        return kernel_from_phi(phi_grid, phi_grid[idx])
+
+    drive = field_coeff * g_inf
+    chosen = np.array(start, dtype=int)
+    cols = np.empty((m, grid_n))
+    cols[0] = col(chosen[0])
+    pot = cols[0].copy()
+    for j in range(1, m):
+        cols[j] = col(chosen[j])
+        pot = pot + cols[j]
+
+    rng = np.random.default_rng(seed)
+    for _ in range(max_passes):
+        moved = False
+        for i in rng.permutation(m):
+            pos = chosen[i]
+            with np.errstate(invalid="ignore"):
+                base = pot - cols[i]
+            # pot and cols[i] are both +inf at pos; recompute that slot exactly
+            others = np.concatenate([cols[:i, pos], cols[i + 1:, pos]])
+            base[pos] = float(np.sum(others))
+            score = drive - base
+            best = int(np.argmax(score))
+            # strict improvement with a drift guard so float noise cannot cycle
+            if score[best] > score[pos] + 1e-12:
+                chosen[i] = best
+                cols[i] = col(best)
+                pot = base + cols[i]
+                moved = True
+        if not moved:
+            break
+    return chosen
+
+
 DISK = EDomain.disk(0j, 1.0)
 SEGMENT = EDomain.segment(-1.0, 1.0)
 CURVES = {
@@ -88,6 +129,24 @@ def test_engine_matches_reference_loop(plate, curve):
             want = reference_exchange(phi_g, g_inf, m, coeff, seed)
             assert run.converged
             assert np.array_equal(run.chosen, want), (m, grid_n, coeff, seed)
+
+
+@pytest.mark.parametrize("plate", [DISK, SEGMENT], ids=["disk", "segment"])
+@pytest.mark.parametrize("curve", list(CURVES), ids=list(CURVES))
+def test_engine_from_start_matches_reference_loop(plate, curve):
+    # two starts: the halved grid's slots prolonged (the coarse-to-fine
+    # start), and m distinct slots drawn at random
+    for m, grid_n, coeff in CASES:
+        phi_g, g_inf = curve_grid(plate, CURVES[curve], grid_n)
+        coarse = _exchange_maximize(np.ascontiguousarray(phi_g[::2]),
+                                    np.ascontiguousarray(g_inf[::2]), m, coeff, 0)
+        drawn = np.random.default_rng(grid_n).choice(grid_n, m, replace=False)
+        for start in (2 * coarse.chosen, drawn):
+            for seed in (0, 1):
+                run = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=start)
+                want = reference_exchange_from(phi_g, g_inf, m, coeff, seed, start)
+                assert run.converged
+                assert np.array_equal(run.chosen, want), (m, grid_n, coeff, seed)
 
 
 def test_columns_bit_identical_to_kernel_from_phi():
