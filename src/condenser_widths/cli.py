@@ -98,10 +98,13 @@ def _check_types(cfg: RunConfig):
         val = getattr(cfg, name)
         if bad(val, int) and not (name == "seed" and val is None):
             raise ConfigError(f"{name} must be an integer, got {val!r}")
-    thetas = cfg.thetas if isinstance(cfg.thetas, list) else [cfg.thetas]
-    for val in [cfg.theta, *thetas]:
+    if not isinstance(cfg.thetas, list):
+        raise ConfigError(f"thetas must be a list of numbers, got {cfg.thetas!r}")
+    for val in [cfg.theta, *cfg.thetas]:
         if bad(val, (int, float)):
             raise ConfigError(f"theta values must be numbers, got {val!r}")
+    if not (isinstance(cfg.formats, list) and all(isinstance(f, str) for f in cfg.formats)):
+        raise ConfigError(f"formats must be a list of strings, got {cfg.formats!r}")
 
 
 def _validate_config(cfg: RunConfig):
@@ -126,6 +129,8 @@ def _validate_config(cfg: RunConfig):
         if cfg.task in ("equilibrium", "sweep", "nwidth") and cfg.grid_n < 16 * cfg.n_points:
             raise ConfigError(f"grid_n = {cfg.grid_n} too coarse for n_points = "
                               f"{cfg.n_points} (need grid_n >= 16 * n_points)")
+    if cfg.n < 1:
+        raise ConfigError("n must be >= 1")
     if not 0 <= cfg.k <= cfg.n:
         raise ConfigError("need 0 <= k <= n")
     if cfg.task == "chi" and cfg.seed is None:

@@ -304,22 +304,6 @@ def _stage_measure(stage: FeketeStage, theta: float) -> DiscreteMeasure:
     return DiscreteMeasure(stage.samples.points[stage.run.chosen], np.full(m, (1.0 - theta) / m))
 
 
-def fekete_diameter(c: Condenser, theta: float, m: int, grid_n: int,
-                    seed: int = 0) -> float:
-    """The m-point scale exp(2 F_pairs / (m (m-1))) of the weighted configuration,
-    with F = -sum_{i<j} g(z_i, z_j) + (m-1)/(1-theta) * sum_i g(z_i, inf).
-
-    Non-increasing in m for exact maximizers; used as a sanity diagnostic.
-    """
-    if m < 2:
-        raise ValueError("fekete_diameter needs m >= 2")
-    stage = _fekete_state(c, theta, m, grid_n, seed)
-    idx = stage.run.chosen
-    f_val = (-0.5 * green_pair_energy(stage.phi[idx], np.ones(m))
-             + (m - 1) / (1.0 - theta) * float(np.sum(stage.g_inf[idx])))
-    return float(np.exp(2.0 * f_val / (m * (m - 1))))
-
-
 def leja_weighted(c: Condenser, lambda_n: DiscreteMeasure, theta: float, m: int,
                   grid_n: int) -> DiscreteMeasure:
     """Greedy weighted Leja points (see _leja_indices) on the plate boundary
@@ -436,8 +420,8 @@ def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
         raise ValueError("m_theta needs theta in [0, 1]")
     if theta <= _ENDPOINT_TOL:
         return 0.0, 0.0
-    _, m_energy, m_field, *_ = _theta_stage(c, theta, n_points, grid_n, seed)
-    return m_energy, m_field
+    stage = _theta_stage(c, theta, n_points, grid_n, seed)
+    return stage.m_energy, stage.m_field
 
 
 def _m_energy(c: Condenser, lam: DiscreteMeasure, theta: float) -> float:
@@ -446,30 +430,45 @@ def _m_energy(c: Condenser, lam: DiscreteMeasure, theta: float) -> float:
     return (j_val + float(np.sum(lam.weights * g_atoms))) / (1.0 - theta)
 
 
-def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int, seed: int):
+class ThetaStage(NamedTuple):
+    """lambda_n, both curve constants, and the curve field at one theta on the
+    stage's curve grid (parameters and phi at the samples)."""
+
+    lam: DiscreteMeasure
+    m_energy: float
+    m_field: float
+    params: np.ndarray
+    phi: np.ndarray
+    vals: np.ndarray
+    field_min: float
+
+
+def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int,
+                 seed: int) -> ThetaStage:
     """lambda_n and both curve constants at one theta, from one curve-field
-    evaluation; returns (lam, m_energy, m_field, params, field values, field_min).
+    evaluation.
 
     The field comes from the Fekete stage's own kernel columns, which are
     released before the constants are computed.
     """
     if theta >= 1.0 - _ENDPOINT_TOL:
         # theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
-        samples, _, g_inf = _curve_grid(c, grid_n)
+        samples, phi_g, g_inf = _curve_grid(c, grid_n)
         vals = -g_inf
         field_min = float(np.min(vals))
-        return DiscreteMeasure.zero(), field_min, field_min, samples.params, vals, field_min
+        return ThetaStage(DiscreteMeasure.zero(), field_min, field_min, samples.params, phi_g,
+                          vals, field_min)
     stage = _fekete_state(c, theta, n_points, grid_n, seed)
     lam = _stage_measure(stage, theta)
     vals, mask = _stage_field(stage, lam.weights)
-    params = stage.samples.params
+    params, phi_g = stage.samples.params, stage.phi
     del stage
     field_min = float(np.min(vals[~mask]))
     if theta <= _ENDPOINT_TOL:
         m_energy = m_field = 0.0
     else:
         m_energy, m_field = _m_energy(c, lam, theta), field_min
-    return lam, m_energy, m_field, params, vals, field_min
+    return ThetaStage(lam, m_energy, m_field, params, phi_g, vals, field_min)
 
 
 def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
@@ -483,18 +482,25 @@ def support_S_theta(c: Condenser, lambda_n: DiscreteMeasure, m_field: float,
     """Maximal parameter intervals of the curve grid where the field stays
     within tol of its minimum; the whole curve is reported as [(0, 2*pi)]."""
     params, vals, _ = gamma_field(c, lambda_n, grid_n)
-    return _support_arcs(params, vals, m_field, tol)
+    return _runs_to_arcs(params, _support_mask(vals, m_field, tol))
 
 
-def _support_arcs(params: np.ndarray, vals: np.ndarray, m_field: float,
-                  tol: float | None = None) -> list:
+def _support_mask(vals: np.ndarray, m_field: float, tol: float | None = None) -> np.ndarray:
+    """The curve-grid slots where the field stays within tol of m_field."""
     if tol is None:
         tol = 1e-2 * abs(m_field) + 1e-4
-    return _runs_to_arcs(params, vals <= m_field + tol)
+    return vals <= m_field + tol
+
+
+def _sweep_support_tol(theta: float, n_points: int, grid_n: int, field_min: float) -> float:
+    """The default support threshold widened by the inter-atom field ripple:
+    the grid point nearest an atom sits (1-theta)/m * log(1/sin(pi m/grid_n))
+    above the mid-gap minimum for a fully supported configuration."""
+    ripple = (1.0 - theta) / n_points * np.log(1.0 / np.sin(np.pi * min(0.499, n_points / grid_n)))
+    return 1e-2 * abs(field_min) + 1e-4 + 1.15 * ripple
 
 
 def _runs_to_arcs(params: np.ndarray, qualify: np.ndarray) -> list:
-    n = params.size
     if np.all(qualify):
         return [(0.0, TWO_PI)]
     if not np.any(qualify):
@@ -510,41 +516,34 @@ def _runs_to_arcs(params: np.ndarray, qualify: np.ndarray) -> list:
     return arcs
 
 
-def _arc_mask(params: np.ndarray, arcs: list) -> np.ndarray:
-    mask = np.zeros(params.size, dtype=bool)
-    for t0, t1 in arcs:
-        if t1 >= t0:
-            mask |= (params >= t0 - 1e-15) & (params <= t1 + 1e-15)
-        else:  # wrapping arc
-            mask |= (params >= t0 - 1e-15) | (params <= t1 + 1e-15)
-    return mask
-
-
 def condenser_capacity(c: Condenser, m: int = 256, grid_n: int = 4096,
-                       arcs: list | None = None, seed: int = 0) -> float:
-    """Condenser (Green) capacity of the curve, or of a union of curve arcs,
-    against the plate.
+                       seed: int = 0) -> float:
+    """Condenser (Green) capacity of the curve against the plate.
 
     Minimizes the pure pairwise Green energy of m equal atoms on the grid and
     removes the leading (log m + const)/m defect of the diagonal-excluded sum
     by a two-level fit at m and m/2, so the concentric anchors come out at the
     1e-3 level with a few hundred points.
     """
+    _, phi_g, _ = _curve_grid(c, grid_n)
+    return _capacity(phi_g, m, seed)
+
+
+def _capacity(phi_g: np.ndarray, m: int, seed: int) -> float:
+    """condenser_capacity's fit on the curve slots given by phi there: the
+    whole curve grid, or a sweep's support mask of it."""
     if m < 8:
         raise ValueError("condenser_capacity needs m >= 8")
-    samples, phi_all, _ = _curve_grid(c, grid_n)
-    keep = np.arange(grid_n) if arcs is None else np.nonzero(_arc_mask(samples.params, arcs))[0]
-    if keep.size < 32:
-        raise GridTooCoarse("capacity support arcs contain fewer than 32 grid samples")
-    phi_g = phi_all[keep]
-    g_inf = np.zeros(keep.size)
+    if phi_g.size < 32:
+        raise GridTooCoarse("capacity support contains fewer than 32 grid samples")
+    g_inf = np.zeros(phi_g.size)
 
-    m1 = min(m, keep.size // 16)
+    m1 = min(m, phi_g.size // 16)
     m2 = m1 // 2
     energies = {}
     for mm in (m1, m2):
         run = _coarse_to_fine(phi_g, g_inf, mm, 0.0, seed)
-        _warn_unconverged(run, mm, keep.size)
+        _warn_unconverged(run, mm, phi_g.size)
         chosen = run.chosen
         del run  # free the columns before the pair energy allocates its kernel
         energies[mm] = green_pair_energy(phi_g[chosen], np.full(mm, 1.0 / mm))
@@ -560,35 +559,36 @@ def condenser_capacity(c: Condenser, m: int = 256, grid_n: int = 4096,
 
 
 def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,
-                       grid_n: int = 4096, seed: int = 0,
-                       support_tol: float | None = None) -> EquilibriumResult:
+                       grid_n: int = 4096, seed: int = 0) -> EquilibriumResult:
     """Run the two-stage pipeline at one theta and bundle constants, supports,
     and cross-check residuals."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    lam, m_energy, m_field, params, vals, field_min = _theta_stage(c, theta, n_points,
-                                                                   grid_n, seed)
+    stage = _theta_stage(c, theta, n_points, grid_n, seed)
+    lam = stage.lam
     mu = leja_weighted(c, lam, theta, n_points, grid_n)
-    arcs = _support_arcs(params, vals, field_min, support_tol)
-
-    support_vals = vals[_arc_mask(params, arcs)]
+    # never empty: the slot attaining field_min qualifies
+    support = _support_mask(stage.vals, stage.field_min)
     residuals = {
-        "two_route": abs(m_energy - m_field),
-        "support_field_stddev": float(np.std(support_vals)) if support_vals.size else 0.0,
+        "two_route": abs(stage.m_energy - stage.m_field),
+        "support_field_stddev": float(np.std(stage.vals[support])),
     }
     return EquilibriumResult(theta=float(theta), lambda_n=lam, mu_n=mu,
-                             m_theta_energy=m_energy, m_theta_field=m_field,
+                             m_theta_energy=stage.m_energy, m_theta_field=stage.m_field,
                              m_hat_theta=m_hat_theta(c, lam),
-                             support_arcs=arcs, residuals=residuals)
+                             support_arcs=_runs_to_arcs(stage.params, support),
+                             residuals=residuals)
 
 
 def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
-                seed: int = 0, cap_points: int = 256) -> SweepReport:
+                seed: int = 0) -> SweepReport:
     """Constants, supports, and capacities over a strictly increasing theta grid.
 
     The support threshold is widened by the inter-atom field ripple of a fully
-    supported discrete configuration, so the whole curve is detected at small
-    theta as well, where the ripple dominates the constant itself.
+    supported discrete configuration (_sweep_support_tol), so the whole curve
+    is detected at small theta as well, where the ripple dominates the
+    constant itself.  A support short of the whole curve has its capacity
+    fitted on its own slots of the stage's curve grid.
 
     The integral residual compares m over the sweep range against the
     trapezoid integral of 1 / cp(S_tau, plate).
@@ -599,27 +599,19 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     if thetas[0] < 0 or thetas[-1] > 1:
         raise ValueError("thetas must lie in [0, 1]")
 
-    cap_full = condenser_capacity(c, m=cap_points, grid_n=grid_n, seed=seed)
+    cap_full = condenser_capacity(c, 256, grid_n, seed)
     m_e_list, m_f_list, m_hat_list, caps, arcs_list = [], [], [], [], []
     for theta in thetas:
-        lam, m_energy, m_field, params, vals, field_min = _theta_stage(c, theta, n_points,
-                                                                       grid_n, seed)
-        # widen the threshold by the inter-atom field ripple: the grid point
-        # nearest an atom sits (1-theta)/m * log(1/sin(pi m/grid_n)) above the
-        # mid-gap minimum for a fully supported configuration
-        ripple = (1.0 - theta) / n_points * np.log(1.0 / np.sin(np.pi * min(0.499, n_points / grid_n)))
-        tol = 1e-2 * abs(field_min) + 1e-4 + 1.15 * ripple
-        arcs = _support_arcs(params, vals, field_min, tol)
-        if arcs == [(0.0, TWO_PI)]:
-            cap_tau = cap_full
-        else:
-            cap_tau = condenser_capacity(c, m=cap_points, grid_n=grid_n, arcs=arcs, seed=seed)
+        stage = _theta_stage(c, theta, n_points, grid_n, seed)
+        support = _support_mask(stage.vals, stage.field_min,
+                                _sweep_support_tol(theta, n_points, grid_n, stage.field_min))
+        cap_tau = cap_full if support.all() else _capacity(stage.phi[support], 256, seed)
 
-        m_e_list.append(m_energy)
-        m_f_list.append(m_field)
-        m_hat_list.append(m_hat_theta(c, lam))
+        m_e_list.append(stage.m_energy)
+        m_f_list.append(stage.m_field)
+        m_hat_list.append(m_hat_theta(c, stage.lam))
         caps.append(cap_tau)
-        arcs_list.append(arcs)
+        arcs_list.append(_runs_to_arcs(stage.params, support))
 
     integrand = np.array([1.0 / cp for cp in caps])
     steps = np.diff(np.array(thetas))

@@ -163,8 +163,14 @@ def test_unknown_task_rejected(tmp_path):
         "e": {"kind": "disk", "center": [0, 0], "radius": -1.0},
         "gamma": {"kind": "circle", "center": [0, 0], "radius": 3.0}}},
         "disk radius must be positive"),
+    ("sweep", {"thetas": 0.5}, "thetas must be a list of numbers"),
+    ("equilibrium", {"formats": 5}, "formats must be a list of strings"),
+    ("equilibrium", {"formats": None}, "formats must be a list of strings"),
+    ("chi", {"n": 0, "k": 0, "method": "asymptotic_pair"}, "n must be >= 1"),
+    ("nwidth", {"n": 0, "k": 0, "n_points": 16, "grid_n": 1024}, "n must be >= 1"),
 ], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "balayage-ellipse",
-        "negative-radius"])
+        "negative-radius", "thetas-scalar", "formats-int", "formats-null", "chi-n0",
+        "nwidth-n0"])
 def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
     cfg = write_cfg(tmp_path, **extra)
     rc = main([task, "--config", cfg, "--seed", "0", "--out", str(tmp_path / "bad")])

@@ -4,7 +4,8 @@ import pytest
 from condenser_widths import (DiscreteMeasure, condenser_capacity, equilibrium_result,
                               fekete_green, green_pole_infinity, leja_weighted,
                               m_hat_theta, m_theta, sample_curve, support_S_theta)
-from condenser_widths.equilibrium import fekete_diameter, gamma_field
+from condenser_widths.equilibrium import (_runs_to_arcs, _support_mask, _sweep_support_tol,
+                                          gamma_field)
 from condenser_widths.errors import GridTooCoarse
 
 TWO_PI = 2 * np.pi
@@ -48,13 +49,6 @@ def test_stage_solvers_own_the_theta_endpoints(offset):
         fekete_green(offset, 1.5, 4, 4096)
     with pytest.raises(ValueError):
         leja_weighted(offset, DiscreteMeasure.zero(), -0.5, 4, 4096)
-
-
-def test_fekete_scale_monotone_in_m(concentric):
-    # the m-point scale of exact maximizers is non-increasing in m
-    d8 = fekete_diameter(concentric, 0.5, 8, 1024, seed=0)
-    d9 = fekete_diameter(concentric, 0.5, 9, 1024, seed=0)
-    assert d9 <= d8 + 1e-12
 
 
 def test_fekete_offset_high_theta_clusters_at_field_max(offset):
@@ -133,9 +127,8 @@ def test_field_inequality_and_flatness(concentric, concentric_lambda_256):
     _, m_f = m_theta(concentric, 0.5, 256, 4096)
     params, vals, mask = gamma_field(concentric, lam, 4096)
     assert np.min(vals[~mask]) >= m_f - 1e-9  # min is the field route by construction
-    arcs = support_S_theta(concentric, lam, m_f, grid_n=4096)
-    from condenser_widths.equilibrium import _arc_mask
-    sel = _arc_mask(params, arcs)
+    sel = _support_mask(vals, m_f)
+    assert support_S_theta(concentric, lam, m_f, grid_n=4096) == _runs_to_arcs(params, sel)
     flat = np.std(vals[sel])
     assert flat <= 0.05 * abs(m_f) + 0.01
 
@@ -160,20 +153,15 @@ def test_support_offset_near_one_is_short_arc(offset):
 
 
 def test_support_nesting_offset(offset):
-    # ripple-aware threshold, as in the sweep, so full-support ripple does not
-    # fragment the arcs; nesting is checked on the sample masks with one cell slack
-    from condenser_widths.equilibrium import _arc_mask
-
-    def arcs_at(theta, m=128):
+    # the sweep's ripple-aware threshold, so full-support ripple does not
+    # fragment the support; nesting is checked on the masks with one cell slack
+    def support_at(theta, m=128):
         lam = fekete_green(offset, theta, m, 4096, seed=0)
-        params, vals, mask = gamma_field(offset, lam, 4096)
+        _, vals, mask = gamma_field(offset, lam, 4096)
         m_f = float(np.min(vals[~mask]))
-        ripple = (1 - theta) / m * np.log(1.0 / np.sin(np.pi * m / 4096))
-        tol = 1e-2 * abs(m_f) + 1e-4 + 1.15 * ripple
-        return params, _arc_mask(params, support_S_theta(offset, lam, m_f, tol, 4096))
+        return _support_mask(vals, m_f, _sweep_support_tol(theta, m, 4096, m_f))
 
-    params, mask50 = arcs_at(0.5)
-    _, mask75 = arcs_at(0.75)
+    mask50, mask75 = support_at(0.5), support_at(0.75)
     grown = mask50 | np.roll(mask50, 1) | np.roll(mask50, -1)
     assert np.all(grown[mask75])
 
@@ -226,6 +214,22 @@ def test_sweep_small_theta_slope(concentric_sweep, concentric_m_small_theta):
     _, m_f = concentric_m_small_theta
     cap = concentric_sweep.cap_condenser
     assert abs(m_f / 0.05 + 1.0 / cap) * cap <= 0.05
+
+
+def test_sweep_partial_support_capacities(offset):
+    # the offset sweep's supports shrink to proper arcs above theta = 0.5, so
+    # its capacities are fitted on parts of the curve; a part of the curve has
+    # less capacity than the whole, and S_tau shrinks as tau grows
+    from condenser_widths import theta_sweep
+    rep = theta_sweep(offset, [round(0.05 * i, 10) for i in range(21)], 64, 1024, seed=0)
+    whole = [arcs == [(0.0, TWO_PI)] for arcs in rep.support_arcs]
+    assert any(whole) and not all(whole)
+    for cap, is_whole in zip(rep.cap_s_tau, whole):
+        assert cap <= rep.cap_condenser
+        assert (cap == rep.cap_condenser) == is_whole
+    upper = [cap for th, cap in zip(rep.thetas, rep.cap_s_tau) if th >= 0.5]
+    assert len(upper) == 11
+    assert all(b < a for a, b in zip(upper, upper[1:]))
 
 
 def test_sweep_rejects_bad_grid(concentric):

@@ -178,10 +178,13 @@ SEGMENT_ELLIPSE = Condenser(SEGMENT, CURVES["ellipse"]).validate(samples=1024)
 def test_stage_field_equals_gamma_field(c, theta, m, grid_n):
     # the stage sums the field from the exchange's own columns; gamma_field
     # rebuilds the kernel from the atoms and must give the same bits
-    lam, m_energy, m_field, params, vals, field_min = _theta_stage(c, theta, m, grid_n, 0)
-    want_params, want_vals, mask = gamma_field(c, lam, grid_n)
-    assert np.array_equal(params, want_params)
-    assert np.array_equal(vals, want_vals)
-    assert field_min == np.min(want_vals[~mask])
-    assert lam.is_zero == (theta == 1.0)
-    assert len(lam) == (0 if theta == 1.0 else m)
+    stage = _theta_stage(c, theta, m, grid_n, 0)
+    want_params, want_vals, mask = gamma_field(c, stage.lam, grid_n)
+    assert np.array_equal(stage.params, want_params)
+    assert np.array_equal(stage.vals, want_vals)
+    assert stage.field_min == np.min(want_vals[~mask])
+    # the sweep fits partial-support capacities on the record's own phi
+    pts = sample_curve(c.gamma, grid_n).points
+    assert np.array_equal(stage.phi, phi_exterior(c.e_domain, pts))
+    assert stage.lam.is_zero == (theta == 1.0)
+    assert len(stage.lam) == (0 if theta == 1.0 else m)
