@@ -90,7 +90,8 @@ def load_config(path: str, overrides: dict) -> RunConfig:
 
 
 def _check_types(cfg: RunConfig):
-    """Reject non-numeric fields up front, so they fail as ConfigError."""
+    """Reject mistyped fields and non-finite thetas up front, so they fail as
+    ConfigError."""
     def bad(val, types):
         return isinstance(val, bool) or not isinstance(val, types)
 
@@ -103,8 +104,12 @@ def _check_types(cfg: RunConfig):
     for val in [cfg.theta, *cfg.thetas]:
         if bad(val, (int, float)):
             raise ConfigError(f"theta values must be numbers, got {val!r}")
+        if isinstance(val, float) and not np.isfinite(val):
+            raise ConfigError(f"theta values must be finite, got {val!r}")
     if not (isinstance(cfg.formats, list) and all(isinstance(f, str) for f in cfg.formats)):
         raise ConfigError(f"formats must be a list of strings, got {cfg.formats!r}")
+    if not isinstance(cfg.out, str):
+        raise ConfigError(f"out must be a string, got {cfg.out!r}")
 
 
 def _validate_config(cfg: RunConfig):

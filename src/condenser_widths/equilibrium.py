@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .geometry import (Condenser, CurveSamples, TWO_PI, green_pole_infinity, kernel_from_phi,
-                       log_capacity, boundary_samples, phi_exterior, sample_curve)
+                       kernel_parts, log_capacity, boundary_samples, phi_exterior,
+                       sample_curve)
 from .measure import DiscreteMeasure, energy_J, green_pair_energy, log_abs, log_potential
 
 _ENDPOINT_TOL = 1e-12
@@ -121,32 +122,29 @@ class ExchangeRun(NamedTuple):
 def _column_fill(phi_grid):
     """fill(idx, out): the kernel column g(., z_idx) over the grid, 0 at slot idx.
 
-    The column is built by kernel_from_phi's operations into reused buffers
-    and is bit-identical to it off slot idx.  The plate mask is computed once
-    per grid: slots on the plate are zeroed, and so is the whole column when
-    the pole is on the plate.
+    The column is kernel_from_phi's one-log form,
+    g = log1p(s * s_idx / |phi - phi_idx|^2) / 2 with s = |phi|^2 - 1 clamped
+    to 0 on the plate.  Re phi, Im phi and s are taken once per grid; a fill
+    runs kernel_from_phi's operations in its order into reused buffers, so the
+    column is bit-identical to it off slot idx.  A slot on the plate, or a
+    pole there, has s = 0 and so a zero product: the plate needs no mask.
+    Slot idx's squared distance is set to 1 before the divide, so nothing
+    divides by zero, and its output to 0 after.
     """
-    on_plate = np.abs(phi_grid) <= 1.0
-    plate = np.flatnonzero(on_plate)
-    cbuf = np.empty_like(phi_grid)
-    rbuf, logs = np.empty(phi_grid.size), np.empty(phi_grid.size)
+    x, y, s = (np.ascontiguousarray(a) for a in kernel_parts(phi_grid))
+    d2, dy = np.empty(phi_grid.size), np.empty(phi_grid.size)
 
     def fill(idx, out):
-        if on_plate[idx]:
-            out[:] = 0.0
-            return
-        t = phi_grid[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # log|1 - phi conj(t)| - log|phi - t|
-            np.multiply(phi_grid, np.conj(t), out=cbuf)
-            np.subtract(1.0, cbuf, out=cbuf)
-            np.abs(cbuf, out=rbuf)
-            np.log(rbuf, out=out)
-            np.subtract(phi_grid, t, out=cbuf)
-            np.abs(cbuf, out=rbuf)
-            np.log(rbuf, out=logs)
-            np.subtract(out, logs, out=out)
-        out[plate] = 0.0
+        np.subtract(x, x[idx], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(y, y[idx], out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(d2, dy, out=d2)
+        d2[idx] = 1.0
+        np.multiply(s, s[idx], out=out)
+        np.divide(out, d2, out=out)
+        np.log1p(out, out=out)
+        np.multiply(0.5, out, out=out)
         out[idx] = 0.0
     return fill
 

@@ -13,7 +13,15 @@ With that map, g(z, infinity) = log|phi(z)| and
   g(z, t) = log|1 - phi(z) * conj(phi(t))| - log|phi(z) - phi(t)|,
 
 both clamped to 0 on E (the convention used throughout: potentials of measures
-with mass on E stay well defined).
+with mass on E stay well defined).  The identity
+
+  |1 - phi_z * conj(phi_t)|^2 - |phi_z - phi_t|^2 = (|phi_z|^2 - 1)(|phi_t|^2 - 1)
+
+turns the pair kernel into one logarithm in real arithmetic,
+
+  g(z, t) = log1p(s_z * s_t / |phi_z - phi_t|^2) / 2,   s = |phi|^2 - 1,
+
+and clamping s to 0 on E gives the clamp of g with no mask.
 """
 
 from __future__ import annotations
@@ -225,18 +233,30 @@ def green_pole_infinity(e: EDomain, z):
     return g
 
 
+def kernel_parts(phi):
+    """(Re phi, Im phi, s) for kernel_from_phi, s = |phi|^2 - 1 clamped to 0
+    on the plate."""
+    x, y = phi.real, phi.imag
+    return x, y, np.maximum(x * x + y * y - 1.0, 0.0)
+
+
 def kernel_from_phi(phi_z, phi_t):
     """Green kernel from precomputed phi values; broadcasts like numpy.
 
-    Returns 0 where either argument maps into the closed unit disk and +inf
-    where the arguments coincide outside it.
+    g = log1p(s_z * s_t / |phi_z - phi_t|^2) / 2 with s from kernel_parts (see
+    the module docstring).  An argument on the plate has s = 0, so its kernel
+    is 0 from the product itself; no mask is needed.  Returns +inf where the
+    arguments coincide off the plate and 0 where they coincide on it.
     """
-    phi_z = np.asarray(phi_z)
-    phi_t = np.asarray(phi_t)
+    xz, yz, sz = kernel_parts(np.asarray(phi_z))
+    xt, yt, st = kernel_parts(np.asarray(phi_t))
+    dx = xz - xt
+    dy = yz - yt
+    d2 = dx * dx + dy * dy
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.log(np.abs(1.0 - phi_z * np.conj(phi_t))) - np.log(np.abs(phi_z - phi_t))
-    inside = (np.abs(phi_z) <= 1.0) | (np.abs(phi_t) <= 1.0)
-    return np.where(inside, 0.0, val)
+        val = 0.5 * np.log1p(sz * st / d2)
+    # the only NaN is 0 / 0, at a coincidence on the plate; fmax keeps every other value
+    return np.fmax(val, 0.0)
 
 
 def green_kernel(e: EDomain, z, t):

@@ -16,6 +16,7 @@ from .geometry import (Condenser, EDomain, boundary_samples, green_pole_infinity
 # distance clamp under the log; prevents -inf without disturbing any tested digit
 LOG_CLAMP = 1e-300
 _CHUNK_ENTRIES = 2 ** 16  # points x atoms entries of one potential-scan chunk
+_PAIR_BLOCK = 64  # atom rows of the pair-energy kernel built at a time
 
 
 def log_abs(diff):
@@ -189,10 +190,18 @@ def energy_J(lam: DiscreteMeasure, e: EDomain, theta: float) -> float:
 
 
 def green_pair_energy(phi_pts, weights) -> float:
-    """sum_{i != j} w_i w_j g(x_i, x_j) from phi at the atoms, diagonal excluded."""
-    k = kernel_from_phi(phi_pts[:, None], phi_pts[None, :])
-    np.fill_diagonal(k, 0.0)
-    return float(weights @ k @ weights)
+    """sum_{i != j} w_i w_j g(x_i, x_j) from phi at the atoms, diagonal excluded.
+
+    The atoms x atoms kernel is summed in blocks of _PAIR_BLOCK rows, so its
+    temporaries stay small.
+    """
+    total = 0.0
+    for lo in range(0, phi_pts.size, _PAIR_BLOCK):
+        k = kernel_from_phi(phi_pts[lo:lo + _PAIR_BLOCK, None], phi_pts[None, :])
+        rows = np.arange(k.shape[0])
+        k[rows, lo + rows] = 0.0
+        total += float(weights[lo:lo + _PAIR_BLOCK] @ (k @ weights))
+    return total
 
 
 def energy_I(mu: DiscreteMeasure, lambda_theta: DiscreteMeasure, theta: float) -> float:

@@ -168,12 +168,17 @@ def test_unknown_task_rejected(tmp_path):
     ("equilibrium", {"formats": None}, "formats must be a list of strings"),
     ("chi", {"n": 0, "k": 0, "method": "asymptotic_pair"}, "n must be >= 1"),
     ("nwidth", {"n": 0, "k": 0, "n_points": 16, "grid_n": 1024}, "n must be >= 1"),
+    ("sweep", {"thetas": [0.0, float("nan"), 1.0]}, "theta values must be finite"),
+    ("equilibrium", {"out": 5}, "out must be a string"),
 ], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "balayage-ellipse",
         "negative-radius", "thetas-scalar", "formats-int", "formats-null", "chi-n0",
-        "nwidth-n0"])
+        "nwidth-n0", "thetas-nan", "out-int"])
 def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
     cfg = write_cfg(tmp_path, **extra)
-    rc = main([task, "--config", cfg, "--seed", "0", "--out", str(tmp_path / "bad")])
+    argv = [task, "--config", cfg, "--seed", "0"]
+    if "out" not in extra:  # the --out flag would override a bad config field
+        argv += ["--out", str(tmp_path / "bad")]
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert "validation failure" in err and message in err
