@@ -1,10 +1,12 @@
 """Weighted Fekete points on the curve, weighted Leja points on the plate,
 and the extremal constants they estimate.
 
-Two independent routes to the curve constant are kept side by side:
+Two routes to the curve constant are kept side by side, both read off one
+vector, the field u = U_D^{lam_n} - g(., inf) on the curve grid:
 
-  energy route:  (J(lam_n) + sum_i w_i g(x_i, inf)) / (1 - theta)
-  field route:   min over the curve grid of U_D^{lam_n} - g(., inf)
+  energy route:  sum_i w_i u(x_i) / (1 - theta), the lam_n-average of u at
+                 the atoms, which is (J(lam_n) + sum_i w_i g(x_i, inf)) / (1 - theta)
+  field route:   min of u over the free grid slots
 
 Their gap is a discretization residual and shrinks as the point count grows.
 
@@ -15,7 +17,8 @@ has at least _COARSE_SLOTS slots per atom, it is solved first, the same way,
 and its slots, prolonged to the even slots of the full grid, start the
 full-grid exchange.  tests/test_exchange_oracle.py holds the per-visit
 reference loop for both starts.  The exchange run keeps its final kernel
-columns, and the curve field of a stage is summed from them.
+columns, each 0 at its own slot, so a stage's field is one product
+w @ cols - g(., inf), and u at atom i holds the potential of the other atoms.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .errors import GridTooCoarse
 from .geometry import (Condenser, CurveSamples, TWO_PI, green_pole_infinity, kernel_from_phi,
                        kernel_parts, log_capacity, boundary_samples, phi_exterior,
                        sample_curve)
-from .measure import DiscreteMeasure, energy_J, green_pair_energy, log_abs, log_potential
+from .measure import DiscreteMeasure, log_abs, log_potential
 
 _ENDPOINT_TOL = 1e-12
-_FIELD_BLOCK = 64  # grid rows of the curve-field kernel built or gathered at a time
+_ROW_BLOCK = 64  # atom rows of gamma_field's kernel built at a time
 _COARSE_SLOTS = 8  # slots per atom on the coarsest grid of a coarse-to-fine solve
 
 
@@ -109,7 +112,9 @@ class ExchangeRun(NamedTuple):
     ``converged`` is False when the run stopped at ``max_passes`` with the
     last pass still moving atoms.  The engine builds m + moves kernel columns;
     cols[i] is g(., z_chosen[i]) over the grid, 0 at its own slot and on the
-    plate.
+    plate.  For atom weights w, (w @ cols)[chosen[i]] is the potential of the
+    other atoms at atom i, so one product gives a stage's field and its pair
+    energy.
     """
 
     chosen: np.ndarray
@@ -358,53 +363,26 @@ def _grid_support_mask(grid_pts: np.ndarray, lam: DiscreteMeasure) -> np.ndarray
 def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     """(params, field values, support mask) of U_D^{lam} - g(., inf) on the curve grid.
 
-    Grid slots occupied by atoms of lam carry the field minimum over the free
-    slots (the discrete potential is infinite there; the continuum field
-    attains its minimum on the support).
+    The independent reference for a Fekete stage's field: the rows g(., x_i)
+    are rebuilt from the atoms with kernel_from_phi (in blocks of _ROW_BLOCK
+    atoms) into an atoms x grid_n store, 0 at each atom's own grid slot, and
+    the field is the same product as the stage's, w @ store - g(., inf).  The
+    store holds len(lam) * grid_n floats (128 MiB at 1024 atoms on 16384
+    slots).  Grid slots occupied by atoms of lam carry the field minimum over
+    the free slots (the discrete potential is infinite there; the continuum
+    field attains its minimum on the support).
     """
     samples, phi_g, g_inf = _curve_grid(c, grid_n)
     mask = _grid_support_mask(samples.points, lam)
-    free = ~mask
-    vals = np.empty(grid_n)
-    vals[free] = _field_values(c, lam, phi_g[free], g_inf[free])
-    vals[mask] = np.min(vals[free]) if np.any(free) else 0.0
-    return samples.params, vals, mask
-
-
-def _stage_field(stage: FeketeStage, weights: np.ndarray):
-    """(field values, support mask) of U_D^{lam} - g(., inf) on the stage's
-    curve grid, lam the stage's atoms with the given weights.
-
-    The potential is summed from the exchange run's kernel columns in the same
-    row-block gemv as _field_values, so the values equal gamma_field's bit for
-    bit; atom slots carry the minimum over the free slots, as there.
-    """
-    cols = stage.run.cols
-    mask = np.zeros(cols.shape[1], dtype=bool)
-    mask[stage.run.chosen] = True
-    free = np.flatnonzero(~mask)
-    vals = np.empty(mask.size)
-    # the same blocks of free rows, each a C-contiguous rows x atoms matrix
-    for s in range(0, free.size, _FIELD_BLOCK):
-        rows = free[s:s + _FIELD_BLOCK]
-        vals[rows] = np.ascontiguousarray(cols[:, rows].T) @ weights
-    vals[free] -= stage.g_inf[free]
-    vals[mask] = np.min(vals[free])
-    return vals, mask
-
-
-def _field_values(c: Condenser, lam: DiscreteMeasure, phi_pts: np.ndarray,
-                  g_inf: np.ndarray) -> np.ndarray:
-    """U_D^{lam} - g(., inf) at points given by phi and g(., inf) there."""
-    if lam.is_zero:
-        return -g_inf
     phi_atoms = phi_exterior(c.e_domain, lam.points)
-    pot = np.empty(phi_pts.size)
-    # the points x atoms kernel in row blocks, so its complex temporaries stay small
-    for s in range(0, phi_pts.size, _FIELD_BLOCK):
-        rows = slice(s, s + _FIELD_BLOCK)
-        pot[rows] = kernel_from_phi(phi_pts[rows, None], phi_atoms[None, :]) @ lam.weights
-    return pot - g_inf
+    store = np.empty((len(lam), grid_n))
+    for lo in range(0, len(lam), _ROW_BLOCK):
+        rows = kernel_from_phi(phi_g[None, :], phi_atoms[lo:lo + _ROW_BLOCK, None])
+        rows[np.isinf(rows)] = 0.0  # an atom's own slot, the only off-plate coincidence
+        store[lo:lo + _ROW_BLOCK] = rows
+    vals = lam.weights @ store - g_inf
+    vals[mask] = np.min(vals[~mask]) if not mask.all() else 0.0
+    return samples.params, vals, mask
 
 
 def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
@@ -422,12 +400,6 @@ def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
     return stage.m_energy, stage.m_field
 
 
-def _m_energy(c: Condenser, lam: DiscreteMeasure, theta: float) -> float:
-    g_atoms = green_pole_infinity(c.e_domain, lam.points)
-    j_val = energy_J(lam, c.e_domain, theta)
-    return (j_val + float(np.sum(lam.weights * g_atoms))) / (1.0 - theta)
-
-
 class ThetaStage(NamedTuple):
     """lambda_n, both curve constants, and the curve field at one theta on the
     stage's curve grid (parameters and phi at the samples)."""
@@ -443,11 +415,12 @@ class ThetaStage(NamedTuple):
 
 def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int,
                  seed: int) -> ThetaStage:
-    """lambda_n and both curve constants at one theta, from one curve-field
-    evaluation.
+    """lambda_n and both curve constants at one theta, from one field vector.
 
-    The field comes from the Fekete stage's own kernel columns, which are
-    released before the constants are computed.
+    u = w @ run.cols - g(., inf) over the Fekete stage's own column store:
+    the field route is the minimum of u over the free slots, the energy route
+    the lambda_n-average of u at the atoms over 1 - theta.  The atom slots
+    then carry the field minimum, as in gamma_field.
     """
     if theta >= 1.0 - _ENDPOINT_TOL:
         # theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
@@ -458,15 +431,17 @@ def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int,
                           vals, field_min)
     stage = _fekete_state(c, theta, n_points, grid_n, seed)
     lam = _stage_measure(stage, theta)
-    vals, mask = _stage_field(stage, lam.weights)
-    params, phi_g = stage.samples.params, stage.phi
-    del stage
-    field_min = float(np.min(vals[~mask]))
+    chosen = stage.run.chosen
+    vals = lam.weights @ stage.run.cols - stage.g_inf
+    at_atoms = vals[chosen]
+    vals[chosen] = np.inf  # the minimum runs over the free slots
+    field_min = float(np.min(vals))
+    vals[chosen] = field_min
     if theta <= _ENDPOINT_TOL:
         m_energy = m_field = 0.0
     else:
-        m_energy, m_field = _m_energy(c, lam, theta), field_min
-    return ThetaStage(lam, m_energy, m_field, params, phi_g, vals, field_min)
+        m_energy, m_field = float(lam.weights @ at_atoms) / (1.0 - theta), field_min
+    return ThetaStage(lam, m_energy, m_field, stage.samples.params, stage.phi, vals, field_min)
 
 
 def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
@@ -538,13 +513,7 @@ def _capacity(phi_g: np.ndarray, m: int, seed: int) -> float:
 
     m1 = min(m, phi_g.size // 16)
     m2 = m1 // 2
-    energies = {}
-    for mm in (m1, m2):
-        run = _coarse_to_fine(phi_g, g_inf, mm, 0.0, seed)
-        _warn_unconverged(run, mm, phi_g.size)
-        chosen = run.chosen
-        del run  # free the columns before the pair energy allocates its kernel
-        energies[mm] = green_pair_energy(phi_g[chosen], np.full(mm, 1.0 / mm))
+    energies = {mm: _pair_energy(phi_g, g_inf, mm, seed) for mm in (m1, m2)}
 
     # fit E(m) = E_inf - (log m + b) / m through the two levels
     u1, u2 = 1.0 / m1, 1.0 / m2
@@ -554,6 +523,16 @@ def _capacity(phi_g: np.ndarray, m: int, seed: int) -> float:
     if e_inf <= 0:
         raise ValueError("capacity fit produced a nonpositive energy")
     return float(1.0 / e_inf)
+
+
+def _pair_energy(phi_g: np.ndarray, g_inf: np.ndarray, m: int, seed: int) -> float:
+    """sum_{i != j} w_i w_j g(z_i, z_j) of m equal atoms minimizing it on the
+    slots, from the run's own columns; they are freed on return, before the
+    next level allocates its own."""
+    run = _coarse_to_fine(phi_g, g_inf, m, 0.0, seed)
+    _warn_unconverged(run, m, phi_g.size)
+    w = np.full(m, 1.0 / m)
+    return float(w @ (w @ run.cols)[run.chosen])
 
 
 def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,

@@ -387,13 +387,12 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
                         improved = True
                         break
                 # degree reduction on p
-                if len(p_cur) > 0:
-                    trial = p_cur[:i] + p_cur[i + 1:]
-                    tv, tq, _ = _sup_over_q(scorer, trial, [q_star, q_leja], 6)
-                    if tv < val - _IMPROVE_EPS:
-                        p_cur, val, q_star = trial, tv, tq
-                        improved = True
-                        continue
+                trial = p_cur[:i] + p_cur[i + 1:]
+                tv, tq, _ = _sup_over_q(scorer, trial, [q_star, q_leja], 6)
+                if tv < val - _IMPROVE_EPS:
+                    p_cur, val, q_star = trial, tv, tq
+                    improved = True
+                    continue
                 i += 1
             if not improved:
                 break

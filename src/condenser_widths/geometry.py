@@ -35,6 +35,11 @@ from .errors import CoincidentPole, GeometryValidationError, UnsupportedCurve
 TWO_PI = 2.0 * np.pi
 
 
+def _check_finite(what: str, *numbers):
+    if not all(np.isfinite(v) for v in numbers):
+        raise GeometryValidationError(f"{what} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -53,12 +58,14 @@ class EDomain:
     def disk(center: complex, radius: float) -> "EDomain":
         if radius <= 0:
             raise GeometryValidationError("disk radius must be positive")
+        _check_finite("disk center and radius", center, radius)
         return EDomain(kind="disk", center=complex(center), radius=float(radius))
 
     @staticmethod
     def segment(a: float, b: float) -> "EDomain":
         if not b > a:
             raise GeometryValidationError("segment requires b > a")
+        _check_finite("segment endpoints", a, b)
         return EDomain(kind="segment", a=float(a), b=float(b))
 
     @property
@@ -99,6 +106,7 @@ class CurveSpec:
     def circle(center: complex, radius: float) -> "CurveSpec":
         if radius <= 0:
             raise GeometryValidationError("circle radius must be positive")
+        _check_finite("circle center and radius", center, radius)
         return CurveSpec(kind="circle", center=complex(center), radius=float(radius))
 
     @staticmethod
@@ -106,6 +114,7 @@ class CurveSpec:
         sa = (float(semi_axes[0]), float(semi_axes[1]))
         if min(sa) <= 0:
             raise GeometryValidationError("ellipse semi-axes must be positive")
+        _check_finite("ellipse center, semi-axes and rotation", center, *sa, rotation)
         return CurveSpec(kind="ellipse", center=complex(center), semi_axes=sa,
                          rotation=float(rotation))
 
@@ -117,8 +126,12 @@ class CurveSpec:
             raise GeometryValidationError("polar table needs >= 4 (angle, radius) samples")
         if min(rad) <= 0:
             raise GeometryValidationError("polar radii must be positive")
+        _check_finite("polar center, angles and radii", center, *ang, *rad)
         if any(ang[i + 1] <= ang[i] for i in range(len(ang) - 1)):
             raise GeometryValidationError("polar angles must be strictly increasing")
+        if ang[-1] - ang[0] >= TWO_PI:
+            # the periodic interpolation table closes at angles[0] + 2*pi
+            raise GeometryValidationError("polar angles must span less than 2*pi")
         return CurveSpec(kind="polar", center=complex(center),
                          polar_angles=ang, polar_radii=rad)
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _ENDPOINT_TOL, _field_values, condenser_capacity, m_theta
+from .equilibrium import _ENDPOINT_TOL, condenser_capacity, m_theta
 from .errors import GridTooClose
 from .extremal import chi_asymptotic_pair, chi_bruteforce
-from .geometry import Condenser, green_pole_infinity, phi_exterior
-from .measure import DiscreteMeasure, FieldGrid
+from .geometry import Condenser, green_pole_infinity
+from .measure import DiscreteMeasure, FieldGrid, green_potential
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ def g_theta_field(c: Condenser, lambda_n: DiscreteMeasure, grid) -> FieldGrid:
         d = np.min(np.abs(pts[:, None] - lambda_n.points[None, :]), axis=1)
         if np.min(d) < 1e-3:
             raise GridTooClose("field grid comes within 1e-3 of the measure support")
-    g_inf = np.atleast_1d(green_pole_infinity(c.e_domain, pts))
-    vals = _field_values(c, lambda_n, phi_exterior(c.e_domain, pts), g_inf)
+    vals = green_potential(lambda_n, c.e_domain, pts) - green_pole_infinity(c.e_domain, pts)
     return FieldGrid(grid_points=pts, values=vals,
                      description="U_D^lambda - g(., inf)")

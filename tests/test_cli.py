@@ -170,9 +170,31 @@ def test_unknown_task_rejected(tmp_path):
     ("nwidth", {"n": 0, "k": 0, "n_points": 16, "grid_n": 1024}, "n must be >= 1"),
     ("sweep", {"thetas": [0.0, float("nan"), 1.0]}, "theta values must be finite"),
     ("equilibrium", {"out": 5}, "out must be a string"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": float("nan")},
+        "gamma": {"kind": "circle", "center": [0, 0], "radius": 3.0}}},
+        "disk center and radius must be finite"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [float("nan"), 0], "radius": 1.0},
+        "gamma": {"kind": "circle", "center": [0, 0], "radius": 3.0}}},
+        "disk center and radius must be finite"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+        "gamma": {"kind": "ellipse", "center": [0, 0], "semi_axes": [float("nan"), 2.0]}}},
+        "ellipse center, semi-axes and rotation must be finite"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+        "gamma": {"kind": "circle", "center": [0, 0], "radius": float("inf")}}},
+        "circle center and radius must be finite"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+        "gamma": {"kind": "polar", "center": [0, 0], "angles": [0, 1, 2, 10],
+                  "radii": [3, 3, 3, 3]}}},
+        "polar angles must span less than 2*pi"),
 ], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "balayage-ellipse",
         "negative-radius", "thetas-scalar", "formats-int", "formats-null", "chi-n0",
-        "nwidth-n0", "thetas-nan", "out-int"])
+        "nwidth-n0", "thetas-nan", "out-int", "radius-nan", "center-nan", "semi-axes-nan",
+        "curve-radius-inf", "polar-span"])
 def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
     cfg = write_cfg(tmp_path, **extra)
     argv = [task, "--config", cfg, "--seed", "0"]

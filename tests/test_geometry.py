@@ -111,6 +111,31 @@ def test_sample_curve_polar_kind():
     assert np.all((r > 1.7) & (r < 2.3))
 
 
+def test_polar_table_must_span_less_than_two_pi():
+    # the interpolation table closes at angles[0] + 2*pi; a wider span would
+    # hand np.interp a non-increasing table
+    with pytest.raises(GeometryValidationError, match="span less than 2"):
+        CurveSpec.polar(0j, [0.0, 1.0, 2.0, 10.0], [3.0] * 4)
+    with pytest.raises(GeometryValidationError, match="span less than 2"):
+        CurveSpec.polar(0j, [-1.0, 0.0, 1.0, 2 * np.pi - 1.0], [3.0] * 4)
+    CurveSpec.polar(0j, [-1.0, 0.0, 1.0, np.nextafter(2 * np.pi - 1.0, 0.0)], [3.0] * 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EDomain.disk(complex(0.0, np.nan), 1.0),
+    lambda: EDomain.disk(0j, np.inf),
+    lambda: EDomain.segment(-np.inf, 1.0),
+    lambda: CurveSpec.circle(0j, np.nan),
+    lambda: CurveSpec.ellipse(0j, (2.0, 1.0), rotation=np.inf),
+    lambda: CurveSpec.polar(0j, [0.0, 1.0, np.nan, 3.0], [3.0] * 4),
+    lambda: CurveSpec.polar(0j, [0.0, 1.0, 2.0, 3.0], [3.0, np.inf, 3.0, 3.0]),
+], ids=["disk-center", "disk-radius", "segment", "circle", "ellipse-rotation",
+        "polar-angle", "polar-radius"])
+def test_non_finite_geometry_rejected(make):
+    with pytest.raises(GeometryValidationError, match="must be finite"):
+        make()
+
+
 def test_log_capacity():
     assert log_capacity(EDomain.disk(0j, 2.0)) == 2.0
     assert log_capacity(EDomain.segment(-1.0, 1.0)) == 0.5
