@@ -11,14 +11,26 @@ vector, the field u = U_D^{lam_n} - g(., inf) on the curve grid:
 Their gap is a discretization residual and shrinks as the point count grows.
 
 Fekete points and the capacity configurations come from one exchange engine
-(_exchange_maximize) with two starts: greedy insertion, or given grid slots.
-A stage solves coarse to fine: while the halved grid (every other slot) still
-has at least _COARSE_SLOTS slots per atom, it is solved first, the same way,
-and its slots, prolonged to the even slots of the full grid, start the
-full-grid exchange.  tests/test_exchange_oracle.py holds the per-visit
-reference loop for both starts.  The exchange run keeps its final kernel
-columns, each 0 at its own slot, so a stage's field is one product
-w @ cols - g(., inf), and u at atom i holds the potential of the other atoms.
+(_exchange_maximize), started from greedy insertion or from given grid
+slots.  A Fekete stage's full-grid exchange has one of three starts:
+
+  density:         a disk plate inside a circle at theta <= theta*, where the
+                   equilibrium has the closed form omega_inf - theta nu
+                   (_density_cdf); atom i starts at the slot where its cdf
+                   reaches i/m, counted from the density peak.
+  coarse_to_fine:  every other pair and theta, and every capacity level,
+                   while the halved grid (every other slot) still has at
+                   least _COARSE_SLOTS slots per atom: that grid is solved
+                   first, the same way, and its slots, prolonged to the even
+                   slots of the full grid, start the full-grid exchange.
+  greedy:          the coarsest level, where the grid cannot be halved.
+
+The start is picked from the geometry and theta alone; the exchange then runs
+the same passes to the same stopping rule.  tests/test_exchange_oracle.py
+holds the per-visit reference loop for both engine starts.  The exchange run
+keeps its final kernel columns, each 0 at its own slot, so a stage's field is
+one product w @ cols - g(., inf), and u at atom i holds the potential of the
+other atoms.
 """
 
 from __future__ import annotations
@@ -229,6 +241,12 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200,
     return ExchangeRun(chosen, passes, moves, converged, cols)
 
 
+def _halves(grid_n: int, m: int) -> bool:
+    """Whether a coarse-to-fine solve of m atoms on grid_n slots first solves
+    the halved grid."""
+    return (grid_n + 1) // 2 >= _COARSE_SLOTS * m
+
+
 def _coarse_to_fine(phi_grid, g_inf, m, field_coeff, seed) -> ExchangeRun:
     """The exchange run on the full grid, started from the run on the halved
     grid (every other slot, solved the same way) while that grid keeps at
@@ -238,11 +256,68 @@ def _coarse_to_fine(phi_grid, g_inf, m, field_coeff, seed) -> ExchangeRun:
     its columns are freed before the next level allocates its own.
     """
     start = None
-    if (phi_grid.size + 1) // 2 >= _COARSE_SLOTS * m:
+    if _halves(phi_grid.size, m):
         start = 2 * _coarse_to_fine(np.ascontiguousarray(phi_grid[::2]),
                                     np.ascontiguousarray(g_inf[::2]),
                                     m, field_coeff, seed).chosen
     return _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=start)
+
+
+def _density_cdf(c: Condenser, theta: float, params: np.ndarray):
+    """(k0, cdf) of the exact equilibrium lambda_theta of a disk plate inside a
+    circle on the curve grid, for theta <= theta*; None for other pairs and
+    above theta*.
+
+    Scaled to the unit plate and rotated so the circle's centre lies on the
+    positive real axis, the circle meets that axis at x1 < -1 < 1 < x2.  The
+    Moebius map w = (z - a)/(1 - a z), a the root in (-1, 1) of
+    q a^2 - 2p a + q with p = 1 + x1 x2 and q = x1 + x2, keeps the unit
+    circle and takes the circle to |w| = R.  While the support is the whole
+    curve, lambda_theta = omega_inf - theta nu: omega_inf (the harmonic
+    measure of infinity) is uniform in the grid parameter t, nu (the
+    condenser measure) uniform in s = arg w.  That holds up to
+    theta* = (1 - r)/(1 + r), r = R |a|.  Slot k0 is the one nearest the
+    density peak, the point of the circle farthest from the plate centre
+    (parameter 0 for a concentric pair), and cdf[j] = lambda_theta of the
+    arc from t0 = params[k0] to params[k0 + j] over 1 - theta:
+    ((t - t0) - theta (s - s0)) / (2 pi (1 - theta)).
+    """
+    e, gamma = c.e_domain, c.gamma
+    if e.kind != "disk" or gamma.kind != "circle":
+        return None
+    centre = (gamma.center - e.center) / e.radius
+    d, rot, rad = abs(centre), float(np.angle(centre)), gamma.radius / e.radius
+    x1, x2 = d - rad, d + rad
+    p, q = 1.0 + x1 * x2, x1 + x2
+    # the roots multiply to 1 and p < 0, so this is the one inside (-1, 1)
+    a = q / (p - np.sqrt((1.0 - x1 * x1) * (1.0 - x2 * x2)))
+    r = abs((x2 - a) / (1.0 - a * x2) * a)
+    if theta > (1.0 - r) / (1.0 + r):
+        return None
+    k0 = int(np.rint(rot / TWO_PI * params.size)) % params.size
+    t = np.roll(params, -k0)
+    z = d + rad * np.exp(1j * (t - rot))
+    s = np.angle((z - a) / (1.0 - a * z))
+    cdf = (np.mod(t - t[0], TWO_PI) - theta * np.mod(s - s[0], TWO_PI)) / (TWO_PI * (1.0 - theta))
+    return k0, cdf
+
+
+def _density_start(c: Condenser, theta: float, m: int, params: np.ndarray):
+    """m distinct grid slots at the quantiles of _density_cdf, or None where
+    it gives no density.
+
+    Atom i goes to the slot nearest where the cdf reaches i/m, counted from
+    the peak slot; a slot already taken bumps it forward (and the last atoms
+    back from the end of the grid), so the slots are distinct.
+    """
+    found = _density_cdf(c, theta, params)
+    if found is None:
+        return None
+    k0, cdf = found
+    n, i = params.size, np.arange(m)
+    j = np.rint(np.interp(i / m, np.append(cdf, 1.0), np.arange(n + 1))).astype(int)
+    j = np.minimum(np.maximum.accumulate(j - i) + i, n - m + i)
+    return (j + k0) % n
 
 
 def _warn_unconverged(run: ExchangeRun, m: int, grid_n: int):
@@ -259,19 +334,23 @@ def _curve_grid(c: Condenser, grid_n: int):
 
 
 class FeketeStage(NamedTuple):
-    """One Fekete stage: the curve grid and the exchange run on it."""
+    """One Fekete stage: the curve grid, the exchange run on it, and the
+    run's start: "density", "coarse_to_fine" or "greedy"."""
 
     samples: CurveSamples
     phi: np.ndarray
     g_inf: np.ndarray
     run: ExchangeRun
+    start: str
 
 
 def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> FeketeStage:
     """The curve grid and the exchange run of m weighted Fekete points on it.
 
-    A single atom has no pair term, so it sits at the grid maximum of g(., inf),
-    and its run holds only its own column.
+    The full-grid exchange starts at _density_start's slots where the exact
+    density is known, and otherwise solves coarse to fine.  A single atom has
+    no pair term, so it sits at the grid maximum of g(., inf), and its run
+    holds only its own column.
     """
     if m < 1:
         raise ValueError("fekete stage needs m >= 1")
@@ -282,11 +361,17 @@ def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int) ->
         idx = int(np.argmax(g_inf))
         cols = np.empty((1, grid_n))
         _column_fill(phi_g)(idx, cols[0])
-        run = ExchangeRun(np.array([idx]), 0, 0, True, cols)
+        return FeketeStage(samples, phi_g, g_inf, ExchangeRun(np.array([idx]), 0, 0, True, cols),
+                           "greedy")
+    coeff = (m - 1) / (1.0 - theta)
+    slots = _density_start(c, theta, m, samples.params)
+    if slots is not None:
+        run, start = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots), "density"
     else:
-        run = _coarse_to_fine(phi_g, g_inf, m, (m - 1) / (1.0 - theta), seed)
-        _warn_unconverged(run, m, grid_n)
-    return FeketeStage(samples, phi_g, g_inf, run)
+        run = _coarse_to_fine(phi_g, g_inf, m, coeff, seed)
+        start = "coarse_to_fine" if _halves(grid_n, m) else "greedy"
+    _warn_unconverged(run, m, grid_n)
+    return FeketeStage(samples, phi_g, g_inf, run, start)
 
 
 def fekete_green(c: Condenser, theta: float, m: int, grid_n: int,
@@ -402,7 +487,8 @@ def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
 
 class ThetaStage(NamedTuple):
     """lambda_n, both curve constants, and the curve field at one theta on the
-    stage's curve grid (parameters and phi at the samples)."""
+    stage's curve grid (parameters and phi at the samples), with the
+    full-grid exchange's passes, moves, converged flag and start."""
 
     lam: DiscreteMeasure
     m_energy: float
@@ -411,6 +497,7 @@ class ThetaStage(NamedTuple):
     phi: np.ndarray
     vals: np.ndarray
     field_min: float
+    exchange: dict
 
 
 def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int,
@@ -428,7 +515,7 @@ def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int,
         vals = -g_inf
         field_min = float(np.min(vals))
         return ThetaStage(DiscreteMeasure.zero(), field_min, field_min, samples.params, phi_g,
-                          vals, field_min)
+                          vals, field_min, _exchange_record(0, 0, True, "none"))
     stage = _fekete_state(c, theta, n_points, grid_n, seed)
     lam = _stage_measure(stage, theta)
     chosen = stage.run.chosen
@@ -441,7 +528,14 @@ def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int,
         m_energy = m_field = 0.0
     else:
         m_energy, m_field = float(lam.weights @ at_atoms) / (1.0 - theta), field_min
-    return ThetaStage(lam, m_energy, m_field, stage.samples.params, stage.phi, vals, field_min)
+    run = stage.run
+    return ThetaStage(lam, m_energy, m_field, stage.samples.params, stage.phi, vals, field_min,
+                      _exchange_record(run.passes, run.moves, run.converged, stage.start))
+
+
+def _exchange_record(passes: int, moves: int, converged: bool, start: str) -> dict:
+    return {"exchange_passes": passes, "exchange_moves": moves,
+            "exchange_converged": converged, "exchange_start": start}
 
 
 def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
@@ -465,10 +559,13 @@ def _support_mask(vals: np.ndarray, m_field: float, tol: float | None = None) ->
     return vals <= m_field + tol
 
 
-def _sweep_support_tol(theta: float, n_points: int, grid_n: int, field_min: float) -> float:
-    """The default support threshold widened by the inter-atom field ripple:
-    the grid point nearest an atom sits (1-theta)/m * log(1/sin(pi m/grid_n))
-    above the mid-gap minimum for a fully supported configuration."""
+def _support_tol(theta: float, n_points: int, grid_n: int, field_min: float) -> float:
+    """The support threshold of equilibrium_result and theta_sweep: the
+    default one widened by the inter-atom field ripple, so the whole curve is
+    found at small theta as well, where the ripple dominates the constant
+    itself.  The grid point nearest an atom sits
+    (1-theta)/m * log(1/sin(pi m/grid_n)) above the mid-gap minimum for a
+    fully supported configuration."""
     ripple = (1.0 - theta) / n_points * np.log(1.0 / np.sin(np.pi * min(0.499, n_points / grid_n)))
     return 1e-2 * abs(field_min) + 1e-4 + 1.15 * ripple
 
@@ -538,17 +635,24 @@ def _pair_energy(phi_g: np.ndarray, g_inf: np.ndarray, m: int, seed: int) -> flo
 def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,
                        grid_n: int = 4096, seed: int = 0) -> EquilibriumResult:
     """Run the two-stage pipeline at one theta and bundle constants, supports,
-    and cross-check residuals."""
+    and cross-check residuals.
+
+    The support is the field within _support_tol of its minimum.  The
+    residuals also report the full-grid exchange's passes, moves, converged
+    flag and start ("density", "coarse_to_fine" or "greedy"; "none" at
+    theta = 1, where no exchange runs)."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     stage = _theta_stage(c, theta, n_points, grid_n, seed)
     lam = stage.lam
     mu = leja_weighted(c, lam, theta, n_points, grid_n)
     # never empty: the slot attaining field_min qualifies
-    support = _support_mask(stage.vals, stage.field_min)
+    support = _support_mask(stage.vals, stage.field_min,
+                            _support_tol(theta, n_points, grid_n, stage.field_min))
     residuals = {
         "two_route": abs(stage.m_energy - stage.m_field),
         "support_field_stddev": float(np.std(stage.vals[support])),
+        **stage.exchange,
     }
     return EquilibriumResult(theta=float(theta), lambda_n=lam, mu_n=mu,
                              m_theta_energy=stage.m_energy, m_theta_field=stage.m_field,
@@ -561,10 +665,8 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
                 seed: int = 0) -> SweepReport:
     """Constants, supports, and capacities over a strictly increasing theta grid.
 
-    The support threshold is widened by the inter-atom field ripple of a fully
-    supported discrete configuration (_sweep_support_tol), so the whole curve
-    is detected at small theta as well, where the ripple dominates the
-    constant itself.  A support short of the whole curve has its capacity
+    The support is the field within _support_tol of its minimum, as in
+    equilibrium_result.  A support short of the whole curve has its capacity
     fitted on its own slots of the stage's curve grid.
 
     The integral residual compares m over the sweep range against the
@@ -581,7 +683,7 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     for theta in thetas:
         stage = _theta_stage(c, theta, n_points, grid_n, seed)
         support = _support_mask(stage.vals, stage.field_min,
-                                _sweep_support_tol(theta, n_points, grid_n, stage.field_min))
+                                _support_tol(theta, n_points, grid_n, stage.field_min))
         cap_tau = cap_full if support.all() else _capacity(stage.phi[support], 256, seed)
 
         m_e_list.append(stage.m_energy)

@@ -4,7 +4,7 @@ import pytest
 from condenser_widths import (DiscreteMeasure, condenser_capacity, equilibrium_result,
                               fekete_green, green_pole_infinity, leja_weighted,
                               m_hat_theta, m_theta, sample_curve, support_S_theta)
-from condenser_widths.equilibrium import (_runs_to_arcs, _support_mask, _sweep_support_tol,
+from condenser_widths.equilibrium import (_runs_to_arcs, _support_mask, _support_tol,
                                           gamma_field)
 from condenser_widths.errors import GridTooCoarse
 
@@ -159,7 +159,7 @@ def test_support_nesting_offset(offset):
         lam = fekete_green(offset, theta, m, 4096, seed=0)
         _, vals, mask = gamma_field(offset, lam, 4096)
         m_f = float(np.min(vals[~mask]))
-        return _support_mask(vals, m_f, _sweep_support_tol(theta, m, 4096, m_f))
+        return _support_mask(vals, m_f, _support_tol(theta, m, 4096, m_f))
 
     mask50, mask75 = support_at(0.5), support_at(0.75)
     grown = mask50 | np.roll(mask50, 1) | np.roll(mask50, -1)
@@ -267,18 +267,36 @@ def test_exchange_budget_exhaustion_warns(offset, monkeypatch):
 def test_coarse_started_stage_is_deterministic(offset):
     from condenser_widths import equilibrium as eq
     from condenser_widths.geometry import phi_exterior
-    a = fekete_green(offset, 0.3, 64, 2048, seed=5)
-    b = fekete_green(offset, 0.3, 64, 2048, seed=5)
+    # above theta* = 1/sqrt(5) the offset pair has no closed-form start
+    a = fekete_green(offset, 0.6, 64, 2048, seed=5)
+    b = fekete_green(offset, 0.6, 64, 2048, seed=5)
     assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
     # the stage is the full-grid exchange started from the halved grid's slots
     pts = sample_curve(offset.gamma, 2048).points
     phi_g, g_inf = phi_exterior(offset.e_domain, pts), green_pole_infinity(offset.e_domain, pts)
-    coeff = 63 / 0.7
+    coeff = 63 / 0.4
     run = eq._coarse_to_fine(phi_g, g_inf, 64, coeff, 5)
     half = eq._coarse_to_fine(phi_g[::2].copy(), g_inf[::2].copy(), 64, coeff, 5)
     direct = eq._exchange_maximize(phi_g, g_inf, 64, coeff, 5, start=2 * half.chosen)
     assert np.array_equal(run.chosen, direct.chosen)
     assert np.array_equal(pts[run.chosen], a.points)
+
+
+def test_density_started_stage_is_the_seeded_exchange(offset):
+    from condenser_widths import equilibrium as eq
+    from condenser_widths.geometry import phi_exterior
+    a = fekete_green(offset, 0.3, 64, 2048, seed=5)
+    b = fekete_green(offset, 0.3, 64, 2048, seed=5)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
+    # below theta* the stage is the full-grid exchange started from the
+    # quantiles of the exact density
+    samples = sample_curve(offset.gamma, 2048)
+    pts = samples.points
+    phi_g, g_inf = phi_exterior(offset.e_domain, pts), green_pole_infinity(offset.e_domain, pts)
+    start = eq._density_start(offset, 0.3, 64, samples.params)
+    direct = eq._exchange_maximize(phi_g, g_inf, 64, 63 / 0.7, 5, start=start)
+    assert np.array_equal(pts[direct.chosen], a.points)
+    assert eq._fekete_state(offset, 0.3, 64, 2048, 5).start == "density"
 
 
 def test_unconverged_warning_names_the_full_grid(offset, monkeypatch):
