@@ -26,11 +26,14 @@ slots.  A Fekete stage's full-grid exchange has one of three starts:
   greedy:          the coarsest level, where the grid cannot be halved.
 
 The start is picked from the geometry and theta alone; the exchange then runs
-the same passes to the same stopping rule.  tests/test_exchange_oracle.py
-holds the per-visit reference loop for both engine starts.  The exchange run
-keeps its final kernel columns, each 0 at its own slot, so a stage's field is
-one product w @ cols - g(., inf), and u at atom i holds the potential of the
-other atoms.
+the same passes to the same stopping rule.  A visit of one atom scores only
+a window of _WINDOW_SPACINGS mean atom spacings on either side of it, and the
+whole grid only when a bound on every score outside the window does not
+certify the window's verdict; the chosen slots are those of full scans, bit
+for bit.  tests/test_exchange_oracle.py holds the per-visit reference loop
+for both engine starts.  The exchange run keeps its final kernel columns,
+each 0 at its own slot, so a stage's field is one product w @ cols - g(., inf),
+and u at atom i holds the potential of the other atoms.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .measure import DiscreteMeasure, log_abs, log_potential
 _ENDPOINT_TOL = 1e-12
 _ROW_BLOCK = 64  # atom rows of gamma_field's kernel built at a time
 _COARSE_SLOTS = 8  # slots per atom on the coarsest grid of a coarse-to-fine solve
+_WINDOW_SPACINGS = 6  # half-width of an exchange visit's first scan, in mean atom spacings
 
 
 @dataclass(frozen=True)
@@ -121,17 +125,19 @@ class ExchangeRun(NamedTuple):
     """Chosen grid slots of one exchange run, with its pass and move counts
     and the final kernel columns.
 
-    ``converged`` is False when the run stopped at ``max_passes`` with the
-    last pass still moving atoms.  The engine builds m + moves kernel columns;
-    cols[i] is g(., z_chosen[i]) over the grid, 0 at its own slot and on the
-    plate.  For atom weights w, (w @ cols)[chosen[i]] is the potential of the
-    other atoms at atom i, so one product gives a stage's field and its pair
-    energy.
+    ``full_scans`` counts the visits that scored the whole grid because their
+    window scan could not be certified.  ``converged`` is False when the run
+    stopped at ``max_passes`` with the last pass still moving atoms.  The
+    engine builds m + moves kernel columns; cols[i] is g(., z_chosen[i]) over
+    the grid, 0 at its own slot and on the plate.  For atom weights w,
+    (w @ cols)[chosen[i]] is the potential of the other atoms at atom i, so
+    one product gives a stage's field and its pair energy.
     """
 
     chosen: np.ndarray
     passes: int
     moves: int
+    full_scans: int
     converged: bool
     cols: np.ndarray
 
@@ -182,10 +188,27 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200,
     own slot, so pot = sum_i cols[i] is finite everywhere and pot[chosen[i]]
     is the potential of the other atoms at atom i.  dp = drive - pot with
     -inf at occupied slots (occupancy lives in free_drive, a copy of drive
-    set to -inf there).  Visiting atom i is then one add and one argmax:
-    score = dp + cols[i] is atom i's objective at every free slot, and
-    drive - pot at its own slot is the value of staying.  A move updates
-    pot by two column passes, free_drive at two slots, and recomputes dp.
+    set to -inf there).  score = dp + cols[i] is atom i's objective at every
+    free slot, and drive - pot at its own slot (plus a 1e-12 drift guard) is
+    the value of staying.  A move updates pot by two column passes,
+    free_drive at two slots, and recomputes dp.
+
+    A visit first scores only its window: the half = ceil(_WINDOW_SPACINGS *
+    grid_n / m) slots on either side of the atom's slot, taken cyclically
+    (the curve grid is closed) and scanned in increasing slot order.  The
+    engine keeps dpmax = max(dp), recomputed after the start and after each
+    move, and for each atom its window record, taken when its column is
+    filled: the window's place, views of dp and cols[i] over it, and
+    out_max, the largest value of cols[i] outside it (inf when the window
+    covers the grid).  IEEE addition is monotone, so no score outside the
+    window exceeds bound = dpmax + out_max.  A window maximum above bound is
+    therefore the grid maximum, and the window's first argmax is the grid's
+    lowest one; a bound at or below the value of staying means the atom
+    stays.  Only when neither holds does the visit score the whole grid
+    (counted in full_scans).  Every visit thus reaches the full scan's
+    verdict, bit for bit, after reading a few atom spacings: 193 of 16384
+    slots at 1024 atoms.
+
     tests/test_exchange_oracle.py keeps the per-visit loop that recomputes
     every score, from greedy insertion and from given start slots; this
     engine must match it slot for slot from either start.
@@ -216,29 +239,74 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200,
         free_drive[chosen] = -np.inf
         np.subtract(free_drive, pot, out=dp)
 
+    # a window is the cyclic slot range first, ..., first + width - 1; when it
+    # wraps past the last slot, its slots 0, ..., split - 1 are scored first,
+    # so it is always scanned in increasing slot order
+    half = -(-_WINDOW_SPACINGS * grid_n // m)
+    width = 2 * half + 1
+    slots = chosen.tolist()
+
+    def window_of(j):
+        """(first, split, out_max, dp view, column view) of atom j's window.
+        out_max is inf when the window covers the grid; the views, kept so a
+        visit slices nothing, are None when it wraps."""
+        if width >= grid_n:
+            return 0, 0, np.inf, None, None
+        first = (slots[j] - half) % grid_n
+        split = first + width - grid_n
+        if split > 0:
+            return first, split, float(cols[j, split:first].max()), None, None
+        off = max(cols[j, :first].max(initial=-np.inf),
+                  cols[j, first + width:].max(initial=-np.inf))
+        return first, 0, float(off), dp[first:first + width], cols[j, first:first + width]
+
+    windows = [window_of(j) for j in range(m)]
+    dpmax = float(dp.max())
     rng = np.random.default_rng(seed)
     score = np.empty(grid_n)
-    passes = moves = 0
+    window = score[:width]
+    passes = moves = full_scans = 0
     converged = False
     while not converged and passes < max_passes:
         passes += 1
         moves_before = moves
-        for i in rng.permutation(m):
-            pos = chosen[i]
-            np.add(dp, cols[i], out=score)
-            best = int(score.argmax())
+        for i in rng.permutation(m).tolist():
+            pos = slots[i]
+            stay = drive.item(pos) - pot.item(pos) + 1e-12
+            first, split, out_max, dp_win, col_win = windows[i]
+            bound = dpmax + out_max
+            best = -1
+            if bound < np.inf:
+                if split:
+                    np.add(dp[:split], cols[i, :split], window[:split])
+                    np.add(dp[first:], cols[i, first:], window[split:])
+                else:
+                    np.add(dp_win, col_win, window)
+                k = int(window.argmax())
+                top = window.item(k)
+                if top > bound:
+                    best = k if k < split else first + k - split
+                elif bound <= stay:
+                    continue
+            if best < 0:
+                full_scans += 1
+                np.add(dp, cols[i], score)
+                best = int(score.argmax())
+                top = score.item(best)
             # strict improvement with a drift guard so float noise cannot cycle
-            if score[best] > drive[pos] - pot[pos] + 1e-12:
+            if top > stay:
                 pot -= cols[i]
                 fill(best, cols[i])
                 pot += cols[i]
                 free_drive[pos] = drive[pos]
                 free_drive[best] = -np.inf
                 np.subtract(free_drive, pot, out=dp)
-                chosen[i] = best
+                dpmax = float(dp.max())
+                slots[i] = best
+                windows[i] = window_of(i)
                 moves += 1
         converged = moves == moves_before
-    return ExchangeRun(chosen, passes, moves, converged, cols)
+    return ExchangeRun(np.array(slots), passes, moves, full_scans, converged, cols)
 
 
 def _halves(grid_n: int, m: int) -> bool:
@@ -361,8 +429,8 @@ def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int) ->
         idx = int(np.argmax(g_inf))
         cols = np.empty((1, grid_n))
         _column_fill(phi_g)(idx, cols[0])
-        return FeketeStage(samples, phi_g, g_inf, ExchangeRun(np.array([idx]), 0, 0, True, cols),
-                           "greedy")
+        run = ExchangeRun(np.array([idx]), 0, 0, 0, True, cols)
+        return FeketeStage(samples, phi_g, g_inf, run, "greedy")
     coeff = (m - 1) / (1.0 - theta)
     slots = _density_start(c, theta, m, samples.params)
     if slots is not None:
@@ -547,8 +615,13 @@ def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
 def support_S_theta(c: Condenser, lambda_n: DiscreteMeasure, m_field: float,
                     tol: float | None = None, grid_n: int = 4096) -> list:
     """Maximal parameter intervals of the curve grid where the field stays
-    within tol of its minimum; the whole curve is reported as [(0, 2*pi)]."""
+    within tol of its minimum; the whole curve is reported as [(0, 2*pi)].
+
+    tol defaults to equilibrium_result's _support_tol, with theta read off
+    lambda_n's mass (the zero measure is theta = 1, which has no ripple)."""
     params, vals, _ = gamma_field(c, lambda_n, grid_n)
+    if tol is None:
+        tol = _support_tol(1.0 - lambda_n.total_mass, max(len(lambda_n), 1), grid_n, m_field)
     return _runs_to_arcs(params, _support_mask(vals, m_field, tol))
 
 

@@ -117,7 +117,7 @@ class FieldGrid:
 
 def _chunk_rows(mu: DiscreteMeasure) -> int:
     """Rows of a points x atoms scan chunk: about _CHUNK_ENTRIES entries, so
-    the complex temporaries stay in cache.  A row sum does not depend on how
+    the chunk's complex differences stay in cache.  A row sum does not depend on how
     many rows its chunk has, so the chunk size never changes a value."""
     return max(1, _CHUNK_ENTRIES // max(1, len(mu)))
 
@@ -128,12 +128,23 @@ def log_potential(mu: DiscreteMeasure, z):
         return 0.0 if np.ndim(z) == 0 else np.zeros(np.shape(z))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(zs.shape)
+    # one pair of chunk buffers per call: fresh megabyte temporaries per chunk
+    # made the allocator hand pages back and fault them in again every chunk
+    rows = min(_chunk_rows(mu), zs.size)
+    diff, mag = np.empty((rows, len(mu)), dtype=complex), np.empty((rows, len(mu)))
 
     def block(lo, hi):
-        out[lo:hi] = -np.sum(mu.weights * log_abs(zs[lo:hi, None] - mu.points[None, :]), axis=1)
+        d, a = diff[:hi - lo], mag[:hi - lo]
+        np.subtract(zs[lo:hi, None], mu.points[None, :], out=d)
+        # log_abs, then the weights, in place
+        np.abs(d, out=a)
+        np.maximum(a, LOG_CLAMP, out=a)
+        np.log(a, out=a)
+        np.multiply(mu.weights, a, out=a)
+        out[lo:hi] = -np.sum(a, axis=1)
         return None
 
-    parallel.run_chunked(block, zs.size, chunk=_chunk_rows(mu))
+    parallel.run_chunked(block, zs.size, chunk=rows)
     if np.ndim(z) == 0:
         return float(out[0])
     return out

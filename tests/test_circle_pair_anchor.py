@@ -126,3 +126,31 @@ def test_seeded_stage_converges_and_reports_it(offset):
     assert 1 <= r["exchange_passes"] < 200 and r["exchange_moves"] >= 0
     above = equilibrium_result(offset, 0.6, 128, 4096, seed=1).residuals
     assert above["exchange_start"] == "coarse_to_fine" and above["exchange_converged"] is True
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.25, 0.4])
+def test_fekete_atoms_follow_the_exact_density(offset, theta):
+    # the atoms, mapped through the exact cdf, are uniform on [0, 1] to within
+    # a Kolmogorov-Smirnov distance of 1.5/m (measured 1.02/m to 1.09/m), for
+    # the seeded stage and for the coarse-to-fine solve it replaced
+    m, n = 256, 4096
+    samples, phi_g, g_inf = eq._curve_grid(offset, n)
+    k0, cdf = eq._density_cdf(offset, theta, samples.params)
+    seeded = eq._fekete_state(offset, theta, m, n, 0)
+    assert seeded.start == "density"
+    unseeded = eq._coarse_to_fine(phi_g, g_inf, m, (m - 1) / (1 - theta), 0)
+    i = np.arange(1, m + 1)
+    for run in (seeded.run, unseeded):
+        u = np.sort(cdf[(run.chosen - k0) % n])
+        ks = max(np.max(i / m - u), np.max(u - (i - 1) / m))
+        assert ks <= 1.5 / m
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.6])
+def test_support_S_theta_agrees_with_equilibrium_result(offset, theta):
+    # support_S_theta's default threshold is equilibrium_result's: one arc
+    # each time, the whole curve below theta*
+    res = equilibrium_result(offset, theta, 256, 4096, seed=1)
+    arcs = eq.support_S_theta(offset, res.lambda_n, res.m_theta_field, grid_n=4096)
+    assert arcs == res.support_arcs and len(arcs) == 1
+    assert (arcs == [(0.0, TWO_PI)]) == (theta < THETA_STAR)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from condenser_widths import Condenser, CurveSpec, EDomain
+from condenser_widths import equilibrium as eq
 from condenser_widths.equilibrium import (_column_fill, _exchange_maximize, _theta_stage,
                                           gamma_field)
 from condenser_widths.geometry import (green_pole_infinity, kernel_from_phi, phi_exterior,
@@ -188,3 +189,92 @@ def test_stage_field_equals_gamma_field(c, theta, m, grid_n):
     assert np.array_equal(stage.phi, phi_exterior(c.e_domain, pts))
     assert stage.lam.is_zero == (theta == 1.0)
     assert len(stage.lam) == (0 if theta == 1.0 else m)
+
+
+# Windowed visits: the engine scores a window of _WINDOW_SPACINGS atom
+# spacings around the visited atom first, and the whole grid only when
+# dpmax + out_max cannot certify the window's verdict.  The cases below aim
+# at where that could go wrong.
+THIN_ELLIPSE = CurveSpec.ellipse(0j, (2.0, 0.3))
+
+
+def edge_start(grid_n, m, seed):
+    # atoms on and next to both grid ends, so their windows wrap around slot 0
+    ends = [0, grid_n - 1, 1, grid_n - 2, grid_n - 5]
+    rest = np.random.default_rng(seed).choice(np.arange(5, grid_n - 5), m - len(ends),
+                                              replace=False)
+    return np.concatenate([ends, rest])
+
+
+@pytest.mark.parametrize("plate, curve, m, grid_n, coeff", [
+    (DISK, CURVES["circle"], 32, 8192, 31 / 0.3),
+    (SEGMENT, CURVES["polar"], 32, 8192, 0.0),
+    (SEGMENT, THIN_ELLIPSE, 64, 4096, 63 / 0.3),
+    (SEGMENT, THIN_ELLIPSE, 64, 4096, 0.0),
+    (DISK, CURVES["ellipse"], 128, 2048, 0.0),
+], ids=["narrow-circle", "narrow-polar-capacity", "thin-ellipse", "thin-ellipse-capacity",
+        "ellipse-capacity"])
+def test_windowed_engine_matches_reference_loops(plate, curve, m, grid_n, coeff):
+    phi_g, g_inf = curve_grid(plate, curve, grid_n)
+    for seed in (0, 1):
+        run = _exchange_maximize(phi_g, g_inf, m, coeff, seed)
+        assert run.converged
+        assert np.array_equal(run.chosen, reference_exchange(phi_g, g_inf, m, coeff, seed))
+        start = edge_start(grid_n, m, seed)
+        run = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=start)
+        want = reference_exchange_from(phi_g, g_inf, m, coeff, seed, start)
+        assert run.converged
+        assert np.array_equal(run.chosen, want), (m, grid_n, coeff, seed)
+        # the windows decided most visits, so the certificate was exercised
+        assert run.full_scans < run.passes * m
+
+
+def test_thin_ellipse_columns_peak_away_from_the_window():
+    # the premise of the thin-ellipse cases: a column's largest value outside
+    # its window need not sit next to the window, so a bound read off the
+    # window's edges would be wrong and out_max has to be the true maximum
+    m, grid_n = 64, 4096
+    half = -(-eq._WINDOW_SPACINGS * grid_n // m)
+    phi_g, _ = curve_grid(SEGMENT, THIN_ELLIPSE, grid_n)
+    col = np.empty(grid_n)
+    top = grid_n // 4  # the point 0.3i, above the middle of the plate
+    _column_fill(phi_g)(top, col)
+    gap = np.abs((np.arange(grid_n) - top + grid_n // 2) % grid_n - grid_n // 2)
+    outside = np.flatnonzero(gap > half)
+    far = outside[np.argmax(col[outside])]
+    assert gap[far] > 2 * half
+    assert col[far] > max(col[top - half - 1], col[top + half + 1])
+
+
+def test_thin_ellipse_falls_back_to_full_scans():
+    # certificates fail on the thin ellipse from greedy insertion; the
+    # engine must still match the reference loop (checked above), and here
+    # the fallback is seen to run
+    phi_g, g_inf = curve_grid(SEGMENT, THIN_ELLIPSE, 4096)
+    run = _exchange_maximize(phi_g, g_inf, 64, 0.0, 0)
+    assert 0 < run.full_scans < run.passes * 64
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3])
+def test_seeded_stages_rarely_scan_the_whole_grid(theta):
+    stage = eq._fekete_state(OFFSET, theta, 256, 4096, 1)
+    run = stage.run
+    assert stage.start == "density" and run.converged
+    assert run.full_scans <= 0.05 * run.passes * 256
+
+
+@pytest.mark.parametrize("curve, m, coeff, seed, start", [
+    (THIN_ELLIPSE, 16, 15 / 0.2, 2, (453 + 3 * np.arange(16)) % 1024),
+    (THIN_ELLIPSE, 64, 63 / 0.2, 1, np.random.default_rng(101).choice(1024, 64, replace=False)),
+    (CURVES["polar"], 64, 63 / 0.2, 0, np.random.default_rng(100).choice(1024, 64, replace=False)),
+], ids=["thin-ellipse-cluster", "thin-ellipse-drawn", "polar-drawn"])
+def test_long_moves_match_reference_loop(curve, m, coeff, seed, start):
+    # starts whose atoms travel far across the curve under a strong field:
+    # a tight cluster and random slots, on 1024 slots around a segment plate.
+    # A long move leaves its window, so these visits lean on out_max being
+    # the true maximum off the window and on its refresh after every move.
+    phi_g, g_inf = curve_grid(SEGMENT, curve, 1024)
+    run = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=start)
+    want = reference_exchange_from(phi_g, g_inf, m, coeff, seed, start)
+    assert run.converged
+    assert np.array_equal(run.chosen, want)
