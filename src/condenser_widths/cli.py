@@ -140,6 +140,8 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("need 0 <= k <= n")
     if cfg.task == "chi" and cfg.seed is None:
         raise ConfigError("chi task requires an explicit seed")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.task == "chi" and cfg.method == "bruteforce" and cfg.n > 6:
         raise ConfigError(f"method bruteforce is restricted to n <= 6, got n = {cfg.n}")
     if not set(cfg.formats) <= {"json", "csv"}:

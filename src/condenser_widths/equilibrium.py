@@ -34,6 +34,12 @@ for bit.  tests/test_exchange_oracle.py holds the per-visit reference loop
 for both engine starts.  The exchange run keeps its final kernel columns,
 each 0 at its own slot, so a stage's field is one product w @ cols - g(., inf),
 and u at atom i holds the potential of the other atoms.
+
+_theta_stage does a whole Fekete stage (curve grid, start, exchange, field,
+both routes and the support) and returns one ThetaStage record, which keeps
+no kernel columns.  The support S_theta is the field within _support_tol of
+its minimum: one threshold, shared by equilibrium_result, theta_sweep and
+support_S_theta.
 """
 
 from __future__ import annotations
@@ -45,9 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridTooCoarse
-from .geometry import (Condenser, CurveSamples, TWO_PI, green_pole_infinity, kernel_from_phi,
-                       kernel_parts, log_capacity, boundary_samples, phi_exterior,
-                       sample_curve)
+from .geometry import (Condenser, TWO_PI, green_pole_infinity, kernel_from_phi, kernel_parts,
+                       log_capacity, boundary_samples, phi_exterior, sample_curve)
 from .measure import DiscreteMeasure, log_abs, log_potential
 
 _ENDPOINT_TOL = 1e-12
@@ -203,11 +208,10 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200,
     covers the grid).  IEEE addition is monotone, so no score outside the
     window exceeds bound = dpmax + out_max.  A window maximum above bound is
     therefore the grid maximum, and the window's first argmax is the grid's
-    lowest one; a bound at or below the value of staying means the atom
-    stays.  Only when neither holds does the visit score the whole grid
-    (counted in full_scans).  Every visit thus reaches the full scan's
-    verdict, bit for bit, after reading a few atom spacings: 193 of 16384
-    slots at 1024 atoms.
+    lowest one.  Otherwise the visit scores the whole grid (counted in
+    full_scans).  Every visit thus reaches the full scan's verdict, bit for
+    bit, mostly after reading a few atom spacings: 193 of 16384 slots at 1024
+    atoms.
 
     tests/test_exchange_oracle.py keeps the per-visit loop that recomputes
     every score, from greedy insertion and from given start slots; this
@@ -286,8 +290,6 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200,
                 top = window.item(k)
                 if top > bound:
                     best = k if k < split else first + k - split
-                elif bound <= stay:
-                    continue
             if best < 0:
                 full_scans += 1
                 np.add(dp, cols[i], score)
@@ -401,47 +403,6 @@ def _curve_grid(c: Condenser, grid_n: int):
             green_pole_infinity(c.e_domain, samples.points))
 
 
-class FeketeStage(NamedTuple):
-    """One Fekete stage: the curve grid, the exchange run on it, and the
-    run's start: "density", "coarse_to_fine" or "greedy"."""
-
-    samples: CurveSamples
-    phi: np.ndarray
-    g_inf: np.ndarray
-    run: ExchangeRun
-    start: str
-
-
-def _fekete_state(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> FeketeStage:
-    """The curve grid and the exchange run of m weighted Fekete points on it.
-
-    The full-grid exchange starts at _density_start's slots where the exact
-    density is known, and otherwise solves coarse to fine.  A single atom has
-    no pair term, so it sits at the grid maximum of g(., inf), and its run
-    holds only its own column.
-    """
-    if m < 1:
-        raise ValueError("fekete stage needs m >= 1")
-    if grid_n < 16 * m:
-        raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
-    samples, phi_g, g_inf = _curve_grid(c, grid_n)
-    if m == 1:
-        idx = int(np.argmax(g_inf))
-        cols = np.empty((1, grid_n))
-        _column_fill(phi_g)(idx, cols[0])
-        run = ExchangeRun(np.array([idx]), 0, 0, 0, True, cols)
-        return FeketeStage(samples, phi_g, g_inf, run, "greedy")
-    coeff = (m - 1) / (1.0 - theta)
-    slots = _density_start(c, theta, m, samples.params)
-    if slots is not None:
-        run, start = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots), "density"
-    else:
-        run = _coarse_to_fine(phi_g, g_inf, m, coeff, seed)
-        start = "coarse_to_fine" if _halves(grid_n, m) else "greedy"
-    _warn_unconverged(run, m, grid_n)
-    return FeketeStage(samples, phi_g, g_inf, run, start)
-
-
 def fekete_green(c: Condenser, theta: float, m: int, grid_n: int,
                  seed: int = 0) -> DiscreteMeasure:
     """Weighted Fekete configuration on the curve grid, each atom of mass (1-theta)/m.
@@ -452,12 +413,7 @@ def fekete_green(c: Condenser, theta: float, m: int, grid_n: int,
         raise ValueError("fekete_green needs theta in [0, 1]")
     if theta >= 1.0 - _ENDPOINT_TOL:
         return DiscreteMeasure.zero()
-    return _stage_measure(_fekete_state(c, theta, m, grid_n, seed), theta)
-
-
-def _stage_measure(stage: FeketeStage, theta: float) -> DiscreteMeasure:
-    m = stage.run.chosen.size
-    return DiscreteMeasure(stage.samples.points[stage.run.chosen], np.full(m, (1.0 - theta) / m))
+    return _theta_stage(c, theta, m, grid_n, seed).lam
 
 
 def leja_weighted(c: Condenser, lambda_n: DiscreteMeasure, theta: float, m: int,
@@ -554,9 +510,10 @@ def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
 
 
 class ThetaStage(NamedTuple):
-    """lambda_n, both curve constants, and the curve field at one theta on the
-    stage's curve grid (parameters and phi at the samples), with the
-    full-grid exchange's passes, moves, converged flag and start."""
+    """One Fekete stage at theta: lambda_n, both curve constants, and the
+    curve field and its support on the stage's curve grid (parameters and phi
+    at the samples), with the full-grid exchange's counts, converged flag and
+    start: "density", "coarse_to_fine", "greedy", or "none" at theta = 1."""
 
     lam: DiscreteMeasure
     m_energy: float
@@ -565,45 +522,69 @@ class ThetaStage(NamedTuple):
     phi: np.ndarray
     vals: np.ndarray
     field_min: float
-    exchange: dict
+    support: np.ndarray
+    passes: int
+    moves: int
+    full_scans: int
+    converged: bool
+    start: str
 
 
-def _theta_stage(c: Condenser, theta: float, n_points: int, grid_n: int,
-                 seed: int) -> ThetaStage:
-    """lambda_n and both curve constants at one theta, from one field vector.
+def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> ThetaStage:
+    """The Fekete stage of m atoms at theta, from one field vector.
 
-    u = w @ run.cols - g(., inf) over the Fekete stage's own column store:
-    the field route is the minimum of u over the free slots, the energy route
-    the lambda_n-average of u at the atoms over 1 - theta.  The atom slots
-    then carry the field minimum, as in gamma_field.
+    The full-grid exchange starts at _density_start's slots where the exact
+    density is known, and otherwise solves coarse to fine.  A single atom has
+    no pair term, so it sits at the grid maximum of g(., inf).  Then
+    u = w @ run.cols - g(., inf) over the run's own columns: the field route
+    is the minimum of u over the free slots, the energy route the
+    lambda_n-average of u at the atoms over 1 - theta.  The atom slots then
+    carry the field minimum, as in gamma_field, and the support is the field
+    within _support_tol of it.  theta = 1 runs no exchange, for any m.
+
+    The record keeps no kernel columns: they are freed on return, before the
+    Leja stage or the next theta allocates its own.
     """
     if theta >= 1.0 - _ENDPOINT_TOL:
         # theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
         samples, phi_g, g_inf = _curve_grid(c, grid_n)
-        vals = -g_inf
+        lam, vals = DiscreteMeasure.zero(), -g_inf
         field_min = float(np.min(vals))
-        return ThetaStage(DiscreteMeasure.zero(), field_min, field_min, samples.params, phi_g,
-                          vals, field_min, _exchange_record(0, 0, True, "none"))
-    stage = _fekete_state(c, theta, n_points, grid_n, seed)
-    lam = _stage_measure(stage, theta)
-    chosen = stage.run.chosen
-    vals = lam.weights @ stage.run.cols - stage.g_inf
-    at_atoms = vals[chosen]
-    vals[chosen] = np.inf  # the minimum runs over the free slots
-    field_min = float(np.min(vals))
-    vals[chosen] = field_min
-    if theta <= _ENDPOINT_TOL:
-        m_energy = m_field = 0.0
+        m_energy = m_field = field_min
+        counts = 0, 0, 0, True, "none"
     else:
-        m_energy, m_field = float(lam.weights @ at_atoms) / (1.0 - theta), field_min
-    run = stage.run
-    return ThetaStage(lam, m_energy, m_field, stage.samples.params, stage.phi, vals, field_min,
-                      _exchange_record(run.passes, run.moves, run.converged, stage.start))
-
-
-def _exchange_record(passes: int, moves: int, converged: bool, start: str) -> dict:
-    return {"exchange_passes": passes, "exchange_moves": moves,
-            "exchange_converged": converged, "exchange_start": start}
+        if m < 1:
+            raise ValueError("fekete stage needs m >= 1")
+        if grid_n < 16 * m:
+            raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
+        samples, phi_g, g_inf = _curve_grid(c, grid_n)
+        coeff = (m - 1) / (1.0 - theta)
+        slots = None if m == 1 else _density_start(c, theta, m, samples.params)
+        if m == 1:
+            idx = int(np.argmax(g_inf))
+            cols = np.empty((1, grid_n))
+            _column_fill(phi_g)(idx, cols[0])
+            run, start = ExchangeRun(np.array([idx]), 0, 0, 0, True, cols), "greedy"
+        elif slots is not None:
+            run, start = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots), "density"
+        else:
+            run = _coarse_to_fine(phi_g, g_inf, m, coeff, seed)
+            start = "coarse_to_fine" if _halves(grid_n, m) else "greedy"
+        _warn_unconverged(run, m, grid_n)
+        lam = DiscreteMeasure(samples.points[run.chosen], np.full(m, (1.0 - theta) / m))
+        vals = lam.weights @ run.cols - g_inf
+        at_atoms = vals[run.chosen]
+        vals[run.chosen] = np.inf  # the minimum runs over the free slots
+        field_min = float(np.min(vals))
+        vals[run.chosen] = field_min
+        if theta <= _ENDPOINT_TOL:
+            m_energy = m_field = 0.0
+        else:
+            m_energy, m_field = float(lam.weights @ at_atoms) / (1.0 - theta), field_min
+        counts = run.passes, run.moves, run.full_scans, run.converged, start
+    support = _support_mask(vals, field_min, _support_tol(theta, m, grid_n, field_min))
+    return ThetaStage(lam, m_energy, m_field, samples.params, phi_g, vals, field_min, support,
+                      *counts)
 
 
 def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
@@ -613,30 +594,27 @@ def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
 
 
 def support_S_theta(c: Condenser, lambda_n: DiscreteMeasure, m_field: float,
-                    tol: float | None = None, grid_n: int = 4096) -> list:
+                    grid_n: int = 4096) -> list:
     """Maximal parameter intervals of the curve grid where the field stays
-    within tol of its minimum; the whole curve is reported as [(0, 2*pi)].
+    within _support_tol of m_field; the whole curve is reported as [(0, 2*pi)].
 
-    tol defaults to equilibrium_result's _support_tol, with theta read off
-    lambda_n's mass (the zero measure is theta = 1, which has no ripple)."""
+    The threshold is a Fekete stage's, with theta read off lambda_n's mass
+    (the zero measure is theta = 1, which has no ripple)."""
     params, vals, _ = gamma_field(c, lambda_n, grid_n)
-    if tol is None:
-        tol = _support_tol(1.0 - lambda_n.total_mass, max(len(lambda_n), 1), grid_n, m_field)
+    tol = _support_tol(1.0 - lambda_n.total_mass, max(len(lambda_n), 1), grid_n, m_field)
     return _runs_to_arcs(params, _support_mask(vals, m_field, tol))
 
 
-def _support_mask(vals: np.ndarray, m_field: float, tol: float | None = None) -> np.ndarray:
+def _support_mask(vals: np.ndarray, m_field: float, tol: float) -> np.ndarray:
     """The curve-grid slots where the field stays within tol of m_field."""
-    if tol is None:
-        tol = 1e-2 * abs(m_field) + 1e-4
     return vals <= m_field + tol
 
 
 def _support_tol(theta: float, n_points: int, grid_n: int, field_min: float) -> float:
-    """The support threshold of equilibrium_result and theta_sweep: the
-    default one widened by the inter-atom field ripple, so the whole curve is
-    found at small theta as well, where the ripple dominates the constant
-    itself.  The grid point nearest an atom sits
+    """The support threshold of every Fekete stage and of support_S_theta:
+    1e-2 |field_min| + 1e-4, widened by the inter-atom field ripple, so the
+    whole curve is found at small theta as well, where the ripple dominates
+    the constant itself.  The grid point nearest an atom sits
     (1-theta)/m * log(1/sin(pi m/grid_n)) above the mid-gap minimum for a
     fully supported configuration."""
     ripple = (1.0 - theta) / n_points * np.log(1.0 / np.sin(np.pi * min(0.499, n_points / grid_n)))
@@ -719,18 +697,17 @@ def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,
     stage = _theta_stage(c, theta, n_points, grid_n, seed)
     lam = stage.lam
     mu = leja_weighted(c, lam, theta, n_points, grid_n)
-    # never empty: the slot attaining field_min qualifies
-    support = _support_mask(stage.vals, stage.field_min,
-                            _support_tol(theta, n_points, grid_n, stage.field_min))
     residuals = {
         "two_route": abs(stage.m_energy - stage.m_field),
-        "support_field_stddev": float(np.std(stage.vals[support])),
-        **stage.exchange,
+        # never empty: the slot attaining field_min qualifies
+        "support_field_stddev": float(np.std(stage.vals[stage.support])),
+        "exchange_passes": stage.passes, "exchange_moves": stage.moves,
+        "exchange_converged": stage.converged, "exchange_start": stage.start,
     }
     return EquilibriumResult(theta=float(theta), lambda_n=lam, mu_n=mu,
                              m_theta_energy=stage.m_energy, m_theta_field=stage.m_field,
                              m_hat_theta=m_hat_theta(c, lam),
-                             support_arcs=_runs_to_arcs(stage.params, support),
+                             support_arcs=_runs_to_arcs(stage.params, stage.support),
                              residuals=residuals)
 
 
@@ -755,15 +732,14 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     m_e_list, m_f_list, m_hat_list, caps, arcs_list = [], [], [], [], []
     for theta in thetas:
         stage = _theta_stage(c, theta, n_points, grid_n, seed)
-        support = _support_mask(stage.vals, stage.field_min,
-                                _support_tol(theta, n_points, grid_n, stage.field_min))
-        cap_tau = cap_full if support.all() else _capacity(stage.phi[support], 256, seed)
+        cap_tau = (cap_full if stage.support.all()
+                   else _capacity(stage.phi[stage.support], 256, seed))
 
         m_e_list.append(stage.m_energy)
         m_f_list.append(stage.m_field)
         m_hat_list.append(m_hat_theta(c, stage.lam))
         caps.append(cap_tau)
-        arcs_list.append(_runs_to_arcs(stage.params, support))
+        arcs_list.append(_runs_to_arcs(stage.params, stage.support))
 
     integrand = np.array([1.0 / cp for cp in caps])
     steps = np.diff(np.array(thetas))

@@ -158,21 +158,6 @@ class CurveSpec:
         ext_rad = np.concatenate([rad, [rad[0]]])
         return np.interp(np.mod(t - ang[0], TWO_PI) + ang[0], ext_ang, ext_rad)
 
-    def speed(self, t):
-        """|gamma'(t)| used for arclength quadrature weights."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "circle":
-            return np.full_like(t, self.radius)
-        if self.kind == "ellipse":
-            a, b = self.semi_axes
-            return np.hypot(a * np.sin(t), b * np.cos(t))
-        if self.kind == "polar":
-            h = 1e-5
-            r = self._polar_radius(t)
-            dr = (self._polar_radius(t + h) - self._polar_radius(t - h)) / (2 * h)
-            return np.hypot(r, dr)
-        raise UnsupportedCurve(f"unknown curve kind {self.kind!r}")
-
     def to_json_dict(self):
         if self.kind == "circle":
             return {"kind": "circle", "center": [self.center.real, self.center.imag],
@@ -198,27 +183,18 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class CurveSamples:
-    """Equispaced-parameter samples of a curve with arclength quadrature weights."""
+    """Equispaced-parameter samples of a curve."""
 
     params: np.ndarray
     points: np.ndarray
-    weights: np.ndarray
 
 
 def sample_curve(gamma: CurveSpec, n: int) -> CurveSamples:
-    """Sample n points at equispaced parameters, with per-sample arclength weights.
-
-    Circle weights are exact (2*pi*r/n); other kinds use |gamma'| * h.
-    """
+    """Sample n points at equispaced parameters."""
     if n < 4:
         raise GeometryValidationError("sample_curve needs n >= 4")
     t = TWO_PI * np.arange(n) / n
-    pts = gamma.point(t)
-    if gamma.kind == "circle":
-        w = np.full(n, TWO_PI * gamma.radius / n)
-    else:
-        w = gamma.speed(t) * (TWO_PI / n)
-    return CurveSamples(params=t, points=pts, weights=w)
+    return CurveSamples(params=t, points=gamma.point(t))
 
 
 # ---------------------------------------------------------------------------

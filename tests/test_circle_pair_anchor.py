@@ -43,7 +43,7 @@ def test_both_routes_against_closed_form(offset, theta):
     # the discrete constants lie below m(theta) by the measured defects
     assert -FIELD_TOL <= stage.m_field - exact < 0
     assert -ENERGY_TOL <= stage.m_energy - exact < 0
-    assert stage.exchange["exchange_start"] == "density"
+    assert stage.start == "density"
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.4])
@@ -136,20 +136,21 @@ def test_fekete_atoms_follow_the_exact_density(offset, theta):
     m, n = 256, 4096
     samples, phi_g, g_inf = eq._curve_grid(offset, n)
     k0, cdf = eq._density_cdf(offset, theta, samples.params)
-    seeded = eq._fekete_state(offset, theta, m, n, 0)
+    seeded = eq._theta_stage(offset, theta, m, n, 0)
     assert seeded.start == "density"
     unseeded = eq._coarse_to_fine(phi_g, g_inf, m, (m - 1) / (1 - theta), 0)
     i = np.arange(1, m + 1)
-    for run in (seeded.run, unseeded):
-        u = np.sort(cdf[(run.chosen - k0) % n])
+    for chosen in (np.flatnonzero(eq._grid_support_mask(samples.points, seeded.lam)),
+                   unseeded.chosen):
+        u = np.sort(cdf[(chosen - k0) % n])
         ks = max(np.max(i / m - u), np.max(u - (i - 1) / m))
         assert ks <= 1.5 / m
 
 
-@pytest.mark.parametrize("theta", [0.1, 0.3, 0.6])
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.6, 1.0])
 def test_support_S_theta_agrees_with_equilibrium_result(offset, theta):
-    # support_S_theta's default threshold is equilibrium_result's: one arc
-    # each time, the whole curve below theta*
+    # support_S_theta's threshold is equilibrium_result's: one arc each time,
+    # the whole curve below theta*; at theta = 1 lambda_n is the zero measure
     res = equilibrium_result(offset, theta, 256, 4096, seed=1)
     arcs = eq.support_S_theta(offset, res.lambda_n, res.m_theta_field, grid_n=4096)
     assert arcs == res.support_arcs and len(arcs) == 1

@@ -191,14 +191,21 @@ def test_unknown_task_rejected(tmp_path):
         "gamma": {"kind": "polar", "center": [0, 0], "angles": [0, 1, 2, 10],
                   "radii": [3, 3, 3, 3]}}},
         "polar angles must span less than 2*pi"),
+    ("chi", {"n": 4, "k": 2, "method": "bruteforce", "seed": -1}, "seed must be >= 0"),
+    ("equilibrium", {"seed": -1}, "seed must be >= 0"),
+    ("sweep", {"seed": -1}, "seed must be >= 0"),
 ], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "balayage-ellipse",
         "negative-radius", "thetas-scalar", "formats-int", "formats-null", "chi-n0",
         "nwidth-n0", "thetas-nan", "out-int", "radius-nan", "center-nan", "semi-axes-nan",
-        "curve-radius-inf", "polar-span"])
+        "curve-radius-inf", "polar-span", "chi-seed-negative", "equilibrium-seed-negative",
+        "sweep-seed-negative"])
 def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
     cfg = write_cfg(tmp_path, **extra)
-    argv = [task, "--config", cfg, "--seed", "0"]
-    if "out" not in extra:  # the --out flag would override a bad config field
+    argv = [task, "--config", cfg]
+    # the --seed and --out flags would override a bad config field
+    if "seed" not in extra:
+        argv += ["--seed", "0"]
+    if "out" not in extra:
         argv += ["--out", str(tmp_path / "bad")]
     rc = main(argv)
     err = capsys.readouterr().err

@@ -127,7 +127,7 @@ def test_field_inequality_and_flatness(concentric, concentric_lambda_256):
     _, m_f = m_theta(concentric, 0.5, 256, 4096)
     params, vals, mask = gamma_field(concentric, lam, 4096)
     assert np.min(vals[~mask]) >= m_f - 1e-9  # min is the field route by construction
-    sel = _support_mask(vals, m_f)
+    sel = _support_mask(vals, m_f, _support_tol(0.5, 256, 4096, m_f))
     assert support_S_theta(concentric, lam, m_f, grid_n=4096) == _runs_to_arcs(params, sel)
     flat = np.std(vals[sel])
     assert flat <= 0.05 * abs(m_f) + 0.01
@@ -296,7 +296,7 @@ def test_density_started_stage_is_the_seeded_exchange(offset):
     start = eq._density_start(offset, 0.3, 64, samples.params)
     direct = eq._exchange_maximize(phi_g, g_inf, 64, 63 / 0.7, 5, start=start)
     assert np.array_equal(pts[direct.chosen], a.points)
-    assert eq._fekete_state(offset, 0.3, 64, 2048, 5).start == "density"
+    assert eq._theta_stage(offset, 0.3, 64, 2048, 5).start == "density"
 
 
 def test_unconverged_warning_names_the_full_grid(offset, monkeypatch):

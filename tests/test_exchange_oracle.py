@@ -257,10 +257,9 @@ def test_thin_ellipse_falls_back_to_full_scans():
 
 @pytest.mark.parametrize("theta", [0.1, 0.3])
 def test_seeded_stages_rarely_scan_the_whole_grid(theta):
-    stage = eq._fekete_state(OFFSET, theta, 256, 4096, 1)
-    run = stage.run
-    assert stage.start == "density" and run.converged
-    assert run.full_scans <= 0.05 * run.passes * 256
+    stage = eq._theta_stage(OFFSET, theta, 256, 4096, 1)
+    assert stage.start == "density" and stage.converged
+    assert stage.full_scans <= 0.05 * stage.passes * 256
 
 
 @pytest.mark.parametrize("curve, m, coeff, seed, start", [

@@ -87,8 +87,6 @@ def test_green_exterior_gamma_circle():
 def test_sample_curve_circle():
     s = sample_curve(CurveSpec.circle(0j, 1.0), 4)
     assert np.allclose(s.points, [1, 1j, -1, -1j], atol=1e-15)
-    s = sample_curve(CurveSpec.circle(0j, 1.0), 4096)
-    assert abs(s.weights.sum() - 2 * np.pi) <= 1e-9
 
 
 def test_sample_curve_ellipse_perimeter_vs_quadrature():
