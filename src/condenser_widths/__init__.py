@@ -14,7 +14,7 @@ from .geometry import (Condenser, CurveSpec, EDomain, concentric_condenser,
                        green_exterior_gamma, green_kernel, green_pole_infinity,
                        log_capacity, offset_condenser, sample_curve)
 from .measure import (DiscreteMeasure, FieldGrid, M_functional, energy_I, energy_J,
-                      green_potential, log_potential)
+                      green_potential, log_potential, to_json)
 from .nwidth import WidthReport, g_theta_field, width_lower_bound, width_rate_predict
 
 __all__ = [
@@ -26,6 +26,6 @@ __all__ = [
     "equilibrium_result", "fekete_green", "g_theta_field", "green_exterior_gamma",
     "green_kernel", "green_pole_infinity", "green_potential", "leja_weighted",
     "log_capacity", "log_potential", "m_hat_theta", "m_theta", "offset_condenser",
-    "ratio_norms", "sample_curve", "support_S_theta", "theta_sweep",
+    "ratio_norms", "sample_curve", "support_S_theta", "theta_sweep", "to_json",
     "width_lower_bound", "width_rate_predict", "zero_distribution_diag",
 ]

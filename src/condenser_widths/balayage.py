@@ -51,9 +51,6 @@ class BalayageResult:
     swept: DiscreteMeasure
     shift_constant: float
 
-    def to_json_dict(self):
-        return {"swept": self.swept.to_json_dict(), "shift_constant": self.shift_constant}
-
 
 def _sweep_to_circle(points, weights, center: complex, radius: float, grid_n: int):
     """Sweep atoms (all off the circle) onto cell centers of the circle grid.

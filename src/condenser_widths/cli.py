@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, replace as dc_replace
+from dataclasses import dataclass, field as dc_field, fields, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (BudgetExceeded, CondenserWidthsError, ConfigError,
                      UnsupportedDomain)
 from .extremal import chi_asymptotic_pair, chi_bruteforce
 from .geometry import Condenser, boundary_samples, green_kernel, log_capacity
-from .measure import DiscreteMeasure, log_potential
+from .measure import DiscreteMeasure, log_potential, to_json
 from .nwidth import g_theta_field, width_lower_bound, width_rate_predict
 
 SCHEMA_VERSION = 1
@@ -55,11 +55,7 @@ class RunConfig:
     method: str = "auto"  # chi task: auto | bruteforce | asymptotic_pair
 
     def echo(self):
-        return {"condenser": self.condenser.to_json_dict(), "task": self.task,
-                "theta": self.theta, "thetas": self.thetas, "n": self.n, "k": self.k,
-                "n_points": self.n_points, "grid_n": self.grid_n,
-                "restarts": self.restarts, "seed": self.seed, "threads": self.threads,
-                "formats": self.formats, "method": self.method}
+        return {k: v for k, v in to_json(self).items() if k not in ("out", "fixtures")}
 
 
 def load_config(path: str, overrides: dict) -> RunConfig:
@@ -71,14 +67,13 @@ def load_config(path: str, overrides: dict) -> RunConfig:
         raise ConfigError("config is missing the 'condenser' section")
     try:
         cond = Condenser.from_json_dict(raw["condenser"])
-    except (KeyError, TypeError, GeometryValidationError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, GeometryValidationError) as exc:
         raise ConfigError(f"malformed condenser section: {exc}") from exc
 
     cfg = RunConfig(condenser=cond, task=raw.get("task", overrides.get("task", "")))
-    for name in ("theta", "thetas", "n", "k", "n_points", "grid_n", "restarts",
-                 "seed", "threads", "out", "formats", "fixtures", "method"):
-        if name in raw:
-            setattr(cfg, name, raw[name])
+    for f in fields(RunConfig):
+        if f.name in raw and f.name != "condenser":
+            setattr(cfg, f.name, raw[f.name])
     for name, val in overrides.items():
         if val is not None:
             setattr(cfg, name, val)
@@ -155,7 +150,7 @@ def _validate_config(cfg: RunConfig):
 def _task_equilibrium(cfg: RunConfig):
     res = equilibrium_result(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
                              seed=cfg.seed or 0)
-    return res.to_json_dict(), []
+    return to_json(res), []
 
 
 def _task_sweep(cfg: RunConfig):
@@ -164,7 +159,7 @@ def _task_sweep(cfg: RunConfig):
     csv_files = []
     if "csv" in cfg.formats:
         csv_files.append(("sweep.csv", rep.csv_rows()))
-    return rep.to_json_dict(), csv_files
+    return to_json(rep), csv_files
 
 
 def _task_chi(cfg: RunConfig):
@@ -179,7 +174,7 @@ def _task_chi(cfg: RunConfig):
                                   seed=cfg.seed)
     else:
         raise ConfigError(f"unknown chi method {method!r}")
-    return {"chi": est.to_json_dict()}, []
+    return {"chi": to_json(est)}, []
 
 
 def _task_nwidth(cfg: RunConfig):
@@ -203,7 +198,7 @@ def _task_nwidth(cfg: RunConfig):
         rows += [(repr(z.real), repr(z.imag), repr(v))
                  for z, v in zip(fg.grid_points.tolist(), fg.values.tolist())]
         csv_files.append(("field.csv", rows))
-    return rep.to_json_dict(), csv_files
+    return to_json(rep), csv_files
 
 
 def _task_balayage_demo(cfg: RunConfig):
@@ -216,7 +211,7 @@ def _task_balayage_demo(cfg: RunConfig):
         zs = boundary_samples(e, 7)[::2] * 0.5 + e.center * 0.5
         resid = max(abs(log_potential(res.swept, z)
                         - log_potential(src, z) - res.shift_constant) for z in zs)
-        payload["to_plate"] = {"result": res.to_json_dict(),
+        payload["to_plate"] = {"result": to_json(res),
                                "mass": res.swept.total_mass,
                                "identity_residual": resid}
     if c.gamma.kind == "circle":
@@ -225,7 +220,7 @@ def _task_balayage_demo(cfg: RunConfig):
         z0 = c.gamma.center
         resid_g = abs(log_potential(res_g.swept, z0)
                       - log_potential(src_g, z0) - res_g.shift_constant)
-        payload["to_curve"] = {"result": res_g.to_json_dict(),
+        payload["to_curve"] = {"result": to_json(res_g),
                                "mass": res_g.swept.total_mass,
                                "identity_residual": resid_g}
     alpha, beta = counting_alpha_beta([e.center] * cfg.k if e.kind == "disk" else [],

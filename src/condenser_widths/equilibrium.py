@@ -74,16 +74,6 @@ class EquilibriumResult:
     support_arcs: list
     residuals: dict
 
-    def to_json_dict(self):
-        return {"theta": self.theta,
-                "lambda_n": self.lambda_n.to_json_dict(),
-                "mu_n": self.mu_n.to_json_dict(),
-                "m_theta_energy": self.m_theta_energy,
-                "m_theta_field": self.m_theta_field,
-                "m_hat_theta": self.m_hat_theta,
-                "support_arcs": [list(arc) for arc in self.support_arcs],
-                "residuals": dict(self.residuals)}
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -99,18 +89,6 @@ class SweepReport:
     integral_check_residual: float
     monotone_m: bool
     monotone_m_hat: bool
-
-    def to_json_dict(self):
-        return {"thetas": list(self.thetas),
-                "m_theta_energy": list(self.m_theta_energy),
-                "m_theta_field": list(self.m_theta_field),
-                "m_hat_theta": list(self.m_hat_theta),
-                "cap_condenser": self.cap_condenser,
-                "cap_s_tau": list(self.cap_s_tau),
-                "support_arcs": [[list(a) for a in arcs] for arcs in self.support_arcs],
-                "integral_check_residual": self.integral_check_residual,
-                "monotone_m": self.monotone_m,
-                "monotone_m_hat": self.monotone_m_hat}
 
     def csv_rows(self):
         """Rows for the documented CSV: theta, m_energy, m_field, m_hat, cap_S_tau, residuals."""

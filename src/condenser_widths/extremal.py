@@ -57,11 +57,6 @@ class ZeroConfig:
         if len(self.q_zeros) > self.n - self.k:
             raise ValueError("too many q zeros for the degree bound n - k")
 
-    def to_json_dict(self):
-        return {"n": self.n, "k": self.k,
-                "p_zeros": [[z.real, z.imag] for z in map(complex, self.p_zeros)],
-                "q_zeros": [[z.real, z.imag] for z in map(complex, self.q_zeros)]}
-
 
 @dataclass(frozen=True)
 class ChiEstimate:
@@ -74,15 +69,7 @@ class ChiEstimate:
     log_rate_upper: float  # (1/n) log chi_upper
     log_rate_lower: float
     method: str
-    config: ZeroConfig | None = None
-
-    def to_json_dict(self):
-        d = {"n": self.n, "k": self.k, "chi_upper": self.chi_upper,
-             "chi_lower": self.chi_lower, "log_rate_upper": self.log_rate_upper,
-             "log_rate_lower": self.log_rate_lower, "method": self.method}
-        if self.config is not None:
-            d["config"] = self.config.to_json_dict()
-        return d
+    config: ZeroConfig
 
 
 def ratio_norms(zc: ZeroConfig, c: Condenser, grid_n: int = 4096) -> float:
@@ -318,6 +305,20 @@ def _sup_over_q(scorer: NormRatioScorer, p_zeros, starts, max_sweeps: int = _MAX
     return best_val, best_q, converged
 
 
+def _inf_over_p(scorer: NormRatioScorer, q_zeros, starts):
+    """inf over p of the objective at fixed q zeros: descend from each start.
+    A later start wins only if strictly better.  Returns (value, p zeros,
+    every descent converged)."""
+    best_val, best_p, converged = None, [], True
+    for p0 in starts:
+        cfg = _Config(scorer, q_zeros, p0, "e")
+        val, ok = _coordinate_descent(cfg, -1.0)
+        converged = converged and ok
+        if best_val is None or val < best_val:
+            best_val, best_p = val, list(cfg.zeros)
+    return best_val, best_p, converged
+
+
 def _leja_points(cands: np.ndarray, m: int) -> list:
     return [complex(z) for z in cands[_leja_indices(cands, m)]]
 
@@ -400,8 +401,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
             best = (val, list(p_cur), list(q_star))
 
     log_upper, p_best, q_best = best
-    low_cfg = _Config(scorer, q_best, list(p_best), "e")
-    log_lower, ok = _coordinate_descent(low_cfg, -1.0)
+    log_lower, _, ok = _inf_over_p(scorer, q_best, [p_best])
     _warn_unconverged(converged and ok, n, k)
     return _estimate(n, k, log_upper, log_lower, "bruteforce",
                      ZeroConfig(tuple(p_best), tuple(q_best), n, k))
@@ -434,13 +434,8 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     # the inf side descends from the Leja start and from the all-at-center
     # start (the config whose swept counting measure is the plate equilibrium
     # distribution); single-zero moves cannot cross between the two basins
-    log_lower, p_star = None, list(p0)
-    for ps in (p0, [c.e_domain.midpoint] * k):
-        low_cfg = _Config(scorer, q0, list(ps), "e")
-        val, ok = _coordinate_descent(low_cfg, -1.0)
-        converged = converged and ok
-        if log_lower is None or val < log_lower:
-            log_lower, p_star = val, list(low_cfg.zeros)
+    log_lower, p_star, ok = _inf_over_p(scorer, q0, [p0, [c.e_domain.midpoint] * k])
+    converged = converged and ok
 
     if p_star != p0:
         # re-run the sup at the improved p, again from the Fekete start so the

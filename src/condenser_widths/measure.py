@@ -1,10 +1,10 @@
 """Discrete measures, logarithmic and Green potentials, energies, and the
 minimax functional M(sigma) = min over the curve of U^sigma minus min over the
-plate of U^sigma."""
+plate of U^sigma.  to_json is the one output format of every result record."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -84,8 +84,7 @@ class DiscreteMeasure:
                                np.concatenate([self.weights, other.weights]))
 
     def to_json_dict(self):
-        return {"points": [[p.real, p.imag] for p in self.points.tolist()],
-                "weights": self.weights.tolist()}
+        return {"points": to_json(self.points.tolist()), "weights": self.weights.tolist()}
 
     @staticmethod
     def from_json_dict(d) -> "DiscreteMeasure":
@@ -93,22 +92,33 @@ class DiscreteMeasure:
         return DiscreteMeasure(pts, d["weights"])
 
 
+def to_json(obj):
+    """JSON-ready form of a result record: a dataclass maps each of its fields,
+    a complex number becomes [re, im], a list or tuple a list, a dict a dict,
+    and an object with its own to_json_dict (a measure, a condenser) uses it."""
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    return obj
+
+
 @dataclass(frozen=True)
 class FieldGrid:
-    """Values of a named scalar field on a list of grid points."""
+    """Values of a scalar field on a list of grid points."""
 
     grid_points: np.ndarray
     values: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         if np.shape(self.grid_points) != np.shape(self.values):
             raise ValueError("grid_points and values must have the same length")
-
-    def to_json_dict(self):
-        return {"description": self.description,
-                "grid_points": [[z.real, z.imag] for z in np.asarray(self.grid_points).tolist()],
-                "values": np.asarray(self.values).tolist()}
 
 
 # ---------------------------------------------------------------------------

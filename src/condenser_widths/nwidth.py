@@ -30,11 +30,6 @@ class WidthReport:
                                 # estimates of lower bounds, not certified
     normalization: str = "per-n"
 
-    def to_json_dict(self):
-        return {"theta": self.theta, "predicted_rate": self.predicted_rate,
-                "widom_rate": self.widom_rate, "normalization": self.normalization,
-                "chi_lower_bounds": [[n, k, r] for n, k, r in self.chi_lower_bounds]}
-
 
 def width_rate_predict(c: Condenser, theta: float, n_points: int = 256,
                        grid_n: int = 4096, seed: int = 0) -> WidthReport:
@@ -81,5 +76,4 @@ def g_theta_field(c: Condenser, lambda_n: DiscreteMeasure, grid) -> FieldGrid:
         if np.min(d) < 1e-3:
             raise GridTooClose("field grid comes within 1e-3 of the measure support")
     vals = green_potential(lambda_n, c.e_domain, pts) - green_pole_infinity(c.e_domain, pts)
-    return FieldGrid(grid_points=pts, values=vals,
-                     description="U_D^lambda - g(., inf)")
+    return FieldGrid(grid_points=pts, values=vals)

@@ -194,11 +194,29 @@ def test_unknown_task_rejected(tmp_path):
     ("chi", {"n": 4, "k": 2, "method": "bruteforce", "seed": -1}, "seed must be >= 0"),
     ("equilibrium", {"seed": -1}, "seed must be >= 0"),
     ("sweep", {"seed": -1}, "seed must be >= 0"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0.0], "radius": 1.0},
+        "gamma": {"kind": "circle", "center": [0, 0], "radius": 3.0}}},
+        "malformed condenser section"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+        "gamma": {"kind": "ellipse", "center": [0, 0], "semi_axes": [2.0]}}},
+        "malformed condenser section"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+        "gamma": {"kind": "ellipse", "center": [0, 0], "semi_axes": ["x", 1.5]}}},
+        "malformed condenser section"),
+    ("equilibrium", {"condenser": {
+        "e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+        "gamma": {"kind": "polar", "center": [0, 0], "angles": ["a", 1, 2, 3],
+                  "radii": [3, 3, 3, 3]}}},
+        "malformed condenser section"),
 ], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "balayage-ellipse",
         "negative-radius", "thetas-scalar", "formats-int", "formats-null", "chi-n0",
         "nwidth-n0", "thetas-nan", "out-int", "radius-nan", "center-nan", "semi-axes-nan",
         "curve-radius-inf", "polar-span", "chi-seed-negative", "equilibrium-seed-negative",
-        "sweep-seed-negative"])
+        "sweep-seed-negative", "center-short", "semi-axes-short", "semi-axes-string",
+        "polar-angle-string"])
 def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
     cfg = write_cfg(tmp_path, **extra)
     argv = [task, "--config", cfg]

@@ -3,7 +3,7 @@ import pytest
 
 from condenser_widths import (DiscreteMeasure, condenser_capacity, equilibrium_result,
                               fekete_green, green_pole_infinity, leja_weighted,
-                              m_hat_theta, m_theta, sample_curve, support_S_theta)
+                              m_hat_theta, m_theta, sample_curve, support_S_theta, to_json)
 from condenser_widths.equilibrium import (_runs_to_arcs, _support_mask, _support_tol,
                                           gamma_field)
 from condenser_widths.errors import GridTooCoarse
@@ -194,7 +194,7 @@ def test_equilibrium_result_bundle(concentric):
     assert res.m_theta_field <= 0.0
     assert abs(res.m_theta_energy - res.m_theta_field) <= res.residuals["two_route"] + 1e-15
     assert res.m_hat_theta >= -np.log(1.0) - (1 - 0.5) * 1.0 - 1e-9
-    d = res.to_json_dict()
+    d = to_json(res)
     assert set(d) >= {"theta", "lambda_n", "mu_n", "m_theta_energy", "m_theta_field",
                       "m_hat_theta", "support_arcs", "residuals"}
 

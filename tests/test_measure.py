@@ -1,11 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from condenser_widths import (DiscreteMeasure, EDomain, M_functional, energy_I,
-                              energy_J, green_kernel, green_potential,
-                              log_potential, sample_curve, CurveSpec)
+from condenser_widths import (BalayageResult, ChiEstimate, DiscreteMeasure, EDomain,
+                              EquilibriumResult, M_functional, SweepReport, WidthReport,
+                              ZeroConfig, energy_I, energy_J, green_kernel, green_potential,
+                              log_potential, sample_curve, to_json, CurveSpec)
 from condenser_widths.errors import EmptyMeasure, MassMismatch
 from condenser_widths.geometry import kernel_from_phi, phi_exterior
 from condenser_widths.measure import LOG_CLAMP, minimax_scan_sets
@@ -45,6 +47,43 @@ def test_json_round_trip_is_bit_exact():
     back = DiscreteMeasure.from_json_dict(json.loads(blob))
     assert np.array_equal(back.points, mu.points)
     assert np.array_equal(back.weights, mu.weights)
+
+
+@pytest.mark.parametrize("record, pinned", [
+    (EquilibriumResult(theta=0.3, lambda_n=DiscreteMeasure([1 + 2j, 3j], [0.4, 0.3]),
+                       mu_n=DiscreteMeasure.atom(0j, 0.3), m_theta_energy=-0.3,
+                       m_theta_field=-0.31, m_hat_theta=-0.7,
+                       support_arcs=[(0.0, 1.5), (2.0, 3.0)],
+                       residuals={"two_route": 0.01, "exchange_converged": True}),
+     {"lambda_n": {"points": [[1.0, 2.0], [0.0, 3.0]], "weights": [0.4, 0.3]},
+      "mu_n": {"points": [[0.0, 0.0]], "weights": [0.3]},
+      "support_arcs": [[0.0, 1.5], [2.0, 3.0]],
+      "residuals": {"two_route": 0.01, "exchange_converged": True}}),
+    (ChiEstimate(n=3, k=1, chi_upper=0.5, chi_lower=0.25, log_rate_upper=-0.2,
+                 log_rate_lower=-0.4, method="bruteforce",
+                 config=ZeroConfig((1 + 0.5j,), (np.complex128(2 - 1j), 1.5 + 0j), 3, 1)),
+     {"config": {"p_zeros": [[1.0, 0.5]], "q_zeros": [[2.0, -1.0], [1.5, 0.0]],
+                 "n": 3, "k": 1},
+      "method": "bruteforce"}),
+    (WidthReport(theta=0.5, predicted_rate=-0.5, widom_rate=-1.0,
+                 chi_lower_bounds=[(4, 2, -0.3), (6, 3, -0.25)]),
+     {"chi_lower_bounds": [[4, 2, -0.3], [6, 3, -0.25]], "normalization": "per-n"}),
+    (SweepReport(thetas=[0.0, 1.0], m_theta_energy=[0.0, -1.0], m_theta_field=[0.0, -1.0],
+                 m_hat_theta=[-1.0, 0.0], cap_condenser=1.0, cap_s_tau=[1.0, 2.0],
+                 support_arcs=[[(0.0, 6.0)], [(0.0, 1.0), (2.0, 3.0)]],
+                 integral_check_residual=0.0, monotone_m=True, monotone_m_hat=True),
+     {"support_arcs": [[[0.0, 6.0]], [[0.0, 1.0], [2.0, 3.0]]]}),
+    (BalayageResult(swept=DiscreteMeasure([1j, 2.0], [0.5, 0.5]), shift_constant=0.25),
+     {"swept": {"points": [[0.0, 1.0], [2.0, 0.0]], "weights": [0.5, 0.5]},
+      "shift_constant": 0.25}),
+], ids=["equilibrium", "chi", "width", "sweep", "balayage"])
+def test_to_json_walks_result_records(record, pinned):
+    """Every field of a record is written; complex numbers become [re, im]
+    and tuples become lists, at any depth."""
+    out = json.loads(json.dumps(to_json(record)))
+    assert set(out) == {f.name for f in fields(record)}
+    for name, want in pinned.items():
+        assert out[name] == want
 
 
 def test_log_potential_values():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condenser_widths import g_theta_field, width_lower_bound, width_rate_predict
+from condenser_widths import g_theta_field, to_json, width_lower_bound, width_rate_predict
 from condenser_widths.equilibrium import gamma_field
 from condenser_widths.errors import GridTooClose
 from condenser_widths.geometry import boundary_samples, sample_curve
@@ -70,5 +70,5 @@ def test_g_theta_field_grid_too_close(concentric, concentric_lambda_256):
 
 def test_width_report_serializes(concentric):
     rep = width_rate_predict(concentric, 0.5, n_points=64, grid_n=1024)
-    d = rep.to_json_dict()
+    d = to_json(rep)
     assert set(d) >= {"theta", "predicted_rate", "widom_rate", "chi_lower_bounds"}
