@@ -8,13 +8,12 @@ zeros is scored by
 
 which is the log of ||pq||_plate / ||pq||_curve and, after dividing by n,
 exactly the minimax functional of the combined counting measure on the same
-scan sets.  Cyclic coordinate descent scores every single-zero move over a
-candidate grid at once: a score is a maximum over the eval points of
-base + (the candidate's log-distance row).  Each maximum is taken only over
-the tiles of the candidate x eval matrix that can hold it: a tile is skipped
-when its largest possible sum falls below an attained sum of every candidate
-in it.  Float addition is monotone, so the scores are bit-identical to the
-dense maximum over all eval points.
+scan sets.  Cyclic coordinate descent moves one zero at a time to the best
+candidate of a grid.  A visit passes the floor its move must clear, and a
+candidate is summed exactly only when its score bound (block maxima on one
+side, attained sums on the other) clears it.  Float arithmetic is monotone,
+so exact scores are bit-identical to the dense maximum and no pruned
+candidate can be an accepted move.
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ from .measure import (DiscreteMeasure, M_functional, log_abs, log_potential,
 
 _IMPROVE_EPS = 1e-13
 _MAX_SWEEPS = 40  # coordinate-descent budget of the chi estimators
-# move-scoring tiles (candidates x eval rows), and the rows of the base sum
-# probed for the per-visit lower bounds
-_CAND_BLOCK = 64
-_ROW_BLOCK = 32
+# eval rows per block of the upper bounds, and rows of the base sum probed for
+# the lower bounds of move scores
+_ROW_BLOCK = 64
 _TOP_ROWS = 8
 
 
@@ -108,13 +106,13 @@ class NormRatioScorer:
         self.cands = {"gamma": sample_curve(c.gamma, gamma_cand_n).points,
                       "e": _plate_candidates(c, e_cand_n)}
         # candidate-major: row c holds log|cand_c - eval| over one eval set,
-        # so a move copies a contiguous row and a tile is a 2-D slice
-        self.mats, self.tiles = {}, {}
+        # so a move copies a contiguous row
+        self.mats, self.bounds = {}, {}
         for kind, pts in self.cands.items():
             for side, ev in (("e", self.e_eval), ("gamma", self.gamma_eval)):
                 m = log_abs(pts[:, None] - ev[None, :])
                 self.mats[(side, kind)] = m
-                self.tiles[(side, kind)] = _tile_bounds(m)
+                self.bounds[(side, kind)] = _row_bounds(m)
         self.budget = budget
         self.evals_used = 0
 
@@ -128,44 +126,44 @@ class NormRatioScorer:
         """Log-distance columns of a single zero over both eval sets."""
         return (log_abs(self.e_eval - z), log_abs(self.gamma_eval - z))
 
-    def column_tops(self, side: str, kind: str, base: np.ndarray) -> np.ndarray:
-        """max over eval rows r of base[r] + M[c, r] for every candidate c.
+    def move_scores(self, kind: str, base_e: np.ndarray, base_g: np.ndarray,
+                    sign: float, floor: float) -> np.ndarray:
+        """max_r (base_e[r] + M_e[c, r]) - max_r (base_g[r] + M_g[c, r]) for each
+        candidate c of a kind whose sign * score can exceed floor, else -sign * inf.
 
-        Only tiles that can hold a candidate's maximum are summed.  A tile is
-        skipped when max(base over its rows) + (its largest entry) is below
-        the smallest lower bound of its candidates, each bound an attained sum
-        base[r] + M[c, r].  Float addition is monotone, so the tile holding a
-        candidate's maximum always passes, and the result is bit-identical to
-        the dense maximum.
+        sign * score is bounded by an upper bound on the side it adds (the
+        largest sum of candidate and base block maxima) minus attained sums
+        on the other side.  Float arithmetic is monotone, so live scores are
+        bit-identical to the dense maximum, and a pruned candidate's sign *
+        score is at most floor.
         """
+        bases = {"e": base_e, "gamma": base_g}
+        up, down = ("e", "gamma") if sign > 0 else ("gamma", "e")
+        blocks = np.maximum.reduceat(bases[up], np.arange(0, bases[up].size, _ROW_BLOCK))
+        bound = (np.max(self.bounds[(up, kind)][0] + blocks, axis=1)
+                 - self._lower_tops(down, kind, bases[down]))
+        live = np.flatnonzero(bound > floor)
+        scores = np.full(bound.size, -sign * np.inf)
+        scores[live] = (np.max(self.mats[("e", kind)][live] + base_e, axis=1)
+                        - np.max(self.mats[("gamma", kind)][live] + base_g, axis=1))
+        return scores
+
+    def _lower_tops(self, side: str, kind: str, base: np.ndarray) -> np.ndarray:
+        """Attained sums base[r] + M[c, r] of every candidate c: the larger of
+        the one at its largest entry and the best over the top rows of base."""
         m = self.mats[(side, kind)]
-        tile_max, best_row, best_val = self.tiles[(side, kind)]
-        n_cand, n_rows = m.shape
-        top = np.argpartition(base, -min(_TOP_ROWS, n_rows))[-_TOP_ROWS:]
-        lower = np.maximum(base[best_row] + best_val, np.max(m[:, top] + base[top], axis=1))
-        block_lower = np.minimum.reduceat(lower, np.arange(0, n_cand, _CAND_BLOCK))
-        row_max = np.maximum.reduceat(base, np.arange(0, n_rows, _ROW_BLOCK))
-        keep = row_max + tile_max >= block_lower[:, None]
-        # runs of kept row blocks, one (candidate block, first, end) per run
-        edges = np.diff(keep.astype(np.int8), axis=1, prepend=0, append=0)
-        blocks, first = np.nonzero(edges == 1)
-        end = np.nonzero(edges == -1)[1]
-        tops = np.full(n_cand, -np.inf)
-        for b, r0, r1 in zip(blocks.tolist(), (first * _ROW_BLOCK).tolist(),
-                             (end * _ROW_BLOCK).tolist()):
-            c = slice(b * _CAND_BLOCK, (b + 1) * _CAND_BLOCK)
-            np.maximum(tops[c], (m[c, r0:r1] + base[r0:r1]).max(axis=1), out=tops[c])
-        return tops
+        _, best_row, best_val = self.bounds[(side, kind)]
+        top = np.argpartition(base, -min(_TOP_ROWS, base.size))[-_TOP_ROWS:]
+        return np.maximum(base[best_row] + best_val, np.max(m[:, top] + base[top], axis=1))
 
 
-def _tile_bounds(m: np.ndarray):
-    """(tile maxima, best row, best value) of a candidate-major matrix: the
-    largest entry of each _CAND_BLOCK x _ROW_BLOCK tile (ragged at the ends),
-    and each candidate's largest entry with its row."""
-    row_blocks = np.maximum.reduceat(m, np.arange(0, m.shape[1], _ROW_BLOCK), axis=1)
-    tile_max = np.maximum.reduceat(row_blocks, np.arange(0, m.shape[0], _CAND_BLOCK), axis=0)
+def _row_bounds(m: np.ndarray):
+    """(block maxima, best row, best value) of a candidate-major matrix: each
+    candidate's largest entry over every _ROW_BLOCK eval rows (ragged at the
+    end), and its largest entry with its row."""
+    block_max = np.maximum.reduceat(m, np.arange(0, m.shape[1], _ROW_BLOCK), axis=1)
     best_row = np.argmax(m, axis=1)
-    return tile_max, best_row, m[np.arange(m.shape[0]), best_row]
+    return block_max, best_row, m[np.arange(m.shape[0]), best_row]
 
 
 def _plate_candidates(c: Condenser, n: int) -> np.ndarray:
@@ -221,14 +219,13 @@ class _Config:
         le, lg = self._totals()
         return float(np.max(le) - np.max(lg))
 
-    def move_scores(self, i: int) -> np.ndarray:
-        """Objective after moving zero i to each candidate of its kind."""
-        scorer = self.scorer
-        scorer._charge(len(self.cands_of_kind()))
+    def move_scores(self, i: int, sign: float, floor: float) -> np.ndarray:
+        """Objective after moving zero i to each candidate of its kind whose
+        sign * objective can exceed floor; -sign * inf for the others."""
+        self.scorer._charge(len(self.cands_of_kind()))
         le, lg = self._totals()
-        tops_e = scorer.column_tops("e", self.kind, le - self.cols[i][0])
-        tops_g = scorer.column_tops("gamma", self.kind, lg - self.cols[i][1])
-        return tops_e - tops_g
+        return self.scorer.move_scores(self.kind, le - self.cols[i][0],
+                                       lg - self.cols[i][1], sign, floor)
 
     def drop_score(self, i: int) -> float:
         self.scorer._charge(1)
@@ -264,7 +261,7 @@ def _coordinate_descent(cfg: _Config, sign: float, max_sweeps: int = _MAX_SWEEPS
         improved = False
         i = 0
         while i < len(cfg.zeros):
-            scores = cfg.move_scores(i)
+            scores = cfg.move_scores(i, sign, sign * best + _IMPROVE_EPS)
             j = int(np.argmax(sign * scores))
             if sign * scores[j] > sign * best + _IMPROVE_EPS:
                 cfg.apply_move(i, j)
@@ -375,7 +372,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
             i = 0
             while i < len(p_cur):
                 proxy_cfg = _Config(scorer, q_star, p_cur, "e")
-                scores = proxy_cfg.move_scores(i)
+                scores = proxy_cfg.move_scores(i, -1.0, -val + _IMPROVE_EPS)
                 order = np.argsort(scores, kind="stable")[:4]  # most promising moves
                 for j in order:
                     if scores[j] >= val - _IMPROVE_EPS:

@@ -1,13 +1,15 @@
-"""Oracle for the tile-bounded move scoring: the dense column maximum over the
-eval-major score matrices, kept verbatim, must give bit-identical scores."""
+"""Oracle for the floor-pruned move scoring: the dense column maximum over the
+eval-major score matrices, kept verbatim, is the reference.  Every live score
+must be bit-identical to it, and no pruned candidate may clear the floor."""
 
 import numpy as np
 import pytest
 
 from condenser_widths import Condenser, CurveSpec, EDomain, concentric_condenser, offset_condenser
 from condenser_widths import extremal
-from condenser_widths.extremal import (NormRatioScorer, _Config, _coordinate_descent,
-                                       _tile_bounds, chi_asymptotic_pair)
+from condenser_widths.extremal import (_IMPROVE_EPS, NormRatioScorer, _Config,
+                                       _coordinate_descent, _row_bounds, chi_asymptotic_pair,
+                                       chi_bruteforce)
 from condenser_widths.measure import log_abs
 
 CONDENSERS = {
@@ -16,8 +18,8 @@ CONDENSERS = {
     "segment-ellipse": lambda: Condenser(EDomain.segment(-1.0, 1.0),
                                          CurveSpec.ellipse(0.2j, (3.0, 2.0), 0.3)).validate(),
 }
-# (grid_n, gamma_cand_n, e_cand_n): eval and candidate counts off the tile
-# sizes, one exact fit, and a curve eval set smaller than the probed top rows
+# (grid_n, gamma_cand_n, e_cand_n): eval counts off the row block size, one
+# exact fit, and a curve eval set smaller than the probed top rows
 GRIDS = [(100, 70, 37), (64, 64, 48), (77, 129, 65), (5, 4, 20)]
 
 
@@ -60,7 +62,7 @@ class DenseConfig(_Config):
         super().__init__(scorer, fixed_zeros, movable_zeros, kind)
         self.mats = mats
 
-    def move_scores(self, i):
+    def move_scores(self, i, sign, floor):
         return dense_move_scores(self, i, self.mats)
 
     def apply_move(self, i, cand_idx):
@@ -71,12 +73,12 @@ class DenseConfig(_Config):
 
 
 def restrict(scorer, kind, idx):
-    """Keep only the candidates idx of one kind, with their tile bounds."""
+    """Keep only the candidates idx of one kind, with their row bounds."""
     scorer.cands[kind] = scorer.cands[kind][idx]
     for side in ("e", "gamma"):
         m = np.ascontiguousarray(scorer.mats[(side, kind)][idx])
         scorer.mats[(side, kind)] = m
-        scorer.tiles[(side, kind)] = _tile_bounds(m)
+        scorer.bounds[(side, kind)] = _row_bounds(m)
 
 
 @pytest.fixture(scope="module", params=[(c, g) for c in CONDENSERS for g in GRIDS],
@@ -87,16 +89,47 @@ def scorer(request):
                            e_cand_n=e_cand_n)
 
 
+def check_pruned(out, dense, sign, floor):
+    """Live scores are the dense ones; a pruned score cannot clear the floor."""
+    live = out != -sign * np.inf
+    assert_bit_equal(out[live], dense[live])
+    assert np.all(sign * dense[~live] <= floor)
+    return live
+
+
+def check_floors(scores, dense):
+    """scores(sign, floor) against the dense scores: all live at floor -inf,
+    none at +inf, and the pruning contract at random floors in between."""
+    rng = np.random.default_rng(11)
+    for sign in (1.0, -1.0):
+        assert_bit_equal(scores(sign, -np.inf), dense)
+        assert np.all(scores(sign, np.inf) == -sign * np.inf)
+        signed = sign * dense
+        ties = signed[rng.integers(0, signed.size, size=2)]
+        floors = [*np.quantile(signed, [0.0, 0.5, 0.99]), *ties, *(ties + _IMPROVE_EPS),
+                  np.max(signed), np.max(signed) + rng.uniform(-1.0, 1.0)]
+        for floor in floors:
+            check_pruned(scores(sign, floor), dense, sign, floor)
+
+
 def check_visits(cfg, mats):
     for i in range(len(cfg.zeros)):
-        assert_bit_equal(cfg.move_scores(i), dense_move_scores(cfg, i, mats))
+        dense = dense_move_scores(cfg, i, mats)
+        check_floors(lambda sign, floor: cfg.move_scores(i, sign, floor), dense)
 
 
 def check_bases(scorer, mats, bases):
-    for (side, kind), m in mats.items():
-        n_rows = m.shape[0]
-        for base in bases(n_rows, side, kind):
-            assert_bit_equal(scorer.column_tops(side, kind, base), np.max(base[:, None] + m, axis=0))
+    """Per pair of bases on the two eval sets: the attained lower bounds stay
+    below the dense maxima, and the scores obey check_floors."""
+    for kind in scorer.cands:
+        me, mg = mats[("e", kind)], mats[("gamma", kind)]
+        for base_e, base_g in zip(bases(me.shape[0], "e", kind), bases(mg.shape[0], "gamma", kind)):
+            tops_e = np.max(base_e[:, None] + me, axis=0)
+            tops_g = np.max(base_g[:, None] + mg, axis=0)
+            assert np.all(scorer._lower_tops("e", kind, base_e) <= tops_e)
+            assert np.all(scorer._lower_tops("gamma", kind, base_g) <= tops_g)
+            check_floors(lambda sign, floor: scorer.move_scores(kind, base_e, base_g, sign, floor),
+                         tops_e - tops_g)
 
 
 def test_stored_matrices_are_the_transpose(scorer):
@@ -175,19 +208,68 @@ def test_descent_matches_dense_descent(sign, kind):
     assert tiled.evals_used == dense.evals_used > 0
 
 
-@pytest.mark.parametrize("name,n,k", [("level", 16, 8), ("offset", 16, 8), ("offset", 12, 3)])
-def test_every_visit_of_a_chi_run_matches(monkeypatch, name, n, k):
-    tiled_tops = NormRatioScorer.column_tops
+def checked_scores(monkeypatch):
+    """Patch the scorer so every move scoring is checked against the dense
+    maximum; returns the list of (live, candidates) counts per call."""
+    pruned_scores = NormRatioScorer.move_scores
     visits = []
 
-    def checked(self, side, kind, base):
-        out = tiled_tops(self, side, kind, base)
-        dense = np.max(base[:, None] + self.mats[(side, kind)].T, axis=0)
-        assert_bit_equal(out, dense)
-        visits.append(1)
+    def checked(self, kind, base_e, base_g, sign, floor):
+        out = pruned_scores(self, kind, base_e, base_g, sign, floor)
+        dense = (np.max(base_e[:, None] + self.mats[("e", kind)].T, axis=0)
+                 - np.max(base_g[:, None] + self.mats[("gamma", kind)].T, axis=0))
+        live = check_pruned(out, dense, sign, floor)
+        visits.append((int(np.count_nonzero(live)), out.size))
         return out
 
-    monkeypatch.setattr(extremal.NormRatioScorer, "column_tops", checked)
+    monkeypatch.setattr(extremal.NormRatioScorer, "move_scores", checked)
+    return visits
+
+
+@pytest.mark.parametrize("name,n,k", [("level", 16, 8), ("offset", 16, 8), ("offset", 12, 3)])
+def test_every_visit_of_a_chi_run_matches(monkeypatch, name, n, k):
+    visits = checked_scores(monkeypatch)
     est = chi_asymptotic_pair(CONDENSERS[name](), n, k, grid_n=512, seed=0)
     assert est.chi_lower <= est.chi_upper
-    assert len(visits) > 2 * n
+    assert len(visits) > n  # one move scoring per visit
+
+
+def test_every_visit_of_a_bruteforce_run_matches(monkeypatch):
+    visits = checked_scores(monkeypatch)
+    est = chi_bruteforce(offset_condenser(), 3, 2, grid_n=512, restarts=1, seed=0)
+    assert est.chi_lower <= est.chi_upper
+    assert len(visits) > 6
+
+
+def proxy_walk(scores, val):
+    """The moves chi_bruteforce's proxy loop reads, in order."""
+    walk = []
+    for j in np.argsort(scores, kind="stable")[:4]:
+        if scores[j] >= val - _IMPROVE_EPS:
+            break
+        walk.append(int(j))
+    return walk
+
+
+def test_bruteforce_proxy_walk_matches_dense(scorer):
+    mats = eval_major(scorer)
+    center = scorer.condenser.e_domain.midpoint
+    q = list(scorer.cands["gamma"][1::9][:4])
+    cfg = _Config(scorer, q, [center, complex(scorer.cands["e"][-1])], "e")
+    rng = np.random.default_rng(5)
+    for i in range(len(cfg.zeros)):
+        dense = dense_move_scores(cfg, i, mats)
+        ordered = np.sort(dense)
+        # vals around the 1st, 3rd and 5th smallest scores, ties included
+        vals = [*ordered[[0, 2, min(4, dense.size - 1)]], ordered[0] + _IMPROVE_EPS,
+                ordered[min(4, dense.size - 1)] + rng.uniform(0.0, 1e-3), np.inf, -np.inf]
+        for val in vals:
+            pruned = cfg.move_scores(i, -1.0, -val + _IMPROVE_EPS)
+            assert proxy_walk(pruned, val) == proxy_walk(dense, val)
+
+
+def test_level_descent_scores_few_candidates_exactly(monkeypatch):
+    visits = checked_scores(monkeypatch)
+    chi_asymptotic_pair(concentric_condenser(), 64, 32, seed=0)
+    live, total = np.sum(visits, axis=0)
+    assert live < 0.05 * total
