@@ -68,6 +68,7 @@ class ChiEstimate:
     log_rate_lower: float
     method: str
     config: ZeroConfig
+    converged: bool  # every coordinate descent stopped on a clean sweep
 
 
 def ratio_norms(zc: ZeroConfig, c: Condenser, grid_n: int = 4096) -> float:
@@ -343,7 +344,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
         return ChiEstimate(n=n, k=k, chi_upper=1.0, chi_lower=1.0,
                            log_rate_upper=0.0, log_rate_lower=0.0,
                            method="bruteforce",
-                           config=ZeroConfig((), (), n, k))
+                           config=ZeroConfig((), (), n, k), converged=True)
 
     scorer = NormRatioScorer(c, grid_n=min(grid_n, 2048), gamma_cand_n=256,
                              e_cand_n=160, budget=budget)
@@ -399,9 +400,10 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
 
     log_upper, p_best, q_best = best
     log_lower, _, ok = _inf_over_p(scorer, q_best, [p_best])
-    _warn_unconverged(converged and ok, n, k)
+    converged = converged and ok
+    _warn_unconverged(converged, n, k)
     return _estimate(n, k, log_upper, log_lower, "bruteforce",
-                     ZeroConfig(tuple(p_best), tuple(q_best), n, k))
+                     ZeroConfig(tuple(p_best), tuple(q_best), n, k), converged)
 
 
 def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
@@ -444,16 +446,16 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     _warn_unconverged(converged, n, k)
 
     return _estimate(n, k, log_upper, log_lower, "asymptotic_pair",
-                     ZeroConfig(tuple(p_star), tuple(q_star), n, k))
+                     ZeroConfig(tuple(p_star), tuple(q_star), n, k), converged)
 
 
-def _estimate(n, k, log_upper, log_lower, method, config) -> ChiEstimate:
+def _estimate(n, k, log_upper, log_lower, method, config, converged) -> ChiEstimate:
     return ChiEstimate(n=n, k=k,
                        chi_upper=float(np.exp(log_upper)),
                        chi_lower=float(np.exp(log_lower)),
                        log_rate_upper=log_upper / n,
                        log_rate_lower=log_lower / n,
-                       method=method, config=config)
+                       method=method, config=config, converged=converged)
 
 
 # ---------------------------------------------------------------------------

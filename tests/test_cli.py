@@ -44,6 +44,7 @@ def test_chi_task_k0(tmp_path):
     assert main(["chi", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     result = json.loads((out / "result.json").read_text())
     assert result["payload"]["chi"]["chi_upper"] == 1.0
+    assert result["payload"]["chi"]["converged"] is True
 
 
 def test_chi_task_requires_seed(tmp_path):

@@ -115,16 +115,16 @@ def test_descent_budget_exhaustion_warns(concentric, offset, monkeypatch):
     from condenser_widths import extremal as ex
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # converged descents stay silent
-        chi_asymptotic_pair(offset, 16, 8, seed=0)
-        chi_bruteforce(concentric, 4, 2, seed=0)
+        assert chi_asymptotic_pair(offset, 16, 8, seed=0).converged
+        assert chi_bruteforce(concentric, 4, 2, seed=0).converged
     descent = ex._coordinate_descent
     monkeypatch.setattr(ex, "_MAX_SWEEPS", 1)
     monkeypatch.setattr(ex, "_coordinate_descent",
                         lambda cfg, sign, max_sweeps=None: descent(cfg, sign, 1))
     with pytest.warns(RuntimeWarning, match=r"max_sweeps = 1 .*n = 16, k = 8"):
-        chi_asymptotic_pair(offset, 16, 8, seed=0)
+        assert not chi_asymptotic_pair(offset, 16, 8, seed=0).converged
     with pytest.warns(RuntimeWarning, match=r"max_sweeps = 1 .*n = 4, k = 2"):
-        chi_bruteforce(concentric, 4, 2, seed=0)
+        assert not chi_bruteforce(concentric, 4, 2, seed=0).converged
 
 
 def test_leja_indices_zero_field_is_greedy_max_product(concentric, offset):

@@ -61,10 +61,11 @@ def test_json_round_trip_is_bit_exact():
       "residuals": {"two_route": 0.01, "exchange_converged": True}}),
     (ChiEstimate(n=3, k=1, chi_upper=0.5, chi_lower=0.25, log_rate_upper=-0.2,
                  log_rate_lower=-0.4, method="bruteforce",
-                 config=ZeroConfig((1 + 0.5j,), (np.complex128(2 - 1j), 1.5 + 0j), 3, 1)),
+                 config=ZeroConfig((1 + 0.5j,), (np.complex128(2 - 1j), 1.5 + 0j), 3, 1),
+                 converged=False),
      {"config": {"p_zeros": [[1.0, 0.5]], "q_zeros": [[2.0, -1.0], [1.5, 0.0]],
                  "n": 3, "k": 1},
-      "method": "bruteforce"}),
+      "method": "bruteforce", "converged": False}),
     (WidthReport(theta=0.5, predicted_rate=-0.5, widom_rate=-1.0,
                  chi_lower_bounds=[(4, 2, -0.3), (6, 3, -0.25)]),
      {"chi_lower_bounds": [[4, 2, -0.3], [6, 3, -0.25]], "normalization": "per-n"}),
