@@ -63,6 +63,8 @@ def load_config(path: str, overrides: dict) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     if "condenser" not in raw:
         raise ConfigError("config is missing the 'condenser' section")
     try:

@@ -232,6 +232,20 @@ def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
     assert "validation failure" in err and message in err
 
 
+@pytest.mark.parametrize("root, message", [
+    ("5", "config must be a JSON object"), ("null", "config must be a JSON object"),
+    ("true", "config must be a JSON object"), ("[]", "config must be a JSON object"),
+    (None, "cannot read config")], ids=["int", "null", "true", "list", "missing-file"])
+def test_bad_config_root_exits_2(tmp_path, capsys, root, message):
+    path = tmp_path / "cfg.json"
+    if root is not None:
+        path.write_text(root)
+    rc = main(["equilibrium", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "bad")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "validation failure" in err and message in err
+
+
 def test_library_budget_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
     from condenser_widths import cli
     from condenser_widths.errors import BudgetExceeded
