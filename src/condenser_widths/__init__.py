@@ -9,7 +9,7 @@ from .equilibrium import (EquilibriumResult, SweepReport, condenser_capacity,
                           equilibrium_result, fekete_green, leja_weighted,
                           m_hat_theta, m_theta, support_S_theta, theta_sweep)
 from .extremal import (ChiEstimate, ZeroConfig, chi_asymptotic_pair, chi_bruteforce,
-                       ratio_norms, zero_distribution_diag)
+                       chi_estimate, ratio_norms, zero_distribution_diag)
 from .geometry import (Condenser, CurveSpec, EDomain, concentric_condenser,
                        green_exterior_gamma, green_kernel, green_pole_infinity,
                        log_capacity, offset_condenser, sample_curve)
@@ -21,7 +21,7 @@ __all__ = [
     "BalayageResult", "ChiEstimate", "Condenser", "CurveSpec", "DiscreteMeasure",
     "EDomain", "EquilibriumResult", "FieldGrid", "M_functional", "SweepReport",
     "WidthReport", "ZeroConfig", "balayage_to_E", "balayage_to_gamma",
-    "chi_asymptotic_pair", "chi_bruteforce", "concentric_condenser",
+    "chi_asymptotic_pair", "chi_bruteforce", "chi_estimate", "concentric_condenser",
     "condenser_capacity", "counting_alpha_beta", "energy_I", "energy_J",
     "equilibrium_result", "fekete_green", "g_theta_field", "green_exterior_gamma",
     "green_kernel", "green_pole_infinity", "green_potential", "leja_weighted",

@@ -2,10 +2,11 @@
 
     condenser-widths <task> --config cfg.json [--seed S] [--threads T] [--out DIR]
 
-Tasks: equilibrium, sweep, chi, nwidth, balayage-demo, validate.  Exit codes:
-0 success, 2 validation failure (config, geometry, or grid knobs), 3 numeric
-budget failure.  result.json is byte-identical across reruns with the same
-config and seed; wall time lives only in manifest.json.  --threads and the
+Tasks: equilibrium, sweep, chi, nwidth, balayage-demo, validate; chi and nwidth
+both estimate chi through extremal.chi_estimate.  Exit codes: 0 success, 2
+validation failure (config, geometry, grid knobs, an out that names a file), 3
+numeric budget failure.  result.json is byte-identical across reruns with the
+same config and seed; wall time lives only in manifest.json.  --threads and the
 threads config field are accepted and echoed but have no effect.
 """
 
@@ -27,10 +28,10 @@ from .equilibrium import equilibrium_result, fekete_green, m_hat_theta, m_theta,
 from .errors import (BudgetExceeded, CondenserWidthsError, ConfigError,
                      GeometryValidationError, GridTooCoarse, UnsupportedCurve,
                      UnsupportedDomain)
-from .extremal import chi_asymptotic_pair, chi_bruteforce
+from .extremal import BRUTEFORCE_MAX_N, CHI_METHODS, chi_estimate
 from .geometry import Condenser, boundary_samples, green_kernel, log_capacity
 from .measure import DiscreteMeasure, log_potential, to_json
-from .nwidth import g_theta_field, width_lower_bound, width_rate_predict
+from .nwidth import g_theta_field, width_rate_predict
 
 SCHEMA_VERSION = 1
 TASKS = ("equilibrium", "sweep", "chi", "nwidth", "balayage-demo", "validate")
@@ -52,7 +53,7 @@ class RunConfig:
     out: str = "."
     formats: list = dc_field(default_factory=lambda: ["json"])
     fixtures: bool = False
-    method: str = "auto"  # chi task: auto | bruteforce | asymptotic_pair
+    method: str = "auto"  # chi and nwidth tasks: one of extremal.CHI_METHODS
 
     def echo(self):
         return {k: v for k, v in to_json(self).items() if k not in ("out", "fixtures")}
@@ -139,8 +140,12 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("chi task requires an explicit seed")
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.task == "chi" and cfg.method == "bruteforce" and cfg.n > 6:
-        raise ConfigError(f"method bruteforce is restricted to n <= 6, got n = {cfg.n}")
+    if cfg.task in ("chi", "nwidth"):
+        if cfg.method not in CHI_METHODS:
+            raise ConfigError(f"unknown chi method {cfg.method!r}; choose one of {CHI_METHODS}")
+        if cfg.method == "bruteforce" and cfg.n > BRUTEFORCE_MAX_N:
+            raise ConfigError(f"method bruteforce is restricted to n <= {BRUTEFORCE_MAX_N}, "
+                              f"got n = {cfg.n}")
     if not set(cfg.formats) <= {"json", "csv"}:
         raise ConfigError("formats must be a subset of {json, csv}")
 
@@ -165,27 +170,16 @@ def _task_sweep(cfg: RunConfig):
 
 
 def _task_chi(cfg: RunConfig):
-    method = cfg.method
-    if method == "auto":
-        method = "bruteforce" if cfg.n <= 6 else "asymptotic_pair"
-    if method == "bruteforce":
-        est = chi_bruteforce(cfg.condenser, cfg.n, cfg.k, grid_n=cfg.grid_n,
-                             restarts=cfg.restarts, seed=cfg.seed)
-    elif method == "asymptotic_pair":
-        est = chi_asymptotic_pair(cfg.condenser, cfg.n, cfg.k, grid_n=min(cfg.grid_n, 2048),
-                                  seed=cfg.seed)
-    else:
-        raise ConfigError(f"unknown chi method {method!r}")
-    return {"chi": to_json(est)}, []
+    return {"chi": to_json(chi_estimate(cfg.condenser, cfg.n, cfg.k, cfg.method, cfg.grid_n,
+                                        cfg.restarts, cfg.seed))}, []
 
 
 def _task_nwidth(cfg: RunConfig):
     rep = width_rate_predict(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
                              seed=cfg.seed or 0)
-    bound = width_lower_bound(cfg.condenser, cfg.n, cfg.k,
-                              grid_n=min(cfg.grid_n, 2048), seed=cfg.seed or 0)
-    rate = float(np.log(max(bound, 5e-324)) / cfg.n)
-    rep = dc_replace(rep, chi_lower_bounds=[(cfg.n, cfg.k, rate)])
+    est = chi_estimate(cfg.condenser, cfg.n, cfg.k, cfg.method, cfg.grid_n, cfg.restarts,
+                       cfg.seed or 0)
+    rep = dc_replace(rep, chi_lower_bounds=[(cfg.n, cfg.k, est.log_rate_lower)])
     csv_files = []
     if "csv" in cfg.formats:
         lam = fekete_green(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
@@ -304,17 +298,17 @@ def _stable_dumps(obj) -> str:
 
 def run(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         cfg.condenser = cfg.condenser.validate(samples=max(512, min(cfg.grid_n, 4096)))
         task_fn = {"equilibrium": _task_equilibrium, "sweep": _task_sweep,
                    "chi": _task_chi, "nwidth": _task_nwidth,
                    "balayage-demo": _task_balayage_demo,
                    "validate": _task_validate}[cfg.task]
         payload, csv_files = task_fn(cfg)
-    except (ConfigError, GeometryValidationError, GridTooCoarse, UnsupportedCurve,
-            UnsupportedDomain) as exc:
+    except (ConfigError, FileExistsError, NotADirectoryError, GeometryValidationError,
+            GridTooCoarse, UnsupportedCurve, UnsupportedDomain) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -32,6 +32,9 @@ from .measure import (DiscreteMeasure, M_functional, log_abs, log_potential,
 
 _IMPROVE_EPS = 1e-13
 _MAX_SWEEPS = 40  # coordinate-descent budget of the chi estimators
+_SCAN_CAP = 2048  # largest scan grid of a chi estimator's scorer
+BRUTEFORCE_MAX_N = 6  # the nested search runs at n <= 6 only
+CHI_METHODS = ("auto", "bruteforce", "asymptotic_pair")
 # eval rows per block of the upper bounds, and rows of the base sum probed for
 # the lower bounds of move scores
 _ROW_BLOCK = 64
@@ -336,17 +339,14 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     maximum principle caps the ratio at 1), so chi = 1.  The inner sups that
     re-check a trial p are truncated at 6 sweeps on purpose and never warn.
     """
-    if n > 6:
-        raise ValueError("chi_bruteforce is restricted to n <= 6")
+    if n > BRUTEFORCE_MAX_N:
+        raise ValueError(f"chi_bruteforce is restricted to n <= {BRUTEFORCE_MAX_N}")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if k == 0:
-        return ChiEstimate(n=n, k=k, chi_upper=1.0, chi_lower=1.0,
-                           log_rate_upper=0.0, log_rate_lower=0.0,
-                           method="bruteforce",
-                           config=ZeroConfig((), (), n, k), converged=True)
+        return _estimate(n, k, 0.0, 0.0, "bruteforce", ZeroConfig((), (), n, k), True)
 
-    scorer = NormRatioScorer(c, grid_n=min(grid_n, 2048), gamma_cand_n=256,
+    scorer = NormRatioScorer(c, grid_n=min(grid_n, _SCAN_CAP), gamma_cand_n=256,
                              e_cand_n=160, budget=budget)
     rng = np.random.default_rng(seed)
     e_cands = scorer.cands["e"]
@@ -425,7 +425,7 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     q0 = [complex(z) for z in lam.points]
     p0 = [complex(z) for z in mu.points]
 
-    scorer = NormRatioScorer(c, grid_n=grid_n, gamma_cand_n=min(1024, grid_n),
+    scorer = NormRatioScorer(c, grid_n=min(grid_n, _SCAN_CAP), gamma_cand_n=min(1024, grid_n),
                              e_cand_n=256, budget=budget)
 
     log_upper, q_star, converged = _sup_over_q(scorer, p0, [q0])
@@ -447,6 +447,20 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
 
     return _estimate(n, k, log_upper, log_lower, "asymptotic_pair",
                      ZeroConfig(tuple(p_star), tuple(q_star), n, k), converged)
+
+
+def chi_estimate(c: Condenser, n: int, k: int, method: str = "auto", grid_n: int = 2048,
+                 restarts: int = 2, seed: int = 0) -> ChiEstimate:
+    """chi by one of CHI_METHODS; "auto" runs the nested search for n <=
+    BRUTEFORCE_MAX_N and the equilibrium pair otherwise.  restarts applies to
+    the nested search only; both cap their scan grids at _SCAN_CAP."""
+    if method == "auto":
+        method = "bruteforce" if n <= BRUTEFORCE_MAX_N else "asymptotic_pair"
+    if method == "bruteforce":
+        return chi_bruteforce(c, n, k, grid_n=grid_n, restarts=restarts, seed=seed)
+    if method == "asymptotic_pair":
+        return chi_asymptotic_pair(c, n, k, grid_n=grid_n, seed=seed)
+    raise ValueError(f"unknown chi method {method!r}; choose one of {CHI_METHODS}")
 
 
 def _estimate(n, k, log_upper, log_lower, method, config, converged) -> ChiEstimate:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .equilibrium import _ENDPOINT_TOL, condenser_capacity, m_theta
 from .errors import GridTooClose
-from .extremal import chi_asymptotic_pair, chi_bruteforce
+from .extremal import _SCAN_CAP, chi_estimate
 from .geometry import Condenser, green_pole_infinity
 from .measure import DiscreteMeasure, FieldGrid, green_potential
 
@@ -40,28 +40,20 @@ def width_rate_predict(c: Condenser, theta: float, n_points: int = 256,
     the headline number is the widom_rate.
     """
     _, m_field = m_theta(c, theta, n_points, grid_n, seed)
-    cap = condenser_capacity(c, m=min(256, max(8, grid_n // 16)), grid_n=grid_n, seed=seed)
+    cap = condenser_capacity(c, grid_n=grid_n, seed=seed)
     normalization = "per-k for theta=0" if theta <= _ENDPOINT_TOL else "per-n"
     return WidthReport(theta=float(theta), predicted_rate=m_field,
                        widom_rate=-1.0 / cap, chi_lower_bounds=[],
                        normalization=normalization)
 
 
-def width_lower_bound(c: Condenser, n: int, k: int, grid_n: int = 2048,
+def width_lower_bound(c: Condenser, n: int, k: int, grid_n: int = _SCAN_CAP,
                       seed: int = 0) -> float:
-    """chi-based lower bound for the width at (n, k): any candidate q gives
-    inf over p of the norm ratio, which sits below chi and hence below the
-    width.  Small n goes through the nested search, larger n through the
-    equilibrium pair.
-
-    The returned chi_lower is a descent estimate of that bound, not a
-    certified one: it is where a descent over p stops, which can lie above
-    the infimum over p."""
-    if n <= 6:
-        est = chi_bruteforce(c, n, k, grid_n=grid_n, seed=seed)
-    else:
-        est = chi_asymptotic_pair(c, n, k, grid_n=grid_n, seed=seed)
-    return est.chi_lower
+    """chi_lower of chi_estimate's "auto" method at (n, k), a lower bound for
+    the width: any q gives inf over p of the norm ratio <= chi <= width.  It
+    is a descent estimate, not a certified bound: a descent over p can stop
+    above the infimum over p."""
+    return chi_estimate(c, n, k, grid_n=grid_n, seed=seed).chi_lower
 
 
 def g_theta_field(c: Condenser, lambda_n: DiscreteMeasure, grid) -> FieldGrid:

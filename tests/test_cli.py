@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,9 @@ BASE = {
     "condenser": {"e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
                   "gamma": {"kind": "circle", "center": [0, 0], "radius": E_RADIUS}},
 }
+
+OFFSET = {"e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+          "gamma": {"kind": "circle", "center": [1, 0], "radius": 3.0}}
 
 
 def write_cfg(tmp_path, name="cfg.json", **extra):
@@ -156,6 +160,11 @@ def test_unknown_task_rejected(tmp_path):
     ("chi", {"n": 4, "k": 2.0}, "k must be an integer"),
     ("equilibrium", {"theta": "0.5"}, "must be numbers"),
     ("chi", {"n": 8, "k": 4, "method": "bruteforce"}, "restricted to n <= 6"),
+    ("chi", {"n": 4, "k": 2, "method": "newton"}, "unknown chi method 'newton'"),
+    ("nwidth", {"n": 4, "k": 2, "n_points": 16, "grid_n": 1024, "method": "newton"},
+     "unknown chi method 'newton'"),
+    ("nwidth", {"n": 8, "k": 4, "n_points": 16, "grid_n": 1024, "method": "bruteforce"},
+     "restricted to n <= 6"),
     ("balayage-demo", {"condenser": {
         "e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
         "gamma": {"kind": "ellipse", "center": [0, 0], "semi_axes": [3.0, 2.0]}},
@@ -212,7 +221,8 @@ def test_unknown_task_rejected(tmp_path):
         "gamma": {"kind": "polar", "center": [0, 0], "angles": ["a", 1, 2, 3],
                   "radii": [3, 3, 3, 3]}}},
         "malformed condenser section"),
-], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "balayage-ellipse",
+], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "chi-method-unknown",
+        "nwidth-method-unknown", "nwidth-bruteforce-n8", "balayage-ellipse",
         "negative-radius", "thetas-scalar", "formats-int", "formats-null", "chi-n0",
         "nwidth-n0", "thetas-nan", "out-int", "radius-nan", "center-nan", "semi-axes-nan",
         "curve-radius-inf", "polar-span", "chi-seed-negative", "equilibrium-seed-negative",
@@ -246,14 +256,50 @@ def test_bad_config_root_exits_2(tmp_path, capsys, root, message):
     assert "validation failure" in err and message in err
 
 
-def test_library_budget_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, theta=0.5, n_points=16, grid_n=1024)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        rc = main(["equilibrium", "--config", cfg, "--seed", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "validation failure" in err and str(taken) in err
+    assert taken.read_text() == ""
+
+
+def test_nwidth_rate_is_chi_log_rate_lower(tmp_path, monkeypatch):
     from condenser_widths import cli
+
+    cfg = write_cfg(tmp_path, condenser=OFFSET, n=16, k=8, n_points=16, grid_n=1024)
+    payloads = {}
+    for task in ("chi", "nwidth"):
+        assert main([task, "--config", cfg, "--seed", "0", "--out", str(tmp_path / task)]) == 0
+        payloads[task] = json.loads((tmp_path / task / "result.json").read_text())["payload"]
+    chi = payloads["chi"]["chi"]
+    assert chi["method"] == "asymptotic_pair"
+    assert payloads["nwidth"]["chi_lower_bounds"] == [[16, 8, chi["log_rate_lower"]]]
+
+    # the rate stays finite where chi_lower itself underflows to 0
+    def underflowed(c, n, k, *args):
+        return SimpleNamespace(chi_lower=0.0, log_rate_lower=-0.5)
+
+    monkeypatch.setattr(cli, "chi_estimate", underflowed)
+    cfg = write_cfg(tmp_path, condenser=OFFSET, n=1536, k=768, n_points=16, grid_n=1024)
+    out = tmp_path / "underflow"
+    assert main(["nwidth", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    payload = json.loads((out / "result.json").read_text())["payload"]
+    assert payload["chi_lower_bounds"] == [[1536, 768, -0.5]]
+
+
+def test_library_budget_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
+    from condenser_widths import extremal
     from condenser_widths.errors import BudgetExceeded
 
     def exhausted(*args, **kwargs):
         raise BudgetExceeded("ratio evaluation budget of 10 exhausted")
 
-    monkeypatch.setattr(cli, "chi_asymptotic_pair", exhausted)
+    monkeypatch.setattr(extremal, "chi_asymptotic_pair", exhausted)
     cfg = write_cfg(tmp_path, n=16, k=8, grid_n=1024, method="asymptotic_pair")
     out = tmp_path / "budget"
     rc = main(["chi", "--config", cfg, "--seed", "0", "--out", str(out)])
