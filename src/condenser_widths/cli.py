@@ -4,9 +4,10 @@
 
 Tasks: equilibrium, sweep, chi, nwidth, balayage-demo, validate; chi and nwidth
 both estimate chi through extremal.chi_estimate.  Exit codes: 0 success, 2
-validation failure (config, geometry, grid knobs, an out that names a file), 3
-numeric budget failure.  result.json is byte-identical across reruns with the
-same config and seed; wall time lives only in manifest.json.  --threads and the
+validation failure (config, geometry, grid knobs, an out that names a file, a
+payload holding a NaN or infinite float, which writes no file), 3 numeric
+budget failure.  result.json is byte-identical across reruns with the same
+config and seed; wall time lives only in manifest.json.  --threads and the
 threads config field are accepted and echoed but have no effect.
 """
 
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .balayage import balayage_to_E, balayage_to_gamma, counting_alpha_beta
-from .equilibrium import equilibrium_result, fekete_green, m_hat_theta, m_theta, theta_sweep
+from .equilibrium import (_theta_stage, equilibrium_result, fekete_green, m_hat_theta,
+                          m_theta, theta_sweep)
 from .errors import (BudgetExceeded, CondenserWidthsError, ConfigError,
                      GeometryValidationError, GridTooCoarse, UnsupportedCurve,
                      UnsupportedDomain)
@@ -175,15 +177,17 @@ def _task_chi(cfg: RunConfig):
 
 
 def _task_nwidth(cfg: RunConfig):
+    # field.csv draws the stage's lambda_n, so the stage runs once, here
+    stage = (_theta_stage(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n, cfg.seed or 0)
+             if "csv" in cfg.formats else None)
     rep = width_rate_predict(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
-                             seed=cfg.seed or 0)
+                             seed=cfg.seed or 0, stage=stage)
     est = chi_estimate(cfg.condenser, cfg.n, cfg.k, cfg.method, cfg.grid_n, cfg.restarts,
                        cfg.seed or 0)
     rep = dc_replace(rep, chi_lower_bounds=[(cfg.n, cfg.k, est.log_rate_lower)])
     csv_files = []
-    if "csv" in cfg.formats:
-        lam = fekete_green(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
-                           seed=cfg.seed or 0)
+    if stage is not None:
+        lam = stage.lam
         xs = np.linspace(-4.0, 4.0, 41)
         grid = np.array([complex(x, y) for y in xs for x in xs])
         if not lam.is_zero:
@@ -293,7 +297,8 @@ def _task_validate(cfg: RunConfig):
 
 
 def _stable_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Strict JSON: a NaN or infinite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
 def run(cfg: RunConfig) -> int:
@@ -315,9 +320,15 @@ def run(cfg: RunConfig) -> int:
         print(f"numeric budget failure: {exc}", file=sys.stderr)
         return 3
 
-    result = {"schema_version": SCHEMA_VERSION, "task": cfg.task, "payload": payload}
+    try:
+        result = _stable_dumps({"schema_version": SCHEMA_VERSION, "task": cfg.task,
+                                "payload": payload})
+    except ValueError as exc:
+        print(f"validation failure: the result holds a non-finite value ({exc}), as when "
+              f"|phi|^2 overflows on a curve far from a small plate", file=sys.stderr)
+        return 2
     if "json" in cfg.formats:
-        (outdir / "result.json").write_text(_stable_dumps(result) + "\n")
+        (outdir / "result.json").write_text(result + "\n")
     for name, rows in csv_files:
         with open(outdir / name, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)

@@ -10,15 +10,16 @@ vector, the field u = U_D^{lam_n} - g(., inf) on the curve grid:
 
 Their gap is a discretization residual and shrinks as the point count grows.
 
-Fekete points and the capacity configurations come from one exchange engine
-(_exchange_maximize), started from greedy insertion or from given grid
-slots.  A Fekete stage's full-grid exchange has one of three starts:
+Fekete points, and the two-level capacity fit's configurations, come from
+one exchange engine (_exchange_maximize), started from greedy insertion or
+from given grid slots.  A Fekete stage's full-grid exchange has one of three
+starts:
 
   density:         a disk plate inside a circle at theta <= theta*, where the
                    equilibrium has the closed form omega_inf - theta nu
                    (_density_cdf); atom i starts at the slot where its cdf
                    reaches i/m, counted from the density peak.
-  coarse_to_fine:  every other pair and theta, and every capacity level,
+  coarse_to_fine:  every other pair and theta, and every level of the fit,
                    while the halved grid (every other slot) still has at
                    least _COARSE_SLOTS slots per atom: that grid is solved
                    first, the same way, and its slots, prolonged to the even
@@ -40,6 +41,14 @@ both routes and the support) and returns one ThetaStage record, which keeps
 no kernel columns.  The support S_theta is the field within _support_tol of
 its minimum: one threshold, shared by equilibrium_result, theta_sweep and
 support_S_theta.
+
+Capacities: on a circle or ellipse curve, condenser_capacity and every
+cap(S_tau) of theta_sweep come from spectral.spectral_capacity (Nystrom on
+the whole curve, Chebyshev collocation on the support's parameter arcs), and
+no exchange runs for them.  A polar curve is only piecewise smooth, so its
+capacities keep the two-level fit (_capacity): the pair energies of m and
+m/2 equal atoms on the grid, with the (log m + b)/m defect of the
+diagonal-excluded sum fitted through both levels.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .errors import GridTooCoarse
 from .geometry import (Condenser, TWO_PI, green_pole_infinity, kernel_from_phi, kernel_parts,
                        log_capacity, boundary_samples, phi_exterior, sample_curve)
 from .measure import DiscreteMeasure, log_abs, log_potential
+from .spectral import CapacitySolve, spectral_capacity
 
 _ENDPOINT_TOL = 1e-12
 _ROW_BLOCK = 64  # atom rows of gamma_field's kernel built at a time
@@ -89,6 +99,7 @@ class SweepReport:
     integral_check_residual: float
     monotone_m: bool
     monotone_m_hat: bool
+    converged: list
 
     def csv_rows(self):
         """Rows for the documented CSV: theta, m_energy, m_field, m_hat, cap_S_tau, residuals."""
@@ -599,38 +610,67 @@ def _support_tol(theta: float, n_points: int, grid_n: int, field_min: float) -> 
     return 1e-2 * abs(field_min) + 1e-4 + 1.15 * ripple
 
 
-def _runs_to_arcs(params: np.ndarray, qualify: np.ndarray) -> list:
-    if np.all(qualify):
-        return [(0.0, TWO_PI)]
-    if not np.any(qualify):
-        return []
-    # cyclic runs of qualifying samples
+def _slot_runs(qualify: np.ndarray) -> list:
+    """(first, last) slots of each cyclic run of qualifying slots, in order of
+    first slot; a run through the last slot wraps to last < first."""
     q = qualify.astype(int)
     starts = np.nonzero(np.diff(np.concatenate([q[-1:], q])) == 1)[0]
     ends = np.nonzero(np.diff(np.concatenate([q, q[:1]])) == -1)[0]
-    arcs = []
-    for s in starts:
-        e = ends[ends >= s][0] if np.any(ends >= s) else ends[0]
-        arcs.append((float(params[s]), float(params[e])))
-    return arcs
+    return [(int(s), int(ends[ends >= s][0] if np.any(ends >= s) else ends[0]))
+            for s in starts]
+
+
+def _runs_to_arcs(params: np.ndarray, qualify: np.ndarray) -> list:
+    if np.all(qualify):
+        return [(0.0, TWO_PI)]
+    return [(float(params[s]), float(params[e])) for s, e in _slot_runs(qualify)]
 
 
 def condenser_capacity(c: Condenser, m: int = 256, grid_n: int = 4096,
                        seed: int = 0) -> float:
     """Condenser (Green) capacity of the curve against the plate.
 
-    Minimizes the pure pairwise Green energy of m equal atoms on the grid and
-    removes the leading (log m + const)/m defect of the diagonal-excluded sum
-    by a two-level fit at m and m/2, so the concentric anchors come out at the
-    1e-3 level with a few hundred points.
+    A circle or ellipse takes spectral_capacity's Nystrom solve, exact to
+    rounding; m, grid_n and seed are ignored there.  A polar curve is only
+    piecewise smooth, and takes _capacity's two-level fit of m and m/2
+    equal atoms on the grid_n-slot curve grid (seed orders the exchange),
+    good to about 1e-3 with a few hundred points.
     """
-    _, phi_g, _ = _curve_grid(c, grid_n)
-    return _capacity(phi_g, m, seed)
+    return _curve_capacity(c, m, grid_n, seed).cap
 
 
-def _capacity(phi_g: np.ndarray, m: int, seed: int) -> float:
-    """condenser_capacity's fit on the curve slots given by phi there: the
-    whole curve grid, or a sweep's support mask of it."""
+def _curve_capacity(c: Condenser, m: int, grid_n: int, seed: int) -> CapacitySolve:
+    """condenser_capacity with its solve's converged flag."""
+    if c.gamma.kind == "polar":
+        return _capacity(_curve_grid(c, grid_n)[1], m, seed)
+    return spectral_capacity(c)
+
+
+def _support_capacity(c: Condenser, stage: ThetaStage, seed: int) -> CapacitySolve:
+    """Capacity of a stage's support short of the whole curve.  On a circle
+    or ellipse each run of support slots is the parameter arc from half a
+    slot before its first slot to half a slot after its last; a polar curve
+    fits the capacity on the stage's phi at the support slots."""
+    if c.gamma.kind == "polar":
+        return _capacity(stage.phi[stage.support], 256, seed)
+    runs = _slot_runs(stage.support)
+    if not runs:
+        # only a NaN field leaves no slot within tol of its minimum
+        return CapacitySolve(float("nan"), False)
+    n = stage.support.size
+    step = TWO_PI / n
+    return spectral_capacity(c, [(stage.params[a] - 0.5 * step, ((b - a) % n + 1) * step)
+                                 for a, b in runs])
+
+
+def _capacity(phi_g: np.ndarray, m: int, seed: int) -> CapacitySolve:
+    """The two-level capacity fit on the curve slots given by phi there: the
+    whole curve grid, or a sweep's support mask of it.
+
+    Minimizes the pure pairwise Green energy of m1 = min(m, slots // 16) and
+    m1 // 2 equal atoms on the slots and removes the leading (log m + b)/m
+    defect of the diagonal-excluded sum by fitting it through both levels.
+    It has converged when both levels' exchanges have."""
     if m < 8:
         raise ValueError("condenser_capacity needs m >= 8")
     if phi_g.size < 32:
@@ -639,7 +679,8 @@ def _capacity(phi_g: np.ndarray, m: int, seed: int) -> float:
 
     m1 = min(m, phi_g.size // 16)
     m2 = m1 // 2
-    energies = {mm: _pair_energy(phi_g, g_inf, mm, seed) for mm in (m1, m2)}
+    levels = {mm: _pair_energy(phi_g, g_inf, mm, seed) for mm in (m1, m2)}
+    energies = {mm: energy for mm, (energy, _) in levels.items()}
 
     # fit E(m) = E_inf - (log m + b) / m through the two levels
     u1, u2 = 1.0 / m1, 1.0 / m2
@@ -648,17 +689,17 @@ def _capacity(phi_g: np.ndarray, m: int, seed: int) -> float:
     e_inf = energies[m1] + l1 + b * u1
     if e_inf <= 0:
         raise ValueError("capacity fit produced a nonpositive energy")
-    return float(1.0 / e_inf)
+    return CapacitySolve(float(1.0 / e_inf), all(ok for _, ok in levels.values()))
 
 
-def _pair_energy(phi_g: np.ndarray, g_inf: np.ndarray, m: int, seed: int) -> float:
-    """sum_{i != j} w_i w_j g(z_i, z_j) of m equal atoms minimizing it on the
-    slots, from the run's own columns; they are freed on return, before the
-    next level allocates its own."""
+def _pair_energy(phi_g: np.ndarray, g_inf: np.ndarray, m: int, seed: int):
+    """(sum_{i != j} w_i w_j g(z_i, z_j), converged) of m equal atoms
+    minimizing the sum on the slots, from the run's own columns; they are
+    freed on return, before the next level allocates its own."""
     run = _coarse_to_fine(phi_g, g_inf, m, 0.0, seed)
     _warn_unconverged(run, m, phi_g.size)
     w = np.full(m, 1.0 / m)
-    return float(w @ (w @ run.cols)[run.chosen])
+    return float(w @ (w @ run.cols)[run.chosen]), run.converged
 
 
 def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,
@@ -694,8 +735,9 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     """Constants, supports, and capacities over a strictly increasing theta grid.
 
     The support is the field within _support_tol of its minimum, as in
-    equilibrium_result.  A support short of the whole curve has its capacity
-    fitted on its own slots of the stage's curve grid.
+    equilibrium_result.  A support short of the whole curve has its own
+    capacity (_support_capacity), and converged[i] says that theta i's
+    full-grid exchange converged and its capacity solve settled.
 
     The integral residual compares m over the sweep range against the
     trapezoid integral of 1 / cp(S_tau, plate).
@@ -706,18 +748,18 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     if thetas[0] < 0 or thetas[-1] > 1:
         raise ValueError("thetas must lie in [0, 1]")
 
-    cap_full = condenser_capacity(c, 256, grid_n, seed)
-    m_e_list, m_f_list, m_hat_list, caps, arcs_list = [], [], [], [], []
+    cap_full = _curve_capacity(c, 256, grid_n, seed)
+    m_e_list, m_f_list, m_hat_list, caps, arcs_list, converged = [], [], [], [], [], []
     for theta in thetas:
         stage = _theta_stage(c, theta, n_points, grid_n, seed)
-        cap_tau = (cap_full if stage.support.all()
-                   else _capacity(stage.phi[stage.support], 256, seed))
+        cap_tau = cap_full if stage.support.all() else _support_capacity(c, stage, seed)
 
         m_e_list.append(stage.m_energy)
         m_f_list.append(stage.m_field)
         m_hat_list.append(m_hat_theta(c, stage.lam))
-        caps.append(cap_tau)
+        caps.append(cap_tau.cap)
         arcs_list.append(_runs_to_arcs(stage.params, stage.support))
+        converged.append(stage.converged and cap_tau.converged)
 
     integrand = np.array([1.0 / cp for cp in caps])
     steps = np.diff(np.array(thetas))
@@ -729,6 +771,7 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     monotone_m_hat = all(b > a - slack for a, b in zip(m_hat_list, m_hat_list[1:]))
 
     return SweepReport(thetas=thetas, m_theta_energy=m_e_list, m_theta_field=m_f_list,
-                       m_hat_theta=m_hat_list, cap_condenser=cap_full, cap_s_tau=caps,
+                       m_hat_theta=m_hat_list, cap_condenser=cap_full.cap, cap_s_tau=caps,
                        support_arcs=arcs_list, integral_check_residual=residual,
-                       monotone_m=monotone_m, monotone_m_hat=monotone_m_hat)
+                       monotone_m=monotone_m, monotone_m_hat=monotone_m_hat,
+                       converged=converged)

@@ -150,6 +150,18 @@ class CurveSpec:
             return self.center + r * np.exp(1j * t)
         raise UnsupportedCurve(f"unknown curve kind {self.kind!r}")
 
+    def velocity(self, t):
+        """dz/dt at parameter(s) t, for a circle or ellipse; a polar curve
+        interpolates its radius linearly and has no derivative at its table
+        angles."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == "circle":
+            return 1j * self.radius * np.exp(1j * t)
+        if self.kind == "ellipse":
+            a, b = self.semi_axes
+            return np.exp(1j * self.rotation) * (-a * np.sin(t) + 1j * b * np.cos(t))
+        raise UnsupportedCurve(f"no analytic velocity for curve kind {self.kind!r}")
+
     def _polar_radius(self, t):
         ang = np.asarray(self.polar_angles)
         rad = np.asarray(self.polar_radii)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _ENDPOINT_TOL, condenser_capacity, m_theta
+from .equilibrium import _ENDPOINT_TOL, ThetaStage, condenser_capacity, m_theta
 from .errors import GridTooClose
 from .extremal import _SCAN_CAP, chi_estimate
 from .geometry import Condenser, green_pole_infinity
@@ -32,14 +32,20 @@ class WidthReport:
 
 
 def width_rate_predict(c: Condenser, theta: float, n_points: int = 256,
-                       grid_n: int = 4096, seed: int = 0) -> WidthReport:
+                       grid_n: int = 4096, seed: int = 0,
+                       stage: ThetaStage | None = None) -> WidthReport:
     """Rate report at one theta.
 
     predicted_rate is the field-route curve constant; at theta = 0 the
     meaningful statement is per-k, so the report is flagged accordingly and
-    the headline number is the widom_rate.
+    the headline number is the widom_rate.  A caller that already ran the
+    Fekete stage at (theta, n_points, grid_n, seed) passes it as stage, and
+    its constant is used instead of a second stage.
     """
-    _, m_field = m_theta(c, theta, n_points, grid_n, seed)
+    if stage is None:
+        _, m_field = m_theta(c, theta, n_points, grid_n, seed)
+    else:
+        m_field = stage.m_field
     cap = condenser_capacity(c, grid_n=grid_n, seed=seed)
     normalization = "per-k for theta=0" if theta <= _ENDPOINT_TOL else "per-n"
     return WidthReport(theta=float(theta), predicted_rate=m_field,

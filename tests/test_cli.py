@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -307,3 +308,57 @@ def test_library_budget_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert "numeric budget failure" in err and "budget of 10 exhausted" in err
     assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("condenser", [
+    {"e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+     "gamma": {"kind": "circle", "center": [0, 0], "radius": 1e200}},
+    {"e": {"kind": "disk", "center": [0, 0], "radius": 1e-200},
+     "gamma": {"kind": "circle", "center": [1, 0], "radius": 3.0}},
+], ids=["curve-radius-1e200", "plate-radius-1e-200"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows that make the NaNs
+def test_non_finite_result_exits_2(tmp_path, capsys, condenser):
+    # |phi|^2 overflows on the curve, so the field and both constants are NaN
+    cfg = write_cfg(tmp_path, condenser=condenser, theta=0.5, n_points=16, grid_n=256)
+    out = tmp_path / "nan"
+    rc = main(["equilibrium", "--config", cfg, "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "validation failure" in err and "non-finite" in err
+    assert list(out.iterdir()) == []
+
+
+def test_nwidth_with_csv_runs_one_fekete_stage(tmp_path, monkeypatch, offset):
+    from condenser_widths import cli, equilibrium
+
+    stage = equilibrium._theta_stage
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return stage(*args)
+
+    monkeypatch.setattr(equilibrium, "_theta_stage", counted)
+    monkeypatch.setattr(cli, "_theta_stage", counted)
+    cfg = write_cfg(tmp_path, condenser=OFFSET, theta=0.3, n=4, k=2, n_points=64,
+                    grid_n=1024, formats=["json", "csv"])
+    out = tmp_path / "nw"
+    assert main(["nwidth", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    assert calls == [(0.3, 64, 1024, 0)]
+    payload = json.loads((out / "result.json").read_text())["payload"]
+    assert payload["predicted_rate"] == stage(offset, 0.3, 64, 1024, 0).m_field
+    assert len((out / "field.csv").read_text().splitlines()) > 1000
+
+
+def test_sweep_ending_at_theta_one_on_a_small_grid(tmp_path):
+    # the theta = 1 support holds fewer than 32 slots, which the capacity
+    # fit could not take; the spectral solve takes any arc
+    cfg = write_cfg(tmp_path, condenser=OFFSET, thetas=[0, 0.25, 0.5, 0.75, 1],
+                    n_points=16, grid_n=256)
+    out = tmp_path / "sw"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    payload = json.loads((out / "result.json").read_text())["payload"]
+    assert all(math.isfinite(cap) and cap > 0 for cap in payload["cap_s_tau"])
+    assert len(payload["converged"]) == 5

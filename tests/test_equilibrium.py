@@ -261,7 +261,7 @@ def test_exchange_budget_exhaustion_warns(offset, monkeypatch):
     with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = 32, grid_n = 1024"):
         fekete_green(offset, 0.5, 32, 1024, seed=0)
     with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = (16|8), grid_n = 512"):
-        condenser_capacity(offset, 16, 512)
+        eq._capacity(eq._curve_grid(offset, 512)[1], 16, 0)
 
 
 def test_coarse_started_stage_is_deterministic(offset):
@@ -313,7 +313,8 @@ def test_unconverged_warning_names_the_full_grid(offset, monkeypatch):
     for solve, levels, want in [
             (lambda: fekete_green(offset, 0.5, 32, 1024, seed=0), [256, 512, 1024],
              ["m = 32, grid_n = 1024"]),
-            (lambda: condenser_capacity(offset, 16, 512), [128, 256, 512, 64, 128, 256, 512],
+            (lambda: eq._capacity(eq._curve_grid(offset, 512)[1], 16, 0),
+             [128, 256, 512, 64, 128, 256, 512],
              ["m = 16, grid_n = 512", "m = 8, grid_n = 512"])]:
         grids.clear()
         with warnings.catch_warnings(record=True) as caught:

@@ -44,7 +44,8 @@ def test_capacity_level_matches_green_pair_energy(pair, m, part):
     g_inf = np.zeros(part)
     chosen = _coarse_to_fine(phi_g, g_inf, m, 0.0, 0).chosen
     want = green_pair_energy(phi_g[chosen], np.full(m, 1.0 / m))
-    assert abs(_pair_energy(phi_g, g_inf, m, 0) - want) <= 1e-14 * abs(want)
+    energy, converged = _pair_energy(phi_g, g_inf, m, 0)
+    assert converged and abs(energy - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))

@@ -72,8 +72,9 @@ def test_json_round_trip_is_bit_exact():
     (SweepReport(thetas=[0.0, 1.0], m_theta_energy=[0.0, -1.0], m_theta_field=[0.0, -1.0],
                  m_hat_theta=[-1.0, 0.0], cap_condenser=1.0, cap_s_tau=[1.0, 2.0],
                  support_arcs=[[(0.0, 6.0)], [(0.0, 1.0), (2.0, 3.0)]],
-                 integral_check_residual=0.0, monotone_m=True, monotone_m_hat=True),
-     {"support_arcs": [[[0.0, 6.0]], [[0.0, 1.0], [2.0, 3.0]]]}),
+                 integral_check_residual=0.0, monotone_m=True, monotone_m_hat=True,
+                 converged=[True, False]),
+     {"support_arcs": [[[0.0, 6.0]], [[0.0, 1.0], [2.0, 3.0]]], "converged": [True, False]}),
     (BalayageResult(swept=DiscreteMeasure([1j, 2.0], [0.5, 0.5]), shift_constant=0.25),
      {"swept": {"points": [[0.0, 1.0], [2.0, 0.0]], "weights": [0.5, 0.5]},
       "shift_constant": 0.25}),
