@@ -37,6 +37,7 @@ from .nwidth import g_theta_field, width_rate_predict
 
 SCHEMA_VERSION = 1
 TASKS = ("equilibrium", "sweep", "chi", "nwidth", "balayage-demo", "validate")
+SWEEP_MAX_POINTS = 160  # a sweep's Fekete stages take min(n_points, this) atoms
 
 
 @dataclass
@@ -131,9 +132,10 @@ def _validate_config(cfg: RunConfig):
         # surfaced as suite items rather than rejected up front
         if cfg.grid_n < 64:
             raise ConfigError("grid_n must be >= 64")
-        if cfg.task in ("equilibrium", "sweep", "nwidth") and cfg.grid_n < 16 * cfg.n_points:
-            raise ConfigError(f"grid_n = {cfg.grid_n} too coarse for n_points = "
-                              f"{cfg.n_points} (need grid_n >= 16 * n_points)")
+        atoms = min(cfg.n_points, SWEEP_MAX_POINTS) if cfg.task == "sweep" else cfg.n_points
+        if cfg.task in ("equilibrium", "sweep", "nwidth") and cfg.grid_n < 16 * atoms:
+            raise ConfigError(f"grid_n = {cfg.grid_n} too coarse for {atoms} atoms "
+                              f"(need grid_n >= 16 * {atoms})")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
     if not 0 <= cfg.k <= cfg.n:
@@ -163,7 +165,7 @@ def _task_equilibrium(cfg: RunConfig):
 
 
 def _task_sweep(cfg: RunConfig):
-    rep = theta_sweep(cfg.condenser, cfg.thetas, n_points=min(cfg.n_points, 160),
+    rep = theta_sweep(cfg.condenser, cfg.thetas, n_points=min(cfg.n_points, SWEEP_MAX_POINTS),
                       grid_n=cfg.grid_n, seed=cfg.seed or 0)
     csv_files = []
     if "csv" in cfg.formats:

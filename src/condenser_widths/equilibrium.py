@@ -10,20 +10,19 @@ vector, the field u = U_D^{lam_n} - g(., inf) on the curve grid:
 
 Their gap is a discretization residual and shrinks as the point count grows.
 
-Fekete points, and the two-level capacity fit's configurations, come from
-one exchange engine (_exchange_maximize), started from greedy insertion or
-from given grid slots.  A Fekete stage's full-grid exchange has one of three
-starts:
+Fekete points come from one exchange engine (_exchange_maximize), started
+from greedy insertion or from given grid slots.  A Fekete stage's full-grid
+exchange has one of three starts:
 
   density:         a disk plate inside a circle at theta <= theta*, where the
                    equilibrium has the closed form omega_inf - theta nu
                    (_density_cdf); atom i starts at the slot where its cdf
                    reaches i/m, counted from the density peak.
-  coarse_to_fine:  every other pair and theta, and every level of the fit,
-                   while the halved grid (every other slot) still has at
-                   least _COARSE_SLOTS slots per atom: that grid is solved
-                   first, the same way, and its slots, prolonged to the even
-                   slots of the full grid, start the full-grid exchange.
+  coarse_to_fine:  every other pair and theta, while the halved grid (every
+                   other slot) still has at least _COARSE_SLOTS slots per
+                   atom: that grid is solved first, the same way, and its
+                   slots, prolonged to the even slots of the full grid, start
+                   the full-grid exchange.
   greedy:          the coarsest level, where the grid cannot be halved.
 
 The start is picked from the geometry and theta alone; the exchange then runs
@@ -42,13 +41,10 @@ no kernel columns.  The support S_theta is the field within _support_tol of
 its minimum: one threshold, shared by equilibrium_result, theta_sweep and
 support_S_theta.
 
-Capacities: on a circle or ellipse curve, condenser_capacity and every
-cap(S_tau) of theta_sweep come from spectral.spectral_capacity (Nystrom on
-the whole curve, Chebyshev collocation on the support's parameter arcs), and
-no exchange runs for them.  A polar curve is only piecewise smooth, so its
-capacities keep the two-level fit (_capacity): the pair energies of m and
-m/2 equal atoms on the grid, with the (log m + b)/m defect of the
-diagonal-excluded sum fitted through both levels.
+Capacities: condenser_capacity and every cap(S_tau) of theta_sweep come
+from spectral.spectral_capacity (Nystrom on the whole curve, Chebyshev
+collocation on the support's parameter arcs), on every curve kind, and no
+exchange runs for them.
 """
 
 from __future__ import annotations
@@ -500,15 +496,14 @@ def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
 
 class ThetaStage(NamedTuple):
     """One Fekete stage at theta: lambda_n, both curve constants, and the
-    curve field and its support on the stage's curve grid (parameters and phi
-    at the samples), with the full-grid exchange's counts, converged flag and
+    curve field and its support on the stage's curve grid (at the grid's
+    parameters), with the full-grid exchange's counts, converged flag and
     start: "density", "coarse_to_fine", "greedy", or "none" at theta = 1."""
 
     lam: DiscreteMeasure
     m_energy: float
     m_field: float
     params: np.ndarray
-    phi: np.ndarray
     vals: np.ndarray
     field_min: float
     support: np.ndarray
@@ -536,7 +531,7 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
     """
     if theta >= 1.0 - _ENDPOINT_TOL:
         # theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
-        samples, phi_g, g_inf = _curve_grid(c, grid_n)
+        samples, _, g_inf = _curve_grid(c, grid_n)
         lam, vals = DiscreteMeasure.zero(), -g_inf
         field_min = float(np.min(vals))
         m_energy = m_field = field_min
@@ -572,8 +567,7 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
             m_energy, m_field = float(lam.weights @ at_atoms) / (1.0 - theta), field_min
         counts = run.passes, run.moves, run.full_scans, run.converged, start
     support = _support_mask(vals, field_min, _support_tol(theta, m, grid_n, field_min))
-    return ThetaStage(lam, m_energy, m_field, samples.params, phi_g, vals, field_min, support,
-                      *counts)
+    return ThetaStage(lam, m_energy, m_field, samples.params, vals, field_min, support, *counts)
 
 
 def m_hat_theta(c: Condenser, lambda_n: DiscreteMeasure) -> float:
@@ -626,33 +620,17 @@ def _runs_to_arcs(params: np.ndarray, qualify: np.ndarray) -> list:
     return [(float(params[s]), float(params[e])) for s, e in _slot_runs(qualify)]
 
 
-def condenser_capacity(c: Condenser, m: int = 256, grid_n: int = 4096,
-                       seed: int = 0) -> float:
-    """Condenser (Green) capacity of the curve against the plate.
-
-    A circle or ellipse takes spectral_capacity's Nystrom solve, exact to
-    rounding; m, grid_n and seed are ignored there.  A polar curve is only
-    piecewise smooth, and takes _capacity's two-level fit of m and m/2
-    equal atoms on the grid_n-slot curve grid (seed orders the exchange),
-    good to about 1e-3 with a few hundred points.
-    """
-    return _curve_capacity(c, m, grid_n, seed).cap
+def condenser_capacity(c: Condenser) -> float:
+    """Condenser (Green) capacity of the curve against the plate, by
+    spectral_capacity: exact to rounding on a circle or ellipse, and slower
+    to converge on a polar curve, whose corners make the rate algebraic."""
+    return spectral_capacity(c).cap
 
 
-def _curve_capacity(c: Condenser, m: int, grid_n: int, seed: int) -> CapacitySolve:
-    """condenser_capacity with its solve's converged flag."""
-    if c.gamma.kind == "polar":
-        return _capacity(_curve_grid(c, grid_n)[1], m, seed)
-    return spectral_capacity(c)
-
-
-def _support_capacity(c: Condenser, stage: ThetaStage, seed: int) -> CapacitySolve:
-    """Capacity of a stage's support short of the whole curve.  On a circle
-    or ellipse each run of support slots is the parameter arc from half a
-    slot before its first slot to half a slot after its last; a polar curve
-    fits the capacity on the stage's phi at the support slots."""
-    if c.gamma.kind == "polar":
-        return _capacity(stage.phi[stage.support], 256, seed)
+def _support_capacity(c: Condenser, stage: ThetaStage) -> CapacitySolve:
+    """Capacity of a stage's support short of the whole curve: each run of
+    support slots is the parameter arc from half a slot before its first
+    slot to half a slot after its last."""
     runs = _slot_runs(stage.support)
     if not runs:
         # only a NaN field leaves no slot within tol of its minimum
@@ -661,45 +639,6 @@ def _support_capacity(c: Condenser, stage: ThetaStage, seed: int) -> CapacitySol
     step = TWO_PI / n
     return spectral_capacity(c, [(stage.params[a] - 0.5 * step, ((b - a) % n + 1) * step)
                                  for a, b in runs])
-
-
-def _capacity(phi_g: np.ndarray, m: int, seed: int) -> CapacitySolve:
-    """The two-level capacity fit on the curve slots given by phi there: the
-    whole curve grid, or a sweep's support mask of it.
-
-    Minimizes the pure pairwise Green energy of m1 = min(m, slots // 16) and
-    m1 // 2 equal atoms on the slots and removes the leading (log m + b)/m
-    defect of the diagonal-excluded sum by fitting it through both levels.
-    It has converged when both levels' exchanges have."""
-    if m < 8:
-        raise ValueError("condenser_capacity needs m >= 8")
-    if phi_g.size < 32:
-        raise GridTooCoarse("capacity support contains fewer than 32 grid samples")
-    g_inf = np.zeros(phi_g.size)
-
-    m1 = min(m, phi_g.size // 16)
-    m2 = m1 // 2
-    levels = {mm: _pair_energy(phi_g, g_inf, mm, seed) for mm in (m1, m2)}
-    energies = {mm: energy for mm, (energy, _) in levels.items()}
-
-    # fit E(m) = E_inf - (log m + b) / m through the two levels
-    u1, u2 = 1.0 / m1, 1.0 / m2
-    l1, l2 = np.log(m1) / m1, np.log(m2) / m2
-    b = (l2 - l1 + energies[m2] - energies[m1]) / (u1 - u2)
-    e_inf = energies[m1] + l1 + b * u1
-    if e_inf <= 0:
-        raise ValueError("capacity fit produced a nonpositive energy")
-    return CapacitySolve(float(1.0 / e_inf), all(ok for _, ok in levels.values()))
-
-
-def _pair_energy(phi_g: np.ndarray, g_inf: np.ndarray, m: int, seed: int):
-    """(sum_{i != j} w_i w_j g(z_i, z_j), converged) of m equal atoms
-    minimizing the sum on the slots, from the run's own columns; they are
-    freed on return, before the next level allocates its own."""
-    run = _coarse_to_fine(phi_g, g_inf, m, 0.0, seed)
-    _warn_unconverged(run, m, phi_g.size)
-    w = np.full(m, 1.0 / m)
-    return float(w @ (w @ run.cols)[run.chosen]), run.converged
 
 
 def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,
@@ -748,11 +687,11 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     if thetas[0] < 0 or thetas[-1] > 1:
         raise ValueError("thetas must lie in [0, 1]")
 
-    cap_full = _curve_capacity(c, 256, grid_n, seed)
+    cap_full = spectral_capacity(c)
     m_e_list, m_f_list, m_hat_list, caps, arcs_list, converged = [], [], [], [], [], []
     for theta in thetas:
         stage = _theta_stage(c, theta, n_points, grid_n, seed)
-        cap_tau = cap_full if stage.support.all() else _support_capacity(c, stage, seed)
+        cap_tau = cap_full if stage.support.all() else _support_capacity(c, stage)
 
         m_e_list.append(stage.m_energy)
         m_f_list.append(stage.m_field)

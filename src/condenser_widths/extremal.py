@@ -88,7 +88,7 @@ def log_ratio_norms(zc: ZeroConfig, c: Condenser, grid_n: int = 4096) -> float:
     zeros = list(zc.p_zeros) + list(zc.q_zeros)
     if not zeros:
         return 0.0
-    return M_functional(DiscreteMeasure(zeros, np.ones(len(zeros))), c, grid_n, grid_n)
+    return M_functional(DiscreteMeasure(zeros, np.ones(len(zeros))), c, grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ class NormRatioScorer:
     def __init__(self, c: Condenser, grid_n: int = 2048, gamma_cand_n: int = 512,
                  e_cand_n: int = 192, budget: int = 10 ** 9):
         self.condenser = c
-        self.gamma_eval, self.e_eval = minimax_scan_sets(c, grid_n, grid_n)
+        self.gamma_eval, self.e_eval = minimax_scan_sets(c, grid_n)
         self.cands = {"gamma": sample_curve(c.gamma, gamma_cand_n).points,
                       "e": _plate_candidates(c, e_cand_n)}
         # candidate-major: row c holds log|cand_c - eval| over one eval set,

@@ -33,6 +33,10 @@ import numpy as np
 from .errors import CoincidentPole, GeometryValidationError, UnsupportedCurve
 
 TWO_PI = 2.0 * np.pi
+_BOUNDARY_CHECKS = 256  # plate boundary samples whose winding number validate checks
+_JORDAN_SAMPLES = 512   # most curve samples of validate's self-intersection check
+# the kernel's s_z * s_t overflows once |phi| on the curve passes DBL_MAX^(1/4)
+_G_INF_MAX = np.log(np.finfo(float).max) / 4.0
 
 
 def _check_finite(what: str, *numbers):
@@ -151,16 +155,22 @@ class CurveSpec:
         raise UnsupportedCurve(f"unknown curve kind {self.kind!r}")
 
     def velocity(self, t):
-        """dz/dt at parameter(s) t, for a circle or ellipse; a polar curve
-        interpolates its radius linearly and has no derivative at its table
-        angles."""
+        """dz/dt at parameter(s) t.  A polar curve interpolates its radius
+        linearly, so r' is the slope of the table segment that holds t (the
+        segment that starts there, at a table angle): dz/dt = (r' + i r) e^{it}."""
         t = np.asarray(t, dtype=float)
         if self.kind == "circle":
             return 1j * self.radius * np.exp(1j * t)
         if self.kind == "ellipse":
             a, b = self.semi_axes
             return np.exp(1j * self.rotation) * (-a * np.sin(t) + 1j * b * np.cos(t))
-        raise UnsupportedCurve(f"no analytic velocity for curve kind {self.kind!r}")
+        if self.kind == "polar":
+            ang = np.append(self.polar_angles, self.polar_angles[0] + TWO_PI)
+            slope = np.diff(np.append(self.polar_radii, self.polar_radii[0])) / np.diff(ang)
+            seg = np.searchsorted(ang, np.mod(t - ang[0], TWO_PI) + ang[0], side="right") - 1
+            r = self._polar_radius(t)
+            return (slope[np.minimum(seg, slope.size - 1)] + 1j * r) * np.exp(1j * t)
+        raise UnsupportedCurve(f"unknown curve kind {self.kind!r}")
 
     def _polar_radius(self, t):
         ang = np.asarray(self.polar_angles)
@@ -381,8 +391,7 @@ class Condenser:
     gamma: CurveSpec
     validated: bool = field(default=False, compare=False)
 
-    def validate(self, samples: int = 4096, boundary_checks: int = 256,
-                 jordan_samples: int = 512) -> "Condenser":
+    def validate(self, samples: int = 4096) -> "Condenser":
         """Run the sampled geometric checks; raises GeometryValidationError on failure."""
         curve = sample_curve(self.gamma, samples).points
 
@@ -391,17 +400,21 @@ class Condenser:
             raise GeometryValidationError(
                 "winding/positivity check failed: Gamma touches or intersects E "
                 "(min over curve samples of g(.,inf) is not positive)")
+        if np.max(g) >= _G_INF_MAX:
+            raise GeometryValidationError(
+                f"scale check failed: max over curve samples of g(.,inf) is {np.max(g):.6g} "
+                f">= {_G_INF_MAX:.6g}, where the Green kernel would be non-finite")
 
         if winding_number(curve, self.e_domain.midpoint) != 1:
             raise GeometryValidationError(
                 "winding-number check failed: Gamma does not wind once around E")
 
-        for z in boundary_samples(self.e_domain, boundary_checks):
+        for z in boundary_samples(self.e_domain, _BOUNDARY_CHECKS):
             if winding_number(curve, z) != 1:
                 raise GeometryValidationError(
                     f"winding-number check failed at E boundary sample {z}")
 
-        if not _jordan_check(sample_curve(self.gamma, min(samples, jordan_samples)).points):
+        if not _jordan_check(sample_curve(self.gamma, min(samples, _JORDAN_SAMPLES)).points):
             raise GeometryValidationError("Jordan check failed: sampled curve self-intersects")
 
         return Condenser(self.e_domain, self.gamma, validated=True)

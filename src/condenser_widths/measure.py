@@ -17,6 +17,7 @@ from .geometry import (Condenser, EDomain, boundary_samples, green_pole_infinity
 LOG_CLAMP = 1e-300
 _CHUNK_ENTRIES = 2 ** 16  # points x atoms entries of one potential-scan chunk
 _PAIR_BLOCK = 64  # atom rows of the pair-energy kernel built at a time
+_SPOTS = 64  # interior spot checks in the plate's scan set
 
 
 def log_abs(diff):
@@ -244,25 +245,23 @@ def energy_I(mu: DiscreteMeasure, lambda_theta: DiscreteMeasure, theta: float) -
 # minimax functional
 
 
-def minimax_scan_sets(c: Condenser, gamma_grid_n: int = 4096, e_grid_n: int = 4096,
-                      spots: int = 64):
+def minimax_scan_sets(c: Condenser, grid_n: int = 4096):
     """Evaluation sets used by M and by polynomial norm ratios.
 
-    Returns (curve samples, plate samples) where the plate set is the boundary
-    grid plus interior spot checks.  Both M_functional and the norm-ratio
-    evaluation scan exactly these sets, which keeps the two sides of the
-    log-norm identity in exact agreement.
+    Returns (curve samples, plate samples), grid_n of each, where the plate
+    set is the boundary grid plus _SPOTS interior spot checks.  Both
+    M_functional and the norm-ratio evaluation scan exactly these sets, which
+    keeps the two sides of the log-norm identity in exact agreement.
     """
-    gamma_pts = sample_curve(c.gamma, gamma_grid_n).points
-    e_pts = boundary_samples(c.e_domain, e_grid_n)
-    sp = interior_spots(c.e_domain, spots)
+    gamma_pts = sample_curve(c.gamma, grid_n).points
+    e_pts = boundary_samples(c.e_domain, grid_n)
+    sp = interior_spots(c.e_domain, _SPOTS)
     if sp.size:
         e_pts = np.concatenate([e_pts, sp])
     return gamma_pts, e_pts
 
 
-def M_functional(sigma: DiscreteMeasure, c: Condenser,
-                 gamma_grid_n: int = 4096, e_grid_n: int = 4096) -> float:
+def M_functional(sigma: DiscreteMeasure, c: Condenser, grid_n: int = 4096) -> float:
     """M(sigma) = min over curve samples of U^sigma - min over plate samples.
 
     U^sigma is superharmonic, so its minimum over the plate sits on the
@@ -271,7 +270,7 @@ def M_functional(sigma: DiscreteMeasure, c: Condenser,
     """
     if sigma.is_zero:
         raise EmptyMeasure("M is undefined for the zero measure")
-    gamma_pts, e_pts = minimax_scan_sets(c, gamma_grid_n, e_grid_n)
+    gamma_pts, e_pts = minimax_scan_sets(c, grid_n)
     u_gamma = log_potential(sigma, gamma_pts)
     u_e = log_potential(sigma, e_pts)
     return float(np.min(u_gamma) - np.min(u_e))

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _ENDPOINT_TOL, ThetaStage, condenser_capacity, m_theta
+from .equilibrium import _ENDPOINT_TOL, ThetaStage, m_theta
 from .errors import GridTooClose
 from .extremal import _SCAN_CAP, chi_estimate
 from .geometry import Condenser, green_pole_infinity
 from .measure import DiscreteMeasure, FieldGrid, green_potential
+from .spectral import spectral_capacity
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ def width_rate_predict(c: Condenser, theta: float, n_points: int = 256,
         _, m_field = m_theta(c, theta, n_points, grid_n, seed)
     else:
         m_field = stage.m_field
-    cap = condenser_capacity(c, grid_n=grid_n, seed=seed)
+    cap = spectral_capacity(c).cap
     normalization = "per-k for theta=0" if theta <= _ENDPOINT_TOL else "per-n"
     return WidthReport(theta=float(theta), predicted_rate=m_field,
                        widom_rate=-1.0 / cap, chi_lower_bounds=[],

@@ -1,11 +1,11 @@
-"""Spectral condenser capacities on smooth curves.
+"""Spectral condenser capacities, on every curve kind.
 
 The condenser capacity of a compact part S of the curve against the plate is
 1/V, where the unit measure nu on S has constant Green potential
-V = int g(., s) dnu(s) on S.  On a circle or ellipse the kernel
-g(z(t), z(s)) of the curve's parameterization splits into a logarithmic
-singularity and a smooth remainder, and each part gets the quadrature that
-converges spectrally for it:
+V = int g(., s) dnu(s) on S.  The kernel g(z(t), z(s)) of the curve's
+parameterization splits into a logarithmic singularity and a remainder, and
+each part gets the quadrature that converges spectrally for it where the
+remainder is smooth:
 
   closed curve (Nystrom; R. Kress, Linear Integral Equations, 3rd ed.,
   2014, Sec. 12.3):  the density at N equispaced parameters.  The singular
@@ -28,8 +28,10 @@ converges spectrally for it:
 
 Either way the system A f = 1, collocated at the nodes, is the
 unit-mass system rescaled: f / mass(f) has potential 1 / mass(f), so the
-capacity is the mass of f.  |d phi/dt| is the curve's analytic velocity
-times phi' (1/r on a disk, 4 phi^2 / ((b - a)(phi^2 - 1)) on a segment).
+capacity is the mass of f.  |d phi/dt| is the curve's velocity times phi'
+(1/r on a disk, 4 phi^2 / ((b - a)(phi^2 - 1)) on a segment).  A polar
+curve's velocity jumps at its table angles, so its capacity converges only
+algebraically.
 
 Node counts double, from _FIRST_NODES per arc (twice that on the closed
 curve), until the capacity moves by at most _REL_TOL relative; a solve whose
@@ -37,9 +39,9 @@ next doubling would pass _MAX_UNKNOWNS keeps its last value and reports
 converged = False; a support of more than _MAX_UNKNOWNS / _FIRST_NODES
 arcs gets a single solve, below _FIRST_NODES nodes per arc.  The budget
 bounds memory: the LU solve copies the matrix and works in BLAS buffers
-besides, so a solve holds a few times the matrix's 2 MiB, no more than the
-two-level fit's kernel columns.  The matrix is assembled _ROW_BLOCK rows at
-a time, so no kernel temporary outgrows a row block.
+besides, so a solve holds a few times the matrix's 2 MiB.  The matrix is
+assembled _ROW_BLOCK rows at a time, so no kernel temporary outgrows a row
+block.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ _ROW_BLOCK = 128      # matrix rows whose kernel is built at a time
 
 
 class CapacitySolve(NamedTuple):
-    """A capacity and whether its solve settled: for spectral_capacity,
-    False when the node doubling reached the unknown budget first; for the
-    two-level fit of a polar curve, whether both exchange runs converged."""
+    """A capacity and whether its solve settled: False when the node
+    doubling reached the unknown budget first, the usual outcome on a polar
+    curve, whose corners make the convergence algebraic."""
 
     cap: float
     converged: bool
@@ -138,8 +140,8 @@ def _arcs_solve(c: Condenser, arcs, n: int) -> float:
 
 
 def spectral_capacity(c: Condenser, arcs=None) -> CapacitySolve:
-    """Condenser capacity of the whole curve (arcs None), or of the parameter
-    arcs (start, length) of a circle or ellipse curve, against the plate."""
+    """Condenser capacity of the whole curve (arcs None), or of its parameter
+    arcs (start, length), against the plate."""
     def solve(nodes):
         return _closed_solve(c, nodes) if arcs is None else _arcs_solve(c, arcs, nodes)
 

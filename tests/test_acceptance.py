@@ -54,8 +54,8 @@ def test_criterion_02_endpoints(concentric, offset, segment_pair):
 
 def test_criterion_03_capacity_and_slope(concentric, concentric_e2,
                                          concentric_m_small_theta):
-    cap1 = condenser_capacity(concentric, 256, 4096)
-    cap2 = condenser_capacity(concentric_e2, 256, 4096)
+    cap1 = condenser_capacity(concentric)
+    cap2 = condenser_capacity(concentric_e2)
     _, m_f = concentric_m_small_theta
     slope_err = abs(m_f / 0.05 + 1.0 / cap1) * cap1
     checks = [

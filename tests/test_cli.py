@@ -17,6 +17,10 @@ BASE = {
 OFFSET = {"e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
           "gamma": {"kind": "circle", "center": [1, 0], "radius": 3.0}}
 
+POLAR = {"e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+         "gamma": {"kind": "polar", "center": [0, 0], "angles": [0, 1.5, 3, 4.5],
+                   "radii": [2.5, 3.2, 2.2, 3.0]}}
+
 
 def write_cfg(tmp_path, name="cfg.json", **extra):
     cfg = dict(BASE)
@@ -315,10 +319,14 @@ def test_library_budget_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
      "gamma": {"kind": "circle", "center": [0, 0], "radius": 1e200}},
     {"e": {"kind": "disk", "center": [0, 0], "radius": 1e-200},
      "gamma": {"kind": "circle", "center": [1, 0], "radius": 3.0}},
-], ids=["curve-radius-1e200", "plate-radius-1e-200"])
+    {"e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+     "gamma": {"kind": "polar", "center": [0, 0], "angles": [0, 1.5, 3, 4.5],
+               "radii": [1e300, 3, 3, 3]}},
+], ids=["curve-radius-1e200", "plate-radius-1e-200", "polar-radius-1e300"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows that make the NaNs
 def test_non_finite_result_exits_2(tmp_path, capsys, condenser):
-    # |phi|^2 overflows on the curve, so the field and both constants are NaN
+    # |phi|^2 overflows on the curve, so the field and both constants would be
+    # NaN; validation rejects the geometry first
     cfg = write_cfg(tmp_path, condenser=condenser, theta=0.5, n_points=16, grid_n=256)
     out = tmp_path / "nan"
     rc = main(["equilibrium", "--config", cfg, "--seed", "0", "--out", str(out)])
@@ -350,10 +358,11 @@ def test_nwidth_with_csv_runs_one_fekete_stage(tmp_path, monkeypatch, offset):
     assert len((out / "field.csv").read_text().splitlines()) > 1000
 
 
-def test_sweep_ending_at_theta_one_on_a_small_grid(tmp_path):
+@pytest.mark.parametrize("condenser", [OFFSET, POLAR], ids=["offset", "polar"])
+def test_sweep_ending_at_theta_one_on_a_small_grid(tmp_path, condenser):
     # the theta = 1 support holds fewer than 32 slots, which the capacity
     # fit could not take; the spectral solve takes any arc
-    cfg = write_cfg(tmp_path, condenser=OFFSET, thetas=[0, 0.25, 0.5, 0.75, 1],
+    cfg = write_cfg(tmp_path, condenser=condenser, thetas=[0, 0.25, 0.5, 0.75, 1],
                     n_points=16, grid_n=256)
     out = tmp_path / "sw"
     with warnings.catch_warnings():
@@ -362,3 +371,14 @@ def test_sweep_ending_at_theta_one_on_a_small_grid(tmp_path):
     payload = json.loads((out / "result.json").read_text())["payload"]
     assert all(math.isfinite(cap) and cap > 0 for cap in payload["cap_s_tau"])
     assert len(payload["converged"]) == 5
+
+
+def test_sweep_grid_check_counts_the_atoms_it_runs(tmp_path, capsys):
+    # a sweep runs at most SWEEP_MAX_POINTS = 160 atoms, which 2560 slots hold
+    out = tmp_path / "sw"
+    for grid_n, rc in ((2559, 2), (2560, 0)):
+        cfg = write_cfg(tmp_path, condenser=OFFSET, thetas=[0.3, 0.6], n_points=300,
+                        grid_n=grid_n)
+        assert main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)]) == rc
+    assert "too coarse for 160 atoms" in capsys.readouterr().err
+    assert len(json.loads((out / "result.json").read_text())["payload"]["thetas"]) == 2

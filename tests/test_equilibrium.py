@@ -7,6 +7,7 @@ from condenser_widths import (DiscreteMeasure, condenser_capacity, equilibrium_r
 from condenser_widths.equilibrium import (_runs_to_arcs, _support_mask, _support_tol,
                                           gamma_field)
 from condenser_widths.errors import GridTooCoarse
+from test_spectral_capacity import _capacity
 
 TWO_PI = 2 * np.pi
 
@@ -167,12 +168,12 @@ def test_support_nesting_offset(offset):
 
 
 def test_condenser_capacity_anchors(concentric, concentric_e2):
-    assert abs(condenser_capacity(concentric, 256, 4096) - 1.0) <= 1e-3
-    assert abs(condenser_capacity(concentric_e2, 256, 4096) - 0.5) <= 1e-3
+    assert abs(condenser_capacity(concentric) - 1.0) <= 1e-3
+    assert abs(condenser_capacity(concentric_e2) - 0.5) <= 1e-3
 
 
 def test_condenser_capacity_offset_vs_slope_oracle(offset):
-    cap = condenser_capacity(offset, 256, 4096)
+    cap = condenser_capacity(offset)
     # independent oracle 1: the Moebius modulus of the circle pair; the points
     # inverse with respect to both circles solve a^2 + 7a + 1 = 0, which puts
     # the equivalent round annulus ratio at the square of the golden ratio
@@ -261,7 +262,7 @@ def test_exchange_budget_exhaustion_warns(offset, monkeypatch):
     with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = 32, grid_n = 1024"):
         fekete_green(offset, 0.5, 32, 1024, seed=0)
     with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = (16|8), grid_n = 512"):
-        eq._capacity(eq._curve_grid(offset, 512)[1], 16, 0)
+        _capacity(eq._curve_grid(offset, 512)[1], 16, 0)
 
 
 def test_coarse_started_stage_is_deterministic(offset):
@@ -313,7 +314,7 @@ def test_unconverged_warning_names_the_full_grid(offset, monkeypatch):
     for solve, levels, want in [
             (lambda: fekete_green(offset, 0.5, 32, 1024, seed=0), [256, 512, 1024],
              ["m = 32, grid_n = 1024"]),
-            (lambda: eq._capacity(eq._curve_grid(offset, 512)[1], 16, 0),
+            (lambda: _capacity(eq._curve_grid(offset, 512)[1], 16, 0),
              [128, 256, 512, 64, 128, 256, 512],
              ["m = 16, grid_n = 512", "m = 8, grid_n = 512"])]:
         grids.clear()

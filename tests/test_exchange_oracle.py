@@ -184,9 +184,6 @@ def test_stage_field_equals_gamma_field(c, theta, m, grid_n):
     assert np.array_equal(stage.params, want_params)
     assert np.array_equal(stage.vals, want_vals)
     assert stage.field_min == np.min(want_vals[~mask])
-    # the sweep fits partial-support capacities on the record's own phi
-    pts = sample_curve(c.gamma, grid_n).points
-    assert np.array_equal(stage.phi, phi_exterior(c.e_domain, pts))
     assert stage.lam.is_zero == (theta == 1.0)
     assert len(stage.lam) == (0 if theta == 1.0 else m)
 

@@ -1,8 +1,9 @@
 """References for the quantities read off a Fekete stage's one field vector.
 
-The energy route of the curve constant and the capacity levels' pair
-energies are taken from the exchange run's own kernel columns; the formulas
-they replaced rebuild the atoms x atoms kernel and stay here as references.
+The energy route of the curve constant, and the pair energies of the
+two-level capacity fit (the oracle in test_spectral_capacity.py), are taken
+from the exchange run's own kernel columns; the formulas they replaced
+rebuild the atoms x atoms kernel and stay here as references.
 gamma_field, the reference for the stage's field, is itself checked against
 the public Green potential for atoms off the curve grid.
 """
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from condenser_widths import Condenser, CurveSpec, EDomain, DiscreteMeasure
-from condenser_widths.equilibrium import (_coarse_to_fine, _curve_grid, _pair_energy,
-                                          _theta_stage, gamma_field)
+from condenser_widths.equilibrium import _coarse_to_fine, _curve_grid, _theta_stage, gamma_field
 from condenser_widths.geometry import green_pole_infinity, sample_curve
 from condenser_widths.measure import energy_J, green_pair_energy, green_potential
+from test_spectral_capacity import _pair_energy
 
 PAIRS = {
     "level": Condenser(EDomain.disk(0j, 1.0), CurveSpec.circle(0j, float(np.e))),

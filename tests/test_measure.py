@@ -240,7 +240,7 @@ def test_grid_potentials_identical_across_chunk_boundaries(concentric):
 
 
 def test_scan_sets_include_interior_spots(concentric):
-    gamma_pts, e_pts = minimax_scan_sets(concentric, 256, 256)
+    gamma_pts, e_pts = minimax_scan_sets(concentric, 256)
     assert gamma_pts.size == 256
     assert e_pts.size == 256 + 64
     assert np.all(np.abs(e_pts) <= 1.0 + 1e-12)

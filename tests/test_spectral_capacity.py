@@ -1,6 +1,6 @@
 """Spectral condenser capacities against closed forms, against pinned arc
-values, and against the two-level Fekete fit, which stays as the oracle and
-as the polar-curve route."""
+values, and against the two-level Fekete fit (_capacity), an independent
+route kept here as the oracle."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import pytest
 from condenser_widths import (Condenser, CurveSpec, EDomain, condenser_capacity,
                               theta_sweep)
 from condenser_widths import equilibrium as eq
-from condenser_widths.spectral import _closed_solve, spectral_capacity
+from condenser_widths.errors import GridTooCoarse
+from condenser_widths.spectral import CapacitySolve, _closed_solve, spectral_capacity
 
 GOLDEN = (1 + np.sqrt(5.0)) / 2
 
@@ -22,6 +23,45 @@ OFFSET_ARCS = [
     (1.6978113293, 1.660652814893),
     (1.0465152797, 2.214634935060),
 ]
+
+
+def _capacity(phi_g: np.ndarray, m: int, seed: int) -> CapacitySolve:
+    """The two-level capacity fit on the curve slots given by phi there: the
+    whole curve grid, or a sweep's support mask of it.
+
+    Minimizes the pure pairwise Green energy of m1 = min(m, slots // 16) and
+    m1 // 2 equal atoms on the slots and removes the leading (log m + b)/m
+    defect of the diagonal-excluded sum by fitting it through both levels.
+    It has converged when both levels' exchanges have."""
+    if m < 8:
+        raise ValueError("the capacity fit needs m >= 8")
+    if phi_g.size < 32:
+        raise GridTooCoarse("capacity support contains fewer than 32 grid samples")
+    g_inf = np.zeros(phi_g.size)
+
+    m1 = min(m, phi_g.size // 16)
+    m2 = m1 // 2
+    levels = {mm: _pair_energy(phi_g, g_inf, mm, seed) for mm in (m1, m2)}
+    energies = {mm: energy for mm, (energy, _) in levels.items()}
+
+    # fit E(m) = E_inf - (log m + b) / m through the two levels
+    u1, u2 = 1.0 / m1, 1.0 / m2
+    l1, l2 = np.log(m1) / m1, np.log(m2) / m2
+    b = (l2 - l1 + energies[m2] - energies[m1]) / (u1 - u2)
+    e_inf = energies[m1] + l1 + b * u1
+    if e_inf <= 0:
+        raise ValueError("capacity fit produced a nonpositive energy")
+    return CapacitySolve(float(1.0 / e_inf), all(ok for _, ok in levels.values()))
+
+
+def _pair_energy(phi_g: np.ndarray, g_inf: np.ndarray, m: int, seed: int):
+    """(sum_{i != j} w_i w_j g(z_i, z_j), converged) of m equal atoms
+    minimizing the sum on the slots, from the run's own columns; they are
+    freed on return, before the next level allocates its own."""
+    run = eq._coarse_to_fine(phi_g, g_inf, m, 0.0, seed)
+    eq._warn_unconverged(run, m, phi_g.size)
+    w = np.full(m, 1.0 / m)
+    return float(w @ (w @ run.cols)[run.chosen]), run.converged
 
 
 def test_concentric_capacities(concentric, concentric_e2):
@@ -68,7 +108,7 @@ def test_support_slot_runs_become_half_slot_padded_arcs(offset):
     support = np.zeros(256, dtype=bool)
     support[250:] = support[:6] = True  # one run through slot 0
     support[40:81] = True
-    got = eq._support_capacity(offset, stage._replace(support=support), 0)
+    got = eq._support_capacity(offset, stage._replace(support=support))
     want = spectral_capacity(offset, [(39.5 * step, 41 * step), (-6.5 * step, 12 * step)])
     assert got.converged and want.converged
     assert abs(got.cap / want.cap - 1.0) <= 1e-12
@@ -82,17 +122,31 @@ def test_budget_bound_solve_reports_unconverged(offset):
     assert 0.0 < solve.cap < condenser_capacity(offset)
 
 
-def test_polar_curve_keeps_the_two_level_fit():
+def test_constant_radius_polar_table_is_the_circle():
+    # a 12-row table of radius e draws the level circle: cap = 1 / log e
+    angles = 2.0 * np.pi * np.arange(12) / 12
+    c = Condenser(EDomain.disk(0j, 1.0), CurveSpec.polar(0j, angles, [np.e] * 12)).validate()
+    solve = spectral_capacity(c)
+    assert solve.converged
+    assert abs(solve.cap - 1.0) <= 1e-12
+
+
+def test_polar_table_capacity_is_the_budget_solve():
+    # the table's corners make the Nystrom convergence algebraic: the budget
+    # solve stops unconverged, 3.6e-6 from the 1024-node one
     c = Condenser(EDomain.disk(0j, 1.0),
                   CurveSpec.polar(0j, [0.0, 1.5, 3.0, 4.5], [2.5, 3.2, 2.2, 3.0])).validate()
-    fit = eq._capacity(eq._curve_grid(c, 1024)[1], 64, 3)
-    assert condenser_capacity(c, 64, 1024, seed=3) == fit.cap
+    solve = spectral_capacity(c)
+    assert not solve.converged
+    assert condenser_capacity(c) == solve.cap
+    assert abs(solve.cap - _closed_solve(c, 1024)) <= 1e-5
 
 
 def test_sweep_capacities_match_the_fit_on_the_same_slots(offset):
     thetas = [round(0.05 * i, 10) for i in range(21)]
     rep = theta_sweep(offset, thetas, 160, 4096, seed=0)
-    whole_fit = eq._capacity(eq._curve_grid(offset, 4096)[1], 256, 0)
+    phi_g = eq._curve_grid(offset, 4096)[1]
+    whole_fit = _capacity(phi_g, 256, 0)
     assert abs(rep.cap_condenser / whole_fit.cap - 1.0) <= 2e-3
     assert len(rep.converged) == len(thetas)
     partial = 0
@@ -103,7 +157,7 @@ def test_sweep_capacities_match_the_fit_on_the_same_slots(offset):
             assert cap == rep.cap_condenser and converged
             continue
         partial += 1
-        fit = eq._capacity(stage.phi[stage.support], 256, 0)
+        fit = _capacity(phi_g[stage.support], 256, 0)
         assert abs(cap / fit.cap - 1.0) <= 2e-3
         if len(arcs) == 1:
             # a single arc settles far inside the budget
