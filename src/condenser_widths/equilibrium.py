@@ -12,18 +12,17 @@ Their gap is a discretization residual and shrinks as the point count grows.
 
 Fekete points come from one exchange engine (_exchange_maximize), started
 from greedy insertion or from given grid slots.  A Fekete stage's full-grid
-exchange has one of three starts:
+exchange has one of two starts:
 
-  density:         a disk plate inside a circle at theta <= theta*, where the
-                   equilibrium has the closed form omega_inf - theta nu
-                   (_density_cdf); atom i starts at the slot where its cdf
-                   reaches i/m, counted from the density peak.
-  coarse_to_fine:  every other pair and theta, while the halved grid (every
-                   other slot) still has at least _COARSE_SLOTS slots per
-                   atom: that grid is solved first, the same way, and its
-                   slots, prolonged to the even slots of the full grid, start
-                   the full-grid exchange.
-  greedy:          the coarsest level, where the grid cannot be halved.
+  density:         circle and ellipse curves, at every theta: atom i starts
+                   at the (i + 1/2)/m quantile of spectral_equilibrium's
+                   density (_quantile_start).
+  coarse_to_fine:  polar curves, whose C^0 tables lose the spectral rate:
+                   while the halved grid (every other slot) keeps at least
+                   _COARSE_SLOTS slots per atom, it is solved first, the same
+                   way, and its slots, prolonged to the even slots of the
+                   full grid, start the full-grid exchange; the coarsest
+                   level starts from greedy insertion.
 
 The start is picked from the geometry and theta alone; the exchange then runs
 the same passes to the same stopping rule.  A visit of one atom scores only
@@ -59,7 +58,7 @@ from .errors import GridTooCoarse
 from .geometry import (Condenser, TWO_PI, green_pole_infinity, kernel_from_phi, kernel_parts,
                        log_capacity, boundary_samples, phi_exterior, sample_curve)
 from .measure import DiscreteMeasure, log_abs, log_potential
-from .spectral import CapacitySolve, spectral_capacity
+from .spectral import CapacitySolve, spectral_capacity, spectral_equilibrium
 
 _ENDPOINT_TOL = 1e-12
 _ROW_BLOCK = 64  # atom rows of gamma_field's kernel built at a time
@@ -318,59 +317,25 @@ def _coarse_to_fine(phi_grid, g_inf, m, field_coeff, seed) -> ExchangeRun:
     return _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=start)
 
 
-def _density_cdf(c: Condenser, theta: float, params: np.ndarray):
-    """(k0, cdf) of the exact equilibrium lambda_theta of a disk plate inside a
-    circle on the curve grid, for theta <= theta*; None for other pairs and
-    above theta*.
+def _quantile_start(c: Condenser, theta: float, m: int, params: np.ndarray):
+    """m distinct grid slots at the quantiles of spectral_equilibrium's density.
 
-    Scaled to the unit plate and rotated so the circle's centre lies on the
-    positive real axis, the circle meets that axis at x1 < -1 < 1 < x2.  The
-    Moebius map w = (z - a)/(1 - a z), a the root in (-1, 1) of
-    q a^2 - 2p a + q with p = 1 + x1 x2 and q = x1 + x2, keeps the unit
-    circle and takes the circle to |w| = R.  While the support is the whole
-    curve, lambda_theta = omega_inf - theta nu: omega_inf (the harmonic
-    measure of infinity) is uniform in the grid parameter t, nu (the
-    condenser measure) uniform in s = arg w.  That holds up to
-    theta* = (1 - r)/(1 + r), r = R |a|.  Slot k0 is the one nearest the
-    density peak, the point of the circle farthest from the plate centre
-    (parameter 0 for a concentric pair), and cdf[j] = lambda_theta of the
-    arc from t0 = params[k0] to params[k0 + j] over 1 - theta:
-    ((t - t0) - theta (s - s0)) / (2 pi (1 - theta)).
+    The density, interpolated linearly onto the grid, has a trapezoid cdf
+    counted from the first slot of a support arc, or, on a whole-curve
+    support, from the density peak (its first slot within 1e-9 relative, so
+    a flat density counts from slot 0).  Atom i goes to the slot nearest
+    where the cdf reaches (i + 1/2)/m; a slot already taken bumps it forward
+    (and the last atoms back from the end of the grid), so they are distinct.
     """
-    e, gamma = c.e_domain, c.gamma
-    if e.kind != "disk" or gamma.kind != "circle":
-        return None
-    centre = (gamma.center - e.center) / e.radius
-    d, rot, rad = abs(centre), float(np.angle(centre)), gamma.radius / e.radius
-    x1, x2 = d - rad, d + rad
-    p, q = 1.0 + x1 * x2, x1 + x2
-    # the roots multiply to 1 and p < 0, so this is the one inside (-1, 1)
-    a = q / (p - np.sqrt((1.0 - x1 * x1) * (1.0 - x2 * x2)))
-    r = abs((x2 - a) / (1.0 - a * x2) * a)
-    if theta > (1.0 - r) / (1.0 + r):
-        return None
-    k0 = int(np.rint(rot / TWO_PI * params.size)) % params.size
-    t = np.roll(params, -k0)
-    z = d + rad * np.exp(1j * (t - rot))
-    s = np.angle((z - a) / (1.0 - a * z))
-    cdf = (np.mod(t - t[0], TWO_PI) - theta * np.mod(s - s[0], TWO_PI)) / (TWO_PI * (1.0 - theta))
-    return k0, cdf
-
-
-def _density_start(c: Condenser, theta: float, m: int, params: np.ndarray):
-    """m distinct grid slots at the quantiles of _density_cdf, or None where
-    it gives no density.
-
-    Atom i goes to the slot nearest where the cdf reaches i/m, counted from
-    the peak slot; a slot already taken bumps it forward (and the last atoms
-    back from the end of the grid), so the slots are distinct.
-    """
-    found = _density_cdf(c, theta, params)
-    if found is None:
-        return None
-    k0, cdf = found
+    density, _ = spectral_equilibrium(c, theta)
+    dens = np.interp(params, TWO_PI * np.arange(density.size) / density.size, density,
+                     period=TWO_PI)
+    runs = _slot_runs(dens > 0)
+    k0 = runs[0][0] if runs else int(np.argmax(dens >= (1.0 - 1e-9) * dens.max()))
+    d = np.roll(dens, -k0)
+    cdf = np.concatenate([[0.0], np.cumsum(d + np.roll(d, -1))])
     n, i = params.size, np.arange(m)
-    j = np.rint(np.interp(i / m, np.append(cdf, 1.0), np.arange(n + 1))).astype(int)
+    j = np.rint(np.interp((i + 0.5) / m * cdf[-1], cdf, np.arange(n + 1))).astype(int)
     j = np.minimum(np.maximum.accumulate(j - i) + i, n - m + i)
     return (j + k0) % n
 
@@ -517,9 +482,9 @@ class ThetaStage(NamedTuple):
 def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> ThetaStage:
     """The Fekete stage of m atoms at theta, from one field vector.
 
-    The full-grid exchange starts at _density_start's slots where the exact
-    density is known, and otherwise solves coarse to fine.  A single atom has
-    no pair term, so it sits at the grid maximum of g(., inf).  Then
+    The full-grid exchange starts at _quantile_start's slots, and on a polar
+    curve solves coarse to fine.  A single atom has no pair term, so it sits
+    at the grid maximum of g(., inf).  Then
     u = w @ run.cols - g(., inf) over the run's own columns: the field route
     is the minimum of u over the free slots, the energy route the
     lambda_n-average of u at the atoms over 1 - theta.  The atom slots then
@@ -543,17 +508,17 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
             raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
         samples, phi_g, g_inf = _curve_grid(c, grid_n)
         coeff = (m - 1) / (1.0 - theta)
-        slots = None if m == 1 else _density_start(c, theta, m, samples.params)
         if m == 1:
             idx = int(np.argmax(g_inf))
             cols = np.empty((1, grid_n))
             _column_fill(phi_g)(idx, cols[0])
             run, start = ExchangeRun(np.array([idx]), 0, 0, 0, True, cols), "greedy"
-        elif slots is not None:
-            run, start = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots), "density"
-        else:
+        elif c.gamma.kind == "polar":
             run = _coarse_to_fine(phi_g, g_inf, m, coeff, seed)
             start = "coarse_to_fine" if _halves(grid_n, m) else "greedy"
+        else:
+            slots = _quantile_start(c, theta, m, samples.params)
+            run, start = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots), "density"
         _warn_unconverged(run, m, grid_n)
         lam = DiscreteMeasure(samples.points[run.chosen], np.full(m, (1.0 - theta) / m))
         vals = lam.weights @ run.cols - g_inf

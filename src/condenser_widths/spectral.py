@@ -1,4 +1,5 @@
-"""Spectral condenser capacities, on every curve kind.
+"""Spectral condenser capacities, on every curve kind, and the weighted
+equilibrium on the whole curve.
 
 The condenser capacity of a compact part S of the curve against the plate is
 1/V, where the unit measure nu on S has constant Green potential
@@ -33,6 +34,10 @@ capacity is the mass of f.  |d phi/dt| is the curve's velocity times phi'
 curve's velocity jumps at its table angles, so its capacity converges only
 algebraically.
 
+The weighted equilibrium lambda_theta (mass 1 - theta; Saff and Totik, 1997,
+Ch. IV) takes the closed curve's Nystrom matrix on _EQ_NODES parameters and
+a primal active set for its support, as in Olver (2011).
+
 Node counts double, from _FIRST_NODES per arc (twice that on the closed
 curve), until the capacity moves by at most _REL_TOL relative; a solve whose
 next doubling would pass _MAX_UNKNOWNS keeps its last value and reports
@@ -50,12 +55,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Condenser, kernel_from_phi, phi_exterior
+from .errors import GeometryValidationError
+from .geometry import Condenser, green_pole_infinity, kernel_from_phi, phi_exterior
 
 _FIRST_NODES = 16     # Chebyshev nodes per arc of the first solve
 _MAX_UNKNOWNS = 512   # the largest solve: a 2 MiB matrix, which the LU copies once more
 _REL_TOL = 1e-9       # relative change of the capacity between doublings
 _ROW_BLOCK = 128      # matrix rows whose kernel is built at a time
+_EQ_NODES = 128       # equispaced nodes of the weighted-equilibrium solve
+_FIELD_SLACK = 1e-12  # how far below m the field must fall to add a free node back
 
 
 class CapacitySolve(NamedTuple):
@@ -98,8 +106,10 @@ def _solution_mass(a: np.ndarray) -> float:
     return float(np.sum(np.linalg.solve(a, np.ones(a.shape[0]))))
 
 
-def _closed_solve(c: Condenser, n: int) -> float:
-    """Nystrom capacity of the whole curve on n equispaced parameters."""
+def _closed_matrix(c: Condenser, n: int) -> np.ndarray:
+    """The Nystrom matrix of the whole curve on n equispaced parameters:
+    (a s)_i is the Green potential at node i of the density s per unit
+    parameter, whose mass is h sum s with h = 2 pi / n."""
     t = 2.0 * np.pi * np.arange(n) / n
     phi, diag = _nodes(c, t)
     h = 2.0 * np.pi / n
@@ -113,7 +123,42 @@ def _closed_solve(c: Condenser, n: int) -> float:
     a = _kernel_matrix(phi, h)
     a += circ[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     a[np.diag_indices(n)] -= h * diag
-    return h * _solution_mass(a)
+    return a
+
+
+def _closed_solve(c: Condenser, n: int) -> float:
+    """Nystrom capacity of the whole curve on n equispaced parameters."""
+    return 2.0 * np.pi / n * _solution_mass(_closed_matrix(c, n))
+
+
+def spectral_equilibrium(c: Condenser, theta: float):
+    """(density, m) of lambda_theta: its density per unit parameter at the
+    _EQ_NODES equispaced parameters, 0 off the support, and its constant m.
+
+    Solve A s - m = g(., inf) on the active nodes with h sum s = 1 - theta,
+    drop the nodes where s < 0 and add back the free nodes where the field
+    A s - g(., inf) falls below m, until neither happens.  Some node keeps
+    s > 0, as the mass is positive: as theta -> 1 the set shrinks onto the
+    largest g(., inf).  A non-finite solution raises GeometryValidationError.
+    """
+    n, h = _EQ_NODES, 2.0 * np.pi / _EQ_NODES
+    a = _closed_matrix(c, n)
+    g = green_pole_infinity(c.e_domain, c.gamma.point(h * np.arange(n)))
+    active = np.ones(n, dtype=bool)
+    for _ in range(n):
+        idx = np.flatnonzero(active)
+        system = np.zeros((idx.size + 1, idx.size + 1))
+        system[:-1, :-1], system[:-1, -1], system[-1, :-1] = a[np.ix_(idx, idx)], -1.0, h
+        sol = np.linalg.solve(system, np.append(g[idx], 1.0 - theta))
+        if not np.all(np.isfinite(sol)):
+            raise GeometryValidationError("the weighted-equilibrium density is not finite")
+        s, m = np.zeros(n), float(sol[-1])
+        s[idx] = sol[:-1]
+        low = ~active & (a @ s - g < m - _FIELD_SLACK)
+        if np.all(s >= 0) and not low.any():
+            break
+        active = (s > 0) | low
+    return s, m
 
 
 def _arcs_solve(c: Condenser, arcs, n: int) -> float:

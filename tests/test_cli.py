@@ -336,6 +336,25 @@ def test_non_finite_result_exits_2(tmp_path, capsys, condenser):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("task", ["equilibrium", "sweep"])
+def test_non_finite_equilibrium_density_exits_2(tmp_path, capsys, monkeypatch, task):
+    # a Nystrom matrix that overflowed gives a NaN density: the run names it
+    # and exits 2, where a NaN slot index would have raised (exit 1)
+    import numpy as np
+    from condenser_widths import spectral
+
+    matrix = spectral._closed_matrix
+    monkeypatch.setattr(spectral, "_closed_matrix", lambda c, n: np.full_like(matrix(c, n), np.nan))
+    cfg = write_cfg(tmp_path, condenser=OFFSET, theta=0.5, thetas=[0, 0.5, 1],
+                    n_points=16, grid_n=256)
+    out = tmp_path / "nan"
+    rc = main([task, "--config", cfg, "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "validation failure" in err and "weighted-equilibrium density is not finite" in err
+    assert not (out / "result.json").exists()
+
+
 def test_nwidth_with_csv_runs_one_fekete_stage(tmp_path, monkeypatch, offset):
     from condenser_widths import cli, equilibrium
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condenser_widths import (DiscreteMeasure, condenser_capacity, equilibrium_result,
+from condenser_widths import (Condenser, CurveSpec, DiscreteMeasure, EDomain, condenser_capacity, equilibrium_result,
                               fekete_green, green_pole_infinity, leja_weighted,
                               m_hat_theta, m_theta, sample_curve, support_S_theta, to_json)
 from condenser_widths.equilibrium import (_runs_to_arcs, _support_mask, _support_tol,
@@ -10,6 +10,9 @@ from condenser_widths.errors import GridTooCoarse
 from test_spectral_capacity import _capacity
 
 TWO_PI = 2 * np.pi
+# the tier-1 polar table around the unit disk: its stages solve coarse to fine
+POLAR = Condenser(EDomain.disk(0j, 1.0),
+                  CurveSpec.polar(0j, [0.0, 1.5, 3.0, 4.5], [2.5, 3.2, 2.2, 3.0])).validate()
 
 
 def angular_gap_ratio(points, center=0j):
@@ -265,16 +268,16 @@ def test_exchange_budget_exhaustion_warns(offset, monkeypatch):
         _capacity(eq._curve_grid(offset, 512)[1], 16, 0)
 
 
-def test_coarse_started_stage_is_deterministic(offset):
+def test_coarse_started_stage_is_deterministic():
     from condenser_widths import equilibrium as eq
     from condenser_widths.geometry import phi_exterior
-    # above theta* = 1/sqrt(5) the offset pair has no closed-form start
-    a = fekete_green(offset, 0.6, 64, 2048, seed=5)
-    b = fekete_green(offset, 0.6, 64, 2048, seed=5)
+    # a polar curve keeps the coarse-to-fine solve
+    a = fekete_green(POLAR, 0.6, 64, 2048, seed=5)
+    b = fekete_green(POLAR, 0.6, 64, 2048, seed=5)
     assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
     # the stage is the full-grid exchange started from the halved grid's slots
-    pts = sample_curve(offset.gamma, 2048).points
-    phi_g, g_inf = phi_exterior(offset.e_domain, pts), green_pole_infinity(offset.e_domain, pts)
+    pts = sample_curve(POLAR.gamma, 2048).points
+    phi_g, g_inf = phi_exterior(POLAR.e_domain, pts), green_pole_infinity(POLAR.e_domain, pts)
     coeff = 63 / 0.4
     run = eq._coarse_to_fine(phi_g, g_inf, 64, coeff, 5)
     half = eq._coarse_to_fine(phi_g[::2].copy(), g_inf[::2].copy(), 64, coeff, 5)
@@ -286,18 +289,45 @@ def test_coarse_started_stage_is_deterministic(offset):
 def test_density_started_stage_is_the_seeded_exchange(offset):
     from condenser_widths import equilibrium as eq
     from condenser_widths.geometry import phi_exterior
-    a = fekete_green(offset, 0.3, 64, 2048, seed=5)
-    b = fekete_green(offset, 0.3, 64, 2048, seed=5)
-    assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
-    # below theta* the stage is the full-grid exchange started from the
-    # quantiles of the exact density
     samples = sample_curve(offset.gamma, 2048)
     pts = samples.points
     phi_g, g_inf = phi_exterior(offset.e_domain, pts), green_pole_infinity(offset.e_domain, pts)
-    start = eq._density_start(offset, 0.3, 64, samples.params)
-    direct = eq._exchange_maximize(phi_g, g_inf, 64, 63 / 0.7, 5, start=start)
-    assert np.array_equal(pts[direct.chosen], a.points)
-    assert eq._theta_stage(offset, 0.3, 64, 2048, 5).start == "density"
+    for theta in (0.3, 0.6):
+        a = fekete_green(offset, theta, 64, 2048, seed=5)
+        b = fekete_green(offset, theta, 64, 2048, seed=5)
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
+        # on either side of theta* the stage is the full-grid exchange started
+        # from the quantiles of the Nystrom weighted-equilibrium density
+        start = eq._quantile_start(offset, theta, 64, samples.params)
+        direct = eq._exchange_maximize(phi_g, g_inf, 64, 63 / (1 - theta), 5, start=start)
+        assert np.array_equal(pts[direct.chosen], a.points)
+        assert eq._theta_stage(offset, theta, 64, 2048, 5).start == "density"
+
+
+def exchange_objective(run, g_inf, coeff):
+    """F = coeff sum_i g(z_i, inf) - sum_{i<j} g(z_i, z_j) of an exchange run."""
+    pot = run.cols.sum(axis=0)
+    return coeff * g_inf[run.chosen].sum() - 0.5 * pot[run.chosen].sum()
+
+
+SEGMENT_ELLIPSE = Condenser(EDomain.segment(-1.0, 1.0),
+                            CurveSpec.ellipse(0j, (2.5, 1.8), 0.3)).validate()
+
+
+@pytest.mark.parametrize("pair, theta", [("offset", round(0.45 + 0.05 * i, 10)) for i in range(11)]
+                         + [("segment_ellipse", theta) for theta in (0.3, 0.6, 0.9)])
+def test_density_start_finds_no_worse_optimum(offset, pair, theta):
+    # the density start is the faster one; it must also end at an exchange
+    # objective F at least as high as the coarse-to-fine solve's
+    from condenser_widths import equilibrium as eq
+    c = offset if pair == "offset" else SEGMENT_ELLIPSE
+    m, grid_n, coeff = 160, 4096, 159 / (1 - theta)
+    samples, phi_g, g_inf = eq._curve_grid(c, grid_n)
+    start = eq._quantile_start(c, theta, m, samples.params)
+    dense = eq._exchange_maximize(phi_g, g_inf, m, coeff, 1, start=start)
+    coarse = eq._coarse_to_fine(phi_g, g_inf, m, coeff, 1)
+    assert dense.converged and coarse.converged
+    assert exchange_objective(dense, g_inf, coeff) >= exchange_objective(coarse, g_inf, coeff)
 
 
 def test_unconverged_warning_names_the_full_grid(offset, monkeypatch):
@@ -312,7 +342,7 @@ def test_unconverged_warning_names_the_full_grid(offset, monkeypatch):
 
     monkeypatch.setattr(eq, "_exchange_maximize", cut)
     for solve, levels, want in [
-            (lambda: fekete_green(offset, 0.5, 32, 1024, seed=0), [256, 512, 1024],
+            (lambda: fekete_green(POLAR, 0.5, 32, 1024, seed=0), [256, 512, 1024],
              ["m = 32, grid_n = 1024"]),
             (lambda: _capacity(eq._curve_grid(offset, 512)[1], 16, 0),
              [128, 256, 512, 64, 128, 256, 512],

@@ -252,6 +252,15 @@ def test_thin_ellipse_falls_back_to_full_scans():
     assert 0 < run.full_scans < run.passes * 64
 
 
+def test_thin_ellipse_stage_converges_from_the_density():
+    # the thin-ellipse CI case: from the density start the stage converges
+    # with 30 full scans (measured; 630 from coarse to fine)
+    stage = eq._theta_stage(Condenser(SEGMENT, THIN_ELLIPSE).validate(samples=1024),
+                            0.3, 64, 8192, 0)
+    assert stage.start == "density" and stage.converged
+    assert stage.full_scans <= 60
+
+
 @pytest.mark.parametrize("theta", [0.1, 0.3])
 def test_seeded_stages_rarely_scan_the_whole_grid(theta):
     stage = eq._theta_stage(OFFSET, theta, 256, 4096, 1)

@@ -1,15 +1,17 @@
 """Spectral condenser capacities against closed forms, against pinned arc
 values, and against the two-level Fekete fit (_capacity), an independent
-route kept here as the oracle."""
+route kept here as the oracle; and the weighted-equilibrium solve against
+the inequalities that characterize it."""
 
 import numpy as np
 import pytest
 
 from condenser_widths import (Condenser, CurveSpec, EDomain, condenser_capacity,
-                              theta_sweep)
+                              green_pole_infinity, theta_sweep)
 from condenser_widths import equilibrium as eq
 from condenser_widths.errors import GridTooCoarse
-from condenser_widths.spectral import CapacitySolve, _closed_solve, spectral_capacity
+from condenser_widths.spectral import (CapacitySolve, _closed_matrix, _closed_solve,
+                                       spectral_capacity, spectral_equilibrium)
 
 GOLDEN = (1 + np.sqrt(5.0)) / 2
 
@@ -163,3 +165,22 @@ def test_sweep_capacities_match_the_fit_on_the_same_slots(offset):
             # a single arc settles far inside the budget
             assert converged
     assert partial >= 11
+
+
+@pytest.mark.parametrize("curve", [CurveSpec.ellipse(0j, (2.5, 1.8), 0.3), CurveSpec.circle(0j, 3.0),
+                                   CurveSpec.ellipse(0j, (2.0, 0.3))],
+                         ids=["ellipse", "circle", "thin-ellipse"])
+@pytest.mark.parametrize("theta", [0.3, 0.7, 0.95])
+def test_weighted_equilibrium_satisfies_its_inequalities(curve, theta):
+    # around a segment plate: s >= 0 with mass 1 - theta, the field
+    # A s - g(., inf) equal to m on the support and at least m off it
+    c = Condenser(EDomain.segment(-1.0, 1.0), curve).validate(samples=1024)
+    density, m = spectral_equilibrium(c, theta)
+    n = density.size
+    field = _closed_matrix(c, n) @ density - green_pole_infinity(
+        c.e_domain, c.gamma.point(2 * np.pi * np.arange(n) / n))
+    kept = density > 0
+    assert np.all(density >= 0) and kept.any()
+    assert abs(2 * np.pi / n * density.sum() - (1 - theta)) <= 1e-14
+    assert np.max(np.abs(field[kept] - m)) <= 1e-12
+    assert np.all(field[~kept] >= m - 1e-12)
