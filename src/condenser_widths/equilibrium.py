@@ -40,6 +40,21 @@ no kernel columns.  The support S_theta is the field within _support_tol of
 its minimum: one threshold, shared by equilibrium_result, theta_sweep and
 support_S_theta.
 
+Leja points on the plate (leja_weighted) take U^{lam_n} as their field.
+It comes from the exterior map phi of E, not from the direct sum.  With
+w_i = phi(x_i) and u = phi(z) for z on the boundary of E (|u| = 1),
+log|z - x_i| = log cap(E) + log|w_i| + log|1 - u/w_i|, plus log|1 - conj(u)/w_i|
+on a segment.  So U(z) = -|lam| log cap(E) - sum_i lam_i log|w_i| + Re P(u)
+(+ Re P(conj u)), where P(v) = sum_{k <= K} (c_k / k) v^k and
+c_k = sum_i lam_i w_i^-k (_plate_field).  K is the fewest terms whose tail
+bound, with rho = max_i 1/|w_i|, falls below |lam| 2^-53 (_series_terms).
+log_potential's direct sum stays where the series does not converge (rho >= 1,
+an atom on or inside E) or is no cheaper (K >= the atom count).  The plate
+grid is equispaced, in angle on a disk and in abscissa on a segment, so
+log|z_j - z_i| depends only on |j - i|: each greedy pick adds a slice of one
+row of 2n - 1 values instead of a fresh complex log row.
+tests/test_leja_oracle.py holds the direct-sum, per-pick reference loop.
+
 Capacities: condenser_capacity and every cap(S_tau) of theta_sweep come
 from spectral.spectral_capacity (Nystrom on the whole curve, Chebyshev
 collocation on the support's parameter arcs), on every curve kind, and no
@@ -55,8 +70,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridTooCoarse
-from .geometry import (Condenser, TWO_PI, green_pole_infinity, kernel_from_phi, kernel_parts,
-                       log_capacity, boundary_samples, phi_exterior, sample_curve)
+from .geometry import (Condenser, EDomain, TWO_PI, green_pole_infinity, kernel_from_phi,
+                       kernel_parts, log_capacity, boundary_samples, phi_exterior, sample_curve)
 from .measure import DiscreteMeasure, log_abs, log_potential
 from .spectral import CapacitySolve, spectral_capacity, spectral_equilibrium
 
@@ -369,7 +384,8 @@ def fekete_green(c: Condenser, theta: float, m: int, grid_n: int,
 def leja_weighted(c: Condenser, lambda_n: DiscreteMeasure, theta: float, m: int,
                   grid_n: int) -> DiscreteMeasure:
     """Greedy weighted Leja points (see _leja_indices) on the plate boundary
-    grid, with U^{lambda_n} as the field; each atom carries mass theta / m.
+    grid, with U^{lambda_n} as the field (_plate_field); each atom carries
+    mass theta / m.
 
     theta = 0 gives the zero measure, for any m.
     """
@@ -382,25 +398,88 @@ def leja_weighted(c: Condenser, lambda_n: DiscreteMeasure, theta: float, m: int,
     if grid_n < 16 * m:
         raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
     grid = boundary_samples(c.e_domain, grid_n)
-    u_ext = np.atleast_1d(log_potential(lambda_n, grid))
-    return DiscreteMeasure(grid[_leja_indices(grid, m, u_ext, theta)], np.full(m, theta / m))
+    u_ext = _plate_field(c.e_domain, lambda_n, grid)
+    chosen = _leja_indices(grid, m, u_ext, theta, equispaced=True)
+    return DiscreteMeasure(grid[chosen], np.full(m, theta / m))
 
 
-def _leja_indices(pts: np.ndarray, m: int, u_ext=0.0, theta: float = 1.0) -> list:
+def _series_terms(e: EDomain, lam: DiscreteMeasure) -> int:
+    """Terms K of _plate_field's series, or 0 where the direct sum is used.
+
+    With rho = max_i 1/|phi(x_i)|, K is the fewest terms whose tail bound
+    |lam| rho^(K+1) / ((K+1)(1 - rho)) falls below |lam| 2^-53.  The direct
+    sum is used for the zero measure, for rho >= 1 (an atom on or inside E),
+    and when K >= len(lam), where the series costs no less than the sum.
+    """
+    if lam.is_zero:
+        return 0
+    rho = float(np.max(1.0 / np.abs(phi_exterior(e, lam.points))))
+    if rho >= 1.0:
+        return 0
+    k = np.arange(1, len(lam))
+    tail = rho ** (k + 1) / ((k + 1) * (1.0 - rho))
+    fits = np.flatnonzero(tail <= 2.0 ** -53)
+    return int(k[fits[0]]) if fits.size else 0
+
+
+def _plate_field(e: EDomain, lam: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:
+    """U^lam on the plate boundary grid, from the exterior-map series.
+
+    With w_i = phi(x_i) and u = phi(z), |u| = 1:
+        U(z) = -|lam| log cap(E) - sum_i lam_i log|w_i| + Re P(u) (+ Re P(conj u)
+    on a segment), P(v) = sum_{k <= K} (c_k / k) v^k, c_k = sum_i lam_i w_i^-k;
+    K comes from _series_terms, which picks log_potential's direct sum instead
+    where the series is not cheaper or does not converge.
+    """
+    terms = _series_terms(e, lam)
+    if not terms:
+        return np.atleast_1d(log_potential(lam, grid))
+    inv = 1.0 / phi_exterior(e, lam.points)
+    coef = lam.weights @ np.cumprod(np.broadcast_to(inv[:, None], (len(lam), terms)), axis=1)
+    coef /= np.arange(1, terms + 1)
+    u = phi_exterior(e, grid)
+    vs = (u, u.conj()) if e.kind == "segment" else (u,)
+    field = np.full(grid.size, -lam.total_mass * np.log(log_capacity(e))
+                    + float(lam.weights @ np.log(np.abs(inv))))
+    for v in vs:
+        poly = np.full(grid.size, coef[-1])
+        for a in coef[-2::-1]:  # Horner
+            poly *= v
+            poly += a
+        poly *= v
+        field += poly.real
+    return field
+
+
+def _leja_indices(pts: np.ndarray, m: int, u_ext=0.0, theta: float = 1.0,
+                  equispaced: bool = False) -> list:
     """Indices of m greedy weighted Leja points of pts.
 
     Point j+1 maximizes sum_{i <= j} log|z - z_i| - (j / theta) u_ext(z); the
     first point maximizes -u_ext.  Ties go to the lowest index.  The default
-    zero field gives plain Leja (greedy max-product) points.
+    zero field gives plain Leja (greedy max-product) points.  On an
+    equispaced grid (boundary_samples of a plate), log|z_j - z_i| depends
+    only on |j - i|, so the row of pick i is a slice of one row of 2n - 1
+    values; otherwise each pick takes log_abs(pts - pts[i]).
     """
     if m == 0:
         return []
+    if equispaced:
+        n = pts.size
+        half = log_abs(pts - pts[0])
+        shifted = np.concatenate((half[:0:-1], half))
+
+        def row(i):
+            return shifted[n - 1 - i:2 * n - 1 - i]
+    else:
+        def row(i):
+            return log_abs(pts - pts[i])
     chosen = [int(np.argmax(-u_ext))]
-    acc = log_abs(pts - pts[chosen[0]])
+    acc = row(chosen[0]).copy()
     for j in range(1, m):
         idx = int(np.argmax(acc - (j / theta) * u_ext))
         chosen.append(idx)
-        acc = acc + log_abs(pts - pts[idx])
+        acc += row(idx)
     return chosen
 
 
