@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import UnsupportedCurve, UnsupportedDomain
 from .geometry import (Condenser, CurveSpec, EDomain, TWO_PI, green_exterior_gamma,
-                       green_pole_infinity, sample_curve, winding_number)
+                       green_pole_infinity)
 from .measure import DiscreteMeasure
 
 _SWEEP_BLOCK = 16  # atoms per block of the sweep; buffers of 24 B x block x (cells + 1)
@@ -170,8 +170,7 @@ def _beta_measure(q_zeros: np.ndarray, c: Condenser, n: int, k: int,
             beta = beta + DiscreteMeasure(grid, np.full(boundary_grid_n,
                                                         defect / boundary_grid_n))
         return beta
-    curve = sample_curve(c.gamma, 1024).points if q_zeros.size else None
-    if defect > 0 or any(winding_number(curve, z) != 1 for z in q_zeros):
+    if defect > 0 or not np.all(c.gamma.contains(q_zeros)):
         raise UnsupportedCurve(
             "beta needs balayage onto the curve or a uniform curve term; "
             "both are implemented for circles only")

@@ -33,8 +33,6 @@ import numpy as np
 from .errors import CoincidentPole, GeometryValidationError, UnsupportedCurve
 
 TWO_PI = 2.0 * np.pi
-_BOUNDARY_CHECKS = 256  # plate boundary samples whose winding number validate checks
-_JORDAN_SAMPLES = 512   # most curve samples of validate's self-intersection check
 # the kernel's s_z * s_t overflows once |phi| on the curve passes DBL_MAX^(1/4)
 _G_INF_MAX = np.log(np.finfo(float).max) / 4.0
 
@@ -96,7 +94,12 @@ class EDomain:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """The outer Jordan curve, parameterized over [0, 2*pi)."""
+    """The outer Jordan curve, parameterized over [0, 2*pi).
+
+    Every kind is star-shaped about its center (a circle or an ellipse is
+    convex; a polar table has r > 0 at increasing angles), so it cannot
+    self-intersect and contains() has a closed form.
+    """
 
     kind: str  # "circle", "ellipse" or "polar"
     center: complex = 0j
@@ -150,8 +153,7 @@ class CurveSpec:
             a, b = self.semi_axes
             return self.center + np.exp(1j * self.rotation) * (a * np.cos(t) + 1j * b * np.sin(t))
         if self.kind == "polar":
-            r = self._polar_radius(t)
-            return self.center + r * np.exp(1j * t)
+            return self.center + self.radius_at(t) * np.exp(1j * t)
         raise UnsupportedCurve(f"unknown curve kind {self.kind!r}")
 
     def velocity(self, t):
@@ -168,17 +170,32 @@ class CurveSpec:
             ang = np.append(self.polar_angles, self.polar_angles[0] + TWO_PI)
             slope = np.diff(np.append(self.polar_radii, self.polar_radii[0])) / np.diff(ang)
             seg = np.searchsorted(ang, np.mod(t - ang[0], TWO_PI) + ang[0], side="right") - 1
-            r = self._polar_radius(t)
+            r = self.radius_at(t)
             return (slope[np.minimum(seg, slope.size - 1)] + 1j * r) * np.exp(1j * t)
         raise UnsupportedCurve(f"unknown curve kind {self.kind!r}")
 
-    def _polar_radius(self, t):
-        ang = np.asarray(self.polar_angles)
-        rad = np.asarray(self.polar_radii)
-        # periodic linear interpolation of the radius table
-        ext_ang = np.concatenate([ang, [ang[0] + TWO_PI]])
-        ext_rad = np.concatenate([rad, [rad[0]]])
-        return np.interp(np.mod(t - ang[0], TWO_PI) + ang[0], ext_ang, ext_rad)
+    def radius_at(self, phi):
+        """Distance from the center to the curve along the ray at angle(s) phi."""
+        phi = np.asarray(phi, dtype=float)
+        if self.kind == "circle":
+            return np.full(phi.shape, self.radius)
+        if self.kind == "ellipse":
+            a, b = self.semi_axes
+            psi = phi - self.rotation
+            return a * b / np.hypot(b * np.cos(psi), a * np.sin(psi))
+        if self.kind == "polar":
+            ang = np.asarray(self.polar_angles)
+            rad = np.asarray(self.polar_radii)
+            # periodic linear interpolation of the radius table
+            ext_ang = np.concatenate([ang, [ang[0] + TWO_PI]])
+            ext_rad = np.concatenate([rad, [rad[0]]])
+            return np.interp(np.mod(phi - ang[0], TWO_PI) + ang[0], ext_ang, ext_rad)
+        raise UnsupportedCurve(f"unknown curve kind {self.kind!r}")
+
+    def contains(self, z):
+        """True where z lies strictly inside the curve: |z - center| < r(arg(z - center))."""
+        d = np.asarray(z, dtype=complex) - self.center
+        return np.abs(d) < self.radius_at(np.angle(d))
 
     def to_json_dict(self):
         if self.kind == "circle":
@@ -347,42 +364,6 @@ def interior_spots(e: EDomain, n: int = 64) -> np.ndarray:
 # validation
 
 
-def winding_number(curve_pts: np.ndarray, z0) -> int:
-    """Winding number of a closed sampled curve about z0, by summed argument increments."""
-    ang = np.angle(curve_pts - z0)
-    d = np.diff(np.concatenate([ang, ang[:1]]))
-    d = np.mod(d + np.pi, TWO_PI) - np.pi
-    return int(round(d.sum() / TWO_PI))
-
-
-def _segments_intersect(p1, p2, q1, q2):
-    # orientation predicate on complex endpoints, vectorized over q pairs
-    def cross(o, a, b):
-        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    return ((d1 * d2) < 0) & ((d3 * d4) < 0)
-
-
-def _jordan_check(pts: np.ndarray) -> bool:
-    """Sampled self-intersection test on the closed polygon through pts."""
-    n = len(pts)
-    a = pts
-    b = np.roll(pts, -1)
-    for i in range(n - 2):
-        j0 = i + 2
-        j1 = n if i > 0 else n - 1  # skip the wrap-adjacent edge for i = 0
-        if j0 >= j1:
-            continue
-        hit = _segments_intersect(a[i], b[i], a[j0:j1], b[j0:j1])
-        if np.any(hit):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Condenser:
     """A validated plate/curve pair (E, Gamma) with E inside the curve."""
@@ -392,7 +373,12 @@ class Condenser:
     validated: bool = field(default=False, compare=False)
 
     def validate(self, samples: int = 4096) -> "Condenser":
-        """Run the sampled geometric checks; raises GeometryValidationError on failure."""
+        """Run the sampled geometric checks; raises GeometryValidationError on failure.
+
+        Gamma is star-shaped (see CurveSpec), so E lies inside it when every
+        plate sample passes Gamma.contains; g(., inf) on the curve samples
+        must be positive (Gamma misses E) and below the kernel's overflow scale.
+        """
         curve = sample_curve(self.gamma, samples).points
 
         g = green_pole_infinity(self.e_domain, curve)
@@ -405,17 +391,12 @@ class Condenser:
                 f"scale check failed: max over curve samples of g(.,inf) is {np.max(g):.6g} "
                 f">= {_G_INF_MAX:.6g}, where the Green kernel would be non-finite")
 
-        if winding_number(curve, self.e_domain.midpoint) != 1:
+        plate = np.append(self.e_domain.midpoint, boundary_samples(self.e_domain, samples))
+        outside = ~self.gamma.contains(plate)
+        if np.any(outside):
             raise GeometryValidationError(
-                "winding-number check failed: Gamma does not wind once around E")
-
-        for z in boundary_samples(self.e_domain, _BOUNDARY_CHECKS):
-            if winding_number(curve, z) != 1:
-                raise GeometryValidationError(
-                    f"winding-number check failed at E boundary sample {z}")
-
-        if not _jordan_check(sample_curve(self.gamma, min(samples, _JORDAN_SAMPLES)).points):
-            raise GeometryValidationError("Jordan check failed: sampled curve self-intersects")
+                f"inside check failed: E sample {plate[np.argmax(outside)]} "
+                "does not lie inside Gamma")
 
         return Condenser(self.e_domain, self.gamma, validated=True)
 

@@ -143,6 +143,21 @@ def test_malformed_curve_exits_2(tmp_path, capsys):
     assert "winding" in capsys.readouterr().err
 
 
+def test_curve_crossing_segment_between_samples_exits_2(tmp_path, capsys):
+    # a polar dip through E = [-1, 1] on x in [0.3006, 0.3010]; at grid_n 4096
+    # the plate sample x = 38.5/128 lies in it
+    phi0 = math.atan2(-0.5, 38.5 / 128)
+    dip = {"e": {"kind": "segment", "a": -1.0, "b": 1.0},
+           "gamma": {"kind": "polar", "center": [0, 0.5],
+                     "angles": [phi0 + d for d in (-2, -0.01, 0, 0.01, 2)],
+                     "radii": [3, 3, 0.5, 3, 3]}}
+    cfg = write_cfg(tmp_path, condenser=dip, n_points=16, grid_n=4096, theta=0.5)
+    out = tmp_path / "dip"
+    assert main(["equilibrium", "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    assert "inside check failed" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
 def test_byte_identical_reruns_across_thread_counts(tmp_path):
     cfg = write_cfg(tmp_path, theta=0.5, n_points=64, grid_n=1024)
     outs = []

@@ -6,7 +6,7 @@ from condenser_widths import (Condenser, CurveSpec, EDomain, green_exterior_gamm
                               sample_curve)
 from condenser_widths.errors import (CoincidentPole, GeometryValidationError,
                                      UnsupportedCurve)
-from condenser_widths.geometry import boundary_samples, winding_number
+from condenser_widths.geometry import boundary_samples
 
 
 def test_green_infinity_disk_values():
@@ -141,10 +141,20 @@ def test_log_capacity():
     assert -np.log(log_capacity(EDomain.disk(0j, 1.0))) == 0.0
 
 
-def test_winding_number():
-    circle = sample_curve(CurveSpec.circle(0j, 2.0), 256).points
-    assert winding_number(circle, 0.5 + 0.5j) == 1
-    assert winding_number(circle, 3.0) == 0
+@pytest.mark.parametrize("curve", [
+    CurveSpec.circle(0.5 - 1j, 2.0),
+    CurveSpec.ellipse(0.3j, (3.0, 2.0), 0.4),
+    CurveSpec.polar(0.2, [0.0, 1.5, 3.0, 4.5], [2.5, 3.2, 2.2, 3.0]),
+], ids=["circle", "ellipse", "polar"])
+def test_contains(curve):
+    rays = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+    r = curve.radius_at(np.angle(rays))
+    assert np.all(curve.contains(curve.center + (1 - 1e-9) * r * rays))
+    assert not np.any(curve.contains(curve.center + (1 + 1e-9) * r * rays))
+    assert curve.contains(curve.center)
+    # the radial function traces the parameterized curve (the ellipse's closed form)
+    d = sample_curve(curve, 4096).points - curve.center
+    assert np.max(np.abs(np.abs(d) - curve.radius_at(np.angle(d)))) <= 1e-12
 
 
 def test_condenser_validation_accepts_good_pairs():
@@ -157,6 +167,21 @@ def test_condenser_validation_rejects_intersecting_curve():
         Condenser(EDomain.disk(0j, 1.0), CurveSpec.circle(1.0, 1.0)).validate()
     with pytest.raises(GeometryValidationError):
         Condenser(EDomain.disk(0j, 2.0), CurveSpec.circle(0j, 1.0)).validate()
+    # Gamma cuts a cap of depth 5e-5 off E, centred between two of 256 plate
+    # boundary samples and narrower than their spacing: curve samples land in E
+    cap = CurveSpec.circle(-(2 + 5e-5) * np.exp(1j * np.pi / 256), 3.0)
+    with pytest.raises(GeometryValidationError, match="winding/positivity"):
+        Condenser(EDomain.disk(0j, 1.0), cap).validate()
+
+
+def test_condenser_validation_rejects_curve_crossing_segment_between_samples():
+    # a polar dip through E = [-1, 1] on x in [0.3006, 0.3010]: no curve sample
+    # lies on E, and the crossing is narrower than 2/256, so only a dense
+    # inside test over the plate samples (here the one at x = 38.5/128) sees it
+    phi0 = np.angle(38.5 / 128 - 0.5j)
+    dip = CurveSpec.polar(0.5j, phi0 + np.array([-2, -0.01, 0, 0.01, 2]), [3, 3, 0.5, 3, 3])
+    with pytest.raises(GeometryValidationError, match=r"E sample \(0\.30078125"):
+        Condenser(EDomain.segment(-1.0, 1.0), dip).validate()
 
 
 def test_segment_boundary_grid_contains_midpoint_and_ends():
