@@ -4,11 +4,13 @@
 
 Tasks: equilibrium, sweep, chi, nwidth, balayage-demo, validate; chi and nwidth
 both estimate chi through extremal.chi_estimate.  Exit codes: 0 success, 2
-validation failure (config, geometry, grid knobs, an out that names a file, a
+validation failure (config, geometry, grid knobs, a planned allocation over
+MAX_ARRAY_ENTRIES, an out that names a file, any other package error, a
 payload holding a NaN or infinite float, which writes no file), 3 numeric
-budget failure.  result.json is byte-identical across reruns with the same
-config and seed; wall time lives only in manifest.json.  --threads and the
-threads config field are accepted and echoed but have no effect.
+budget failure (BudgetExceeded).  result.json is byte-identical across
+reruns with the same config and seed; wall time lives only in manifest.json.
+--threads and the threads config field are accepted and echoed but have no
+effect.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .balayage import balayage_to_E, balayage_to_gamma, counting_alpha_beta
+from .balayage import _SWEEP_BLOCK, balayage_to_E, balayage_to_gamma, counting_alpha_beta
 from .equilibrium import (_theta_stage, equilibrium_result, fekete_green, m_hat_theta,
                           m_theta, theta_sweep)
-from .errors import (BudgetExceeded, CondenserWidthsError, ConfigError,
-                     GeometryValidationError, GridTooCoarse, UnsupportedCurve,
-                     UnsupportedDomain)
-from .extremal import BRUTEFORCE_MAX_N, CHI_METHODS, chi_estimate
+from .errors import BudgetExceeded, CondenserWidthsError, ConfigError, GeometryValidationError
+from .extremal import _SCAN_CAP, BRUTEFORCE_MAX_N, CHI_METHODS, chi_estimate
 from .geometry import Condenser, boundary_samples, green_kernel, log_capacity
 from .measure import DiscreteMeasure, log_potential, to_json
 from .nwidth import g_theta_field, width_rate_predict
@@ -38,6 +38,10 @@ from .nwidth import g_theta_field, width_rate_predict
 SCHEMA_VERSION = 1
 TASKS = ("equilibrium", "sweep", "chi", "nwidth", "balayage-demo", "validate")
 SWEEP_MAX_POINTS = 160  # a sweep's Fekete stages take min(n_points, this) atoms
+SMOKE_POINTS = 32  # validate's Fekete smoke stage takes min(n_points, this) atoms
+# the largest allocation a config may plan, in float64 entries (256 MiB): twice
+# the 1024 x 16384 exchange columns of the finest equilibrium benchmark run
+MAX_ARRAY_ENTRIES = 2 ** 25
 
 
 @dataclass
@@ -152,6 +156,36 @@ def _validate_config(cfg: RunConfig):
                               f"got n = {cfg.n}")
     if not set(cfg.formats) <= {"json", "csv"}:
         raise ConfigError("formats must be a subset of {json, csv}")
+    size = largest_allocation(cfg)
+    if size > MAX_ARRAY_ENTRIES:
+        raise ConfigError(f"the {cfg.task} task would allocate {size} float64 entries at once, "
+                          f"over the cap of {MAX_ARRAY_ENTRIES}; lower grid_n, n_points or n")
+
+
+def largest_allocation(cfg: RunConfig) -> int:
+    """Float64 entries of the largest allocation cfg's task plans, from
+    grid_n, n_points, n and k, counted before anything is allocated:
+
+      - the complex curve and plate grids of every task, 2 grid_n;
+      - a Fekete stage's exchange columns, atoms x grid_n;
+      - chi's equilibrium pair, (n - k) x max(4096, 16 (n - k)) exchange
+        columns;
+      - chi's descents, whose n zeros each keep log columns over both scan
+        sets, n x (2 scan + 64) with scan = min(grid_n, _SCAN_CAP) >= 64,
+        which outgrow the pair's complex Leja grid, 2 max(4096, 16 k);
+      - balayage-demo's sweep buffers, complex points and float angles on
+        min(_SWEEP_BLOCK, k) rows of grid_n + 1 cells.
+    """
+    g, q = cfg.grid_n, cfg.n - cfg.k
+    atoms = {"equilibrium": cfg.n_points, "nwidth": cfg.n_points,
+             "sweep": min(cfg.n_points, SWEEP_MAX_POINTS),
+             "validate": min(cfg.n_points, SMOKE_POINTS)}.get(cfg.task, 0)
+    sizes = [2 * g, atoms * g]
+    if cfg.task in ("chi", "nwidth"):
+        sizes += [q * max(4096, 16 * q), cfg.n * (2 * min(g, _SCAN_CAP) + 64)]
+    if cfg.task == "balayage-demo":
+        sizes.append(3 * max(1, min(_SWEEP_BLOCK, cfg.k)) * (g + 1))
+    return max(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +313,8 @@ def _task_validate(cfg: RunConfig):
                 f"m_1 = {m_f:.6f}, mhat_1 = {mhat:.6f}")
 
     def fekete_smoke():
-        lam = fekete_green(c, 0.5, min(cfg.n_points, 32), cfg.grid_n, seed=cfg.seed or 0)
+        lam = fekete_green(c, 0.5, min(cfg.n_points, SMOKE_POINTS), cfg.grid_n,
+                           seed=cfg.seed or 0)
         return abs(lam.total_mass - 0.5) <= 1e-9, f"mass {lam.total_mass!r}"
 
     check("green kernel symmetry", kernel_symmetry)
@@ -314,13 +349,12 @@ def run(cfg: RunConfig) -> int:
                    "balayage-demo": _task_balayage_demo,
                    "validate": _task_validate}[cfg.task]
         payload, csv_files = task_fn(cfg)
-    except (ConfigError, FileExistsError, NotADirectoryError, GeometryValidationError,
-            GridTooCoarse, UnsupportedCurve, UnsupportedDomain) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceeded as exc:
         print(f"numeric budget failure: {exc}", file=sys.stderr)
         return 3
+    except (CondenserWidthsError, FileExistsError, NotADirectoryError) as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return 2
 
     try:
         result = _stable_dumps({"schema_version": SCHEMA_VERSION, "task": cfg.task,

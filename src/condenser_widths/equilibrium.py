@@ -70,13 +70,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridTooCoarse
-from .geometry import (Condenser, EDomain, TWO_PI, green_pole_infinity, kernel_from_phi,
+from .geometry import (Condenser, EDomain, TWO_PI, green_matrix, green_pole_infinity,
                        kernel_parts, log_capacity, boundary_samples, phi_exterior, sample_curve)
 from .measure import DiscreteMeasure, log_abs, log_potential
 from .spectral import CapacitySolve, spectral_capacity, spectral_equilibrium
 
 _ENDPOINT_TOL = 1e-12
-_ROW_BLOCK = 64  # atom rows of gamma_field's kernel built at a time
 _COARSE_SLOTS = 8  # slots per atom on the coarsest grid of a coarse-to-fine solve
 _WINDOW_SPACINGS = 6  # half-width of an exchange visit's first scan, in mean atom spacings
 
@@ -488,37 +487,25 @@ def _leja_indices(pts: np.ndarray, m: int, u_ext=0.0, theta: float = 1.0,
 
 
 def _grid_support_mask(grid_pts: np.ndarray, lam: DiscreteMeasure) -> np.ndarray:
-    index = {z: i for i, z in enumerate(grid_pts.tolist())}
-    mask = np.zeros(grid_pts.size, dtype=bool)
-    if not lam.is_zero:
-        for z in lam.points.tolist():
-            i = index.get(z)
-            if i is not None:
-                mask[i] = True
-    return mask
+    """The grid slots that hold an atom of lam."""
+    return np.isin(grid_pts, lam.points)
 
 
 def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     """(params, field values, support mask) of U_D^{lam} - g(., inf) on the curve grid.
 
-    The independent reference for a Fekete stage's field: the rows g(., x_i)
-    are rebuilt from the atoms with kernel_from_phi (in blocks of _ROW_BLOCK
-    atoms) into an atoms x grid_n store, 0 at each atom's own grid slot, and
-    the field is the same product as the stage's, w @ store - g(., inf).  The
-    store holds len(lam) * grid_n floats (128 MiB at 1024 atoms on 16384
-    slots).  Grid slots occupied by atoms of lam carry the field minimum over
-    the free slots (the discrete potential is infinite there; the continuum
-    field attains its minimum on the support).
+    The independent reference for a Fekete stage's field: the rows g(x_i, .)
+    are rebuilt from the atoms by geometry.green_matrix into an atoms x grid_n
+    store, 0 at each atom's own grid slot, and the field is the same product
+    as the stage's, w @ store - g(., inf).  The store holds len(lam) * grid_n
+    floats (128 MiB at 1024 atoms on 16384 slots).  Grid slots occupied by
+    atoms of lam carry the field minimum over the free slots (the discrete
+    potential is infinite there; the continuum field attains its minimum on
+    the support).
     """
     samples, phi_g, g_inf = _curve_grid(c, grid_n)
     mask = _grid_support_mask(samples.points, lam)
-    phi_atoms = phi_exterior(c.e_domain, lam.points)
-    store = np.empty((len(lam), grid_n))
-    for lo in range(0, len(lam), _ROW_BLOCK):
-        rows = kernel_from_phi(phi_g[None, :], phi_atoms[lo:lo + _ROW_BLOCK, None])
-        rows[np.isinf(rows)] = 0.0  # an atom's own slot, the only off-plate coincidence
-        store[lo:lo + _ROW_BLOCK] = rows
-    vals = lam.weights @ store - g_inf
+    vals = lam.weights @ green_matrix(phi_exterior(c.e_domain, lam.points), phi_g) - g_inf
     vals[mask] = np.min(vals[~mask]) if not mask.all() else 0.0
     return samples.params, vals, mask
 

@@ -289,35 +289,28 @@ def _warn_unconverged(converged: bool, n: int, k: int):
                       f"converging (n = {n}, k = {k})", RuntimeWarning, stacklevel=2)
 
 
+def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str, sign: float,
+                max_sweeps: int = _MAX_SWEEPS):
+    """Best objective over the movable zeros of a kind at fixed zeros: a
+    coordinate descent (sign +1 ascends, -1 descends) from each start, where
+    a later start wins only if strictly better.  Returns (value, zeros,
+    every descent converged); inf over p is kind "e" with sign -1."""
+    best_val, best, converged = None, [], True
+    for z0 in starts:
+        cfg = _Config(scorer, fixed, z0, kind)
+        val, ok = _coordinate_descent(cfg, sign, max_sweeps)
+        converged = converged and ok
+        if best_val is None or sign * val > sign * best_val:
+            best_val, best = val, list(cfg.zeros)
+    return best_val, best, converged
+
+
 def _sup_over_q(scorer: NormRatioScorer, p_zeros, starts, max_sweeps: int = _MAX_SWEEPS):
-    """sup over q of the objective at fixed p zeros: ascend from each start,
-    then compare with the empty q.  A later start, and the empty q, win only
-    if strictly better.  Returns (value, q zeros, every ascent converged)."""
-    best_val, best_q, converged = None, [], True
-    for q0 in starts:
-        cfg = _Config(scorer, p_zeros, q0, "gamma")
-        val, ok = _coordinate_descent(cfg, +1.0, max_sweeps)
-        converged = converged and ok
-        if best_val is None or val > best_val:
-            best_val, best_q = val, list(cfg.zeros)
+    """sup over q of the objective at fixed p zeros: the ascent multistart,
+    then the empty q, which wins only if strictly better."""
+    val, q, converged = _multistart(scorer, p_zeros, starts, "gamma", +1.0, max_sweeps)
     empty = _Config(scorer, p_zeros, [], "gamma").objective()
-    if empty > best_val:
-        best_val, best_q = empty, []
-    return best_val, best_q, converged
-
-
-def _inf_over_p(scorer: NormRatioScorer, q_zeros, starts):
-    """inf over p of the objective at fixed q zeros: descend from each start.
-    A later start wins only if strictly better.  Returns (value, p zeros,
-    every descent converged)."""
-    best_val, best_p, converged = None, [], True
-    for p0 in starts:
-        cfg = _Config(scorer, q_zeros, p0, "e")
-        val, ok = _coordinate_descent(cfg, -1.0)
-        converged = converged and ok
-        if best_val is None or val < best_val:
-            best_val, best_p = val, list(cfg.zeros)
-    return best_val, best_p, converged
+    return (empty, [], converged) if empty > val else (val, q, converged)
 
 
 def _leja_points(cands: np.ndarray, m: int) -> list:
@@ -351,6 +344,12 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     rng = np.random.default_rng(seed)
     e_cands = scorer.cands["e"]
     g_cands = scorer.cands["gamma"]
+    # each p start scores at least one proxy move (p has k >= 1 zeros), which
+    # charges len(e_cands) configurations: past this the budget must run out
+    starts = 2 + max(0, restarts)
+    if starts * len(e_cands) > budget:
+        raise BudgetExceeded(f"{starts} p starts score at least {starts * len(e_cands)} "
+                             f"configurations, over the budget of {budget}")
 
     p_starts = [_leja_points(boundary_samples(c.e_domain, 128), k),
                 [c.e_domain.midpoint] * k]
@@ -399,7 +398,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
             best = (val, list(p_cur), list(q_star))
 
     log_upper, p_best, q_best = best
-    log_lower, _, ok = _inf_over_p(scorer, q_best, [p_best])
+    log_lower, _, ok = _multistart(scorer, q_best, [p_best], "e", -1.0)
     converged = converged and ok
     _warn_unconverged(converged, n, k)
     return _estimate(n, k, log_upper, log_lower, "bruteforce",
@@ -433,7 +432,8 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     # the inf side descends from the Leja start and from the all-at-center
     # start (the config whose swept counting measure is the plate equilibrium
     # distribution); single-zero moves cannot cross between the two basins
-    log_lower, p_star, ok = _inf_over_p(scorer, q0, [p0, [c.e_domain.midpoint] * k])
+    log_lower, p_star, ok = _multistart(scorer, q0, [p0, [c.e_domain.midpoint] * k],
+                                         "e", -1.0)
     converged = converged and ok
 
     if p_star != p0:

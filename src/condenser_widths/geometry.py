@@ -35,6 +35,7 @@ from .errors import CoincidentPole, GeometryValidationError, UnsupportedCurve
 TWO_PI = 2.0 * np.pi
 # the kernel's s_z * s_t overflows once |phi| on the curve passes DBL_MAX^(1/4)
 _G_INF_MAX = np.log(np.finfo(float).max) / 4.0
+_ROW_BLOCK = 64  # rows of a green_matrix built at a time
 
 
 def _check_finite(what: str, *numbers):
@@ -285,6 +286,24 @@ def kernel_from_phi(phi_z, phi_t):
         val = 0.5 * np.log1p(sz * st / d2)
     # the only NaN is 0 / 0, at a coincidence on the plate; fmax keeps every other value
     return np.fmax(val, 0.0)
+
+
+def green_matrix(phi_rows, phi_cols):
+    """g over every (row, column) pair of two point sets, from phi at the
+    points: the one Green-kernel matrix builder of the package.
+
+    It is built _ROW_BLOCK rows at a time, so no kernel temporary outgrows a
+    row block.  kernel_from_phi's +inf for a point paired with itself off the
+    plate becomes 0 (on a validated condenser every other entry is finite), so
+    a product w @ green_matrix(phi, phi) holds, at each point, the potential
+    of the others.
+    """
+    out = np.empty((phi_rows.size, phi_cols.size))
+    for lo in range(0, phi_rows.size, _ROW_BLOCK):
+        rows = out[lo:lo + _ROW_BLOCK]
+        rows[:] = kernel_from_phi(phi_rows[lo:lo + _ROW_BLOCK, None], phi_cols[None, :])
+        rows[np.isinf(rows)] = 0.0
+    return out
 
 
 def green_kernel(e: EDomain, z, t):

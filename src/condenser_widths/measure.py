@@ -10,13 +10,13 @@ import numpy as np
 
 from . import parallel
 from .errors import CoincidentPole, EmptyMeasure, MassMismatch
-from .geometry import (Condenser, EDomain, boundary_samples, green_pole_infinity,
-                       interior_spots, kernel_from_phi, phi_exterior, sample_curve)
+from .geometry import (Condenser, EDomain, boundary_samples, green_matrix,
+                       green_pole_infinity, interior_spots, kernel_from_phi, phi_exterior,
+                       sample_curve)
 
 # distance clamp under the log; prevents -inf without disturbing any tested digit
 LOG_CLAMP = 1e-300
 _CHUNK_ENTRIES = 2 ** 16  # points x atoms entries of one potential-scan chunk
-_PAIR_BLOCK = 64  # atom rows of the pair-energy kernel built at a time
 _SPOTS = 64  # interior spot checks in the plate's scan set
 
 
@@ -214,16 +214,11 @@ def energy_J(lam: DiscreteMeasure, e: EDomain, theta: float) -> float:
 def green_pair_energy(phi_pts, weights) -> float:
     """sum_{i != j} w_i w_j g(x_i, x_j) from phi at the atoms, diagonal excluded.
 
-    The atoms x atoms kernel is summed in blocks of _PAIR_BLOCK rows, so its
-    temporaries stay small.
+    geometry.green_matrix gives the atoms x atoms kernel with a zero diagonal.
+    For a Fekete stage's atoms it is smaller than the atoms x grid_n (grid_n
+    >= 16 atoms) kernel columns of the exchange that placed them.
     """
-    total = 0.0
-    for lo in range(0, phi_pts.size, _PAIR_BLOCK):
-        k = kernel_from_phi(phi_pts[lo:lo + _PAIR_BLOCK, None], phi_pts[None, :])
-        rows = np.arange(k.shape[0])
-        k[rows, lo + rows] = 0.0
-        total += float(weights[lo:lo + _PAIR_BLOCK] @ (k @ weights))
-    return total
+    return float(weights @ (green_matrix(phi_pts, phi_pts) @ weights))
 
 
 def energy_I(mu: DiscreteMeasure, lambda_theta: DiscreteMeasure, theta: float) -> float:

@@ -44,9 +44,8 @@ next doubling would pass _MAX_UNKNOWNS keeps its last value and reports
 converged = False; a support of more than _MAX_UNKNOWNS / _FIRST_NODES
 arcs gets a single solve, below _FIRST_NODES nodes per arc.  The budget
 bounds memory: the LU solve copies the matrix and works in BLAS buffers
-besides, so a solve holds a few times the matrix's 2 MiB.  The matrix is
-assembled _ROW_BLOCK rows at a time, so no kernel temporary outgrows a row
-block.
+besides, so a solve holds a few times the matrix's 2 MiB.  The kernel part
+of the matrix is geometry.green_matrix over the nodes, scaled in place.
 """
 
 from __future__ import annotations
@@ -56,12 +55,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GeometryValidationError
-from .geometry import Condenser, green_pole_infinity, kernel_from_phi, phi_exterior
+from .geometry import Condenser, green_matrix, green_pole_infinity, phi_exterior
 
 _FIRST_NODES = 16     # Chebyshev nodes per arc of the first solve
 _MAX_UNKNOWNS = 512   # the largest solve: a 2 MiB matrix, which the LU copies once more
 _REL_TOL = 1e-9       # relative change of the capacity between doublings
-_ROW_BLOCK = 128      # matrix rows whose kernel is built at a time
 _EQ_NODES = 128       # equispaced nodes of the weighted-equilibrium solve
 _FIELD_SLACK = 1e-12  # how far below m the field must fall to add a free node back
 
@@ -87,17 +85,6 @@ def _nodes(c: Condenser, t: np.ndarray):
     return phi, np.log(speed) - np.log(np.abs(phi) ** 2 - 1.0)
 
 
-def _kernel_matrix(phi: np.ndarray, scale: float) -> np.ndarray:
-    """scale * g(z_i, z_j) over all node pairs, 0 on the diagonal."""
-    a = np.empty((phi.size, phi.size))
-    for lo in range(0, phi.size, _ROW_BLOCK):
-        rows = a[lo:lo + _ROW_BLOCK]
-        rows[:] = kernel_from_phi(phi[lo:lo + _ROW_BLOCK, None], phi[None, :])
-        np.fill_diagonal(rows[:, lo:], 0.0)
-        rows *= scale
-    return a
-
-
 def _solution_mass(a: np.ndarray) -> float:
     """The sum of the solution of a f = 1; NaN where the kernel overflowed
     (a curve or plate whose |phi|^2 leaves the float range)."""
@@ -120,7 +107,8 @@ def _closed_matrix(c: Condenser, n: int) -> np.ndarray:
     log_sine[0] = 0.0
     # the circulant's first column: exact singular weights plus h log|2 sin|
     circ = np.fft.ifft(multipliers).real + h * log_sine
-    a = _kernel_matrix(phi, h)
+    a = green_matrix(phi, phi)
+    a *= h
     a += circ[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     a[np.diag_indices(n)] -= h * diag
     return a
@@ -176,7 +164,8 @@ def _arcs_solve(c: Condenser, arcs, n: int) -> float:
     halves = [0.5 * length for _, length in arcs]
     t = np.concatenate([start + h * (1.0 + y) for (start, _), h in zip(arcs, halves)])
     phi, diag = _nodes(c, t)
-    a = _kernel_matrix(phi, 1.0 / n)
+    a = green_matrix(phi, phi)
+    a *= 1.0 / n
     for p, h in enumerate(halves):
         block = slice(p * n, (p + 1) * n)
         a[block, block] += moments + log_gap / n

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -22,9 +23,11 @@ POLAR = {"e": {"kind": "disk", "center": [0, 0], "radius": 1.0},
                    "radii": [2.5, 3.2, 2.2, 3.0]}}
 
 
+MISSING = object()  # write_cfg leaves out a field given this value
+
+
 def write_cfg(tmp_path, name="cfg.json", **extra):
-    cfg = dict(BASE)
-    cfg.update(extra)
+    cfg = {key: val for key, val in {**BASE, **extra}.items() if val is not MISSING}
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -241,14 +244,35 @@ def test_unknown_task_rejected(tmp_path):
         "gamma": {"kind": "polar", "center": [0, 0], "angles": ["a", 1, 2, 3],
                   "radii": [3, 3, 3, 3]}}},
         "malformed condenser section"),
+    ("equilibrium", {"condenser": MISSING}, "config is missing the 'condenser' section"),
+    ("equilibrium", {"task": "frobnicate"}, "unknown task 'frobnicate'"),
+    ("equilibrium", {"theta": 1.5}, "theta must lie in [0, 1]"),
+    ("sweep", {"thetas": [0.5, 0.2]}, "thetas must be strictly increasing"),
+    ("sweep", {"thetas": [-0.1, 0.5]}, "thetas must lie in [0, 1]"),
+    ("equilibrium", {"n_points": 1}, "n_points must be >= 2"),
+    ("validate", {"grid_n": 3}, "grid_n must be >= 4"),
+    ("equilibrium", {"n_points": 2, "grid_n": 32}, "grid_n must be >= 64"),
+    ("chi", {"n": 4, "k": 5}, "need 0 <= k <= n"),
+    ("equilibrium", {"formats": ["json", "xml"]}, "formats must be a subset of {json, csv}"),
 ], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "chi-method-unknown",
         "nwidth-method-unknown", "nwidth-bruteforce-n8", "balayage-ellipse",
         "negative-radius", "thetas-scalar", "formats-int", "formats-null", "chi-n0",
         "nwidth-n0", "thetas-nan", "out-int", "radius-nan", "center-nan", "semi-axes-nan",
         "curve-radius-inf", "polar-span", "chi-seed-negative", "equilibrium-seed-negative",
         "sweep-seed-negative", "center-short", "semi-axes-short", "semi-axes-string",
-        "polar-angle-string"])
-def test_bad_inputs_exit_2(tmp_path, capsys, task, extra, message):
+        "polar-angle-string", "condenser-missing", "task-unknown", "theta-above-1",
+        "thetas-decreasing", "thetas-below-0", "n-points-1", "grid-n-3", "grid-n-32",
+        "k-above-n", "formats-xml"])
+def test_bad_inputs_exit_2(tmp_path, capsys, monkeypatch, task, extra, message):
+    if "task" in extra:
+        # the command line's task overrides the config's, and argparse admits
+        # only known tasks: an unknown one reaches load_config from a library
+        # caller, as it does here
+        from condenser_widths import cli
+
+        load = cli.load_config
+        monkeypatch.setattr(cli, "load_config",
+                            lambda path, overrides: load(path, {**overrides, **extra}))
     cfg = write_cfg(tmp_path, **extra)
     argv = [task, "--config", cfg]
     # the --seed and --out flags would override a bad config field
@@ -416,3 +440,89 @@ def test_sweep_grid_check_counts_the_atoms_it_runs(tmp_path, capsys):
         assert main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)]) == rc
     assert "too coarse for 160 atoms" in capsys.readouterr().err
     assert len(json.loads((out / "result.json").read_text())["payload"]["thetas"]) == 2
+
+
+def test_any_package_error_exits_2(tmp_path, capsys, monkeypatch):
+    # every CondenserWidthsError other than BudgetExceeded is a validation
+    # failure, including types the runner does not name
+    from condenser_widths import cli
+    from condenser_widths.errors import CoincidentPole
+
+    def coincident(cfg):
+        raise CoincidentPole("green_kernel pole at z = t = (3+0j)")
+
+    monkeypatch.setattr(cli, "_task_equilibrium", coincident)
+    cfg = write_cfg(tmp_path, theta=0.5, n_points=16, grid_n=1024)
+    out = tmp_path / "pole"
+    assert main(["equilibrium", "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation failure" in err and "pole at z = t" in err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("task", ["chi", "nwidth"])
+def test_restarts_past_the_budget_exit_3_at_once(tmp_path, capsys, task):
+    # 2 + 10^9 starts each score at least one proxy move over the plate
+    # candidates, far past the 10^6 budget: the search stops before any start
+    # (nwidth runs its Fekete stage and capacity solve first, whose first
+    # dense solve in a process can pay a BLAS warm-up, so only chi is timed)
+    cfg = write_cfg(tmp_path, n=4, k=2, n_points=16, grid_n=1024, method="bruteforce",
+                    restarts=10 ** 9)
+    out = tmp_path / "restarts"
+    start = time.perf_counter()
+    rc = main([task, "--config", cfg, "--seed", "0", "--out", str(out)])
+    assert task != "chi" or time.perf_counter() - start < 1.0
+    assert rc == 3
+    assert "numeric budget failure" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+def run_config(task, **extra):
+    from condenser_widths.cli import RunConfig
+
+    return RunConfig(condenser=None, task=task, **extra)
+
+
+def test_largest_allocation_counts_each_task():
+    from condenser_widths.cli import MAX_ARRAY_ENTRIES, largest_allocation
+
+    # the benchmark's finest equilibrium run: 1024 x 16384 exchange columns
+    assert largest_allocation(run_config("equilibrium", n_points=1024, grid_n=16384)) == 2 ** 24
+    assert largest_allocation(run_config("nwidth", n=4, k=2, n_points=1024,
+                                         grid_n=16384)) == 2 ** 24
+    assert 2 ** 24 <= MAX_ARRAY_ENTRIES
+    # a sweep's stages take at most 160 atoms, validate's smoke stage 32
+    assert largest_allocation(run_config("sweep", n_points=1024, grid_n=4096)) == 160 * 4096
+    assert largest_allocation(run_config("validate", n_points=1024, grid_n=4096)) == 32 * 4096
+    # chi: the equilibrium pair's columns or the descents' log columns
+    assert largest_allocation(run_config("chi", n=4096, k=2048, grid_n=4096)) == 2048 * 32768
+    assert largest_allocation(run_config("chi", n=256, k=128, grid_n=4096)) == 256 * 4160
+    assert largest_allocation(run_config("chi", n=4, k=2, grid_n=1024)) == 4 * 2112
+    assert largest_allocation(run_config("chi", n=10 ** 4, k=10 ** 4, grid_n=64)) == 192 * 10 ** 4
+    # balayage-demo: complex points and float angles on min(16, k) sweep rows
+    assert largest_allocation(run_config("balayage-demo", k=2, grid_n=4096)) == 6 * 4097
+    assert largest_allocation(run_config("balayage-demo", k=0, grid_n=4096)) == 3 * 4097
+    assert largest_allocation(run_config("balayage-demo", k=100, grid_n=4096)) == 48 * 4097
+    # the fuzzed grid_n = 2^31 is over the cap on every task that failed with it
+    for task in ("equilibrium", "sweep", "validate", "nwidth", "balayage-demo"):
+        assert largest_allocation(run_config(task, grid_n=2 ** 31)) > MAX_ARRAY_ENTRIES
+    assert largest_allocation(run_config("chi", n=10 ** 5, k=5 * 10 ** 4)) > MAX_ARRAY_ENTRIES
+
+
+@pytest.mark.parametrize("task", ["equilibrium", "sweep", "chi", "nwidth", "balayage-demo",
+                                  "validate"])
+def test_allocation_over_the_cap_exits_2(tmp_path, capsys, monkeypatch, task):
+    # the cap is checked with the config, before anything is allocated; a
+    # small cap stands in for a huge config
+    from condenser_widths import cli
+
+    cfg = write_cfg(tmp_path, n=4, k=2, n_points=16, grid_n=1024, theta=0.5)
+    size = cli.largest_allocation(cli.load_config(cfg, {"task": task, "seed": 0}))
+    out = tmp_path / task
+    monkeypatch.setattr(cli, "MAX_ARRAY_ENTRIES", size - 1)
+    assert main([task, "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation failure" in err and f"{size} float64 entries" in err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "MAX_ARRAY_ENTRIES", size)
+    assert main([task, "--config", cfg, "--seed", "0", "--out", str(out)]) == 0

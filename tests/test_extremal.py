@@ -77,6 +77,17 @@ def test_chi_bruteforce_budget(concentric):
         chi_bruteforce(concentric, 5, 3, seed=0, budget=100)
 
 
+def test_chi_bruteforce_starts_bound(concentric):
+    # each of the 2 + restarts p starts scores a proxy move over the plate
+    # candidates; the search refuses up front only when those alone pass the
+    # budget, and otherwise runs until the budget itself runs out
+    cands = NormRatioScorer(concentric, grid_n=2048, gamma_cand_n=256, e_cand_n=160).cands["e"]
+    with pytest.raises(BudgetExceeded, match="p starts score at least"):
+        chi_bruteforce(concentric, 5, 3, restarts=1, seed=0, budget=3 * len(cands) - 1)
+    with pytest.raises(BudgetExceeded, match="budget of .* exhausted"):
+        chi_bruteforce(concentric, 5, 3, restarts=1, seed=0, budget=3 * len(cands))
+
+
 def test_chi_asymptotic_concentric_rate(concentric):
     prev = None
     for n in (16, 32, 64):
