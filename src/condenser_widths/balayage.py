@@ -12,15 +12,28 @@ so cell masses are exact and total mass is preserved to roundoff.
 
 A measure sum_j w_j delta_{b_j} is swept in one pass.  The cell edges and
 their rotations e^{-it} are the same for every atom, and differencing is
-linear, so with W = sum_j w_j
+linear, so with W = sum_j w_j and s_j = w_j / W
 
-    sum_j w_j diff(psi_j) = W diff(t + 2 sum_j (w_j / W) arg(1 - a_j e^{-it})).
+    sum_j w_j diff(psi_j) = W diff(t + 2 A(t)),  A(t) = sum_j s_j arg(1 - a_j e^{-it}).
 
-The weighted angle sum is accumulated over fixed blocks of atoms, one
-(block x cells) arctan2 and one matrix-vector product per block, with
-buffers allocated once per sweep.  A single atom reproduces the one-atom
-formula bit for bit; several atoms agree with the atom-by-atom sum up to
-the order of the additions.
+With rho = max_j |a_j| < 1, log(1 - x) = -sum_k x^k / k gives the Fourier
+series of the Poisson kernel's antiderivative,
+
+    A(t) = -Im sum_{k >= 1} (c_k / k) e^{-ikt},  c_k = sum_j s_j a_j^k,
+
+whose tail past K terms is at most rho^(K+1) / ((K+1)(1 - rho)).  K is the
+fewest terms that bring it below 2^-53 (geometry.series_terms).  The edges
+t_m = h m - h/2, h = 2 pi / n, are equispaced, so A on edges 0..n-1 is the
+length-n FFT of (c_k / k) e^{ikh/2}, k = 1..K, and edge n, one period on,
+takes edge 0's value.  The c_k come from one atoms-length power vector,
+multiplied by a once per term.
+
+Where the series does not converge (rho >= 1, an atom on the circle) or is
+no cheaper (K >= n), A comes directly: one (block x cells) arctan2 and one
+matrix-vector product per fixed block of atoms, with buffers allocated once
+per sweep.  There a single atom reproduces the one-atom formula bit for bit,
+and several atoms agree with the atom-by-atom sum up to the order of the
+additions.  On either path the masses sum to W up to roundoff.
 
 Cell masses being exact, the only approximation is representing each cell by
 an atom at its center.  Potentials of the swept measure are good to about
@@ -38,7 +51,7 @@ import numpy as np
 
 from .errors import UnsupportedCurve, UnsupportedDomain
 from .geometry import (Condenser, CurveSpec, EDomain, TWO_PI, green_exterior_gamma,
-                       green_pole_infinity)
+                       green_pole_infinity, series_terms)
 from .measure import DiscreteMeasure
 
 _SWEEP_BLOCK = 16  # atoms per block of the sweep; buffers of 24 B x block x (cells + 1)
@@ -58,7 +71,8 @@ def _sweep_to_circle(points, weights, center: complex, radius: float, grid_n: in
     Cells are centered at angles 2 pi k / n.  With |a| < 1 the map
     1 - a e^{-it} stays in the right half plane, so the principal branch of
     the argument is smooth and the masses sum to the total weight up to
-    roundoff.
+    roundoff.  The weighted angle sum comes from the power series where
+    series_terms gives it terms, and from the blocked arctan2 otherwise.
     """
     total = float(np.sum(weights))
     share = weights / total
@@ -68,11 +82,34 @@ def _sweep_to_circle(points, weights, center: complex, radius: float, grid_n: in
     a[outside] = 1.0 / np.conj(b[outside])
     h = TWO_PI / grid_n
     edges = h * np.arange(grid_n + 1) - 0.5 * h
+    terms = series_terms(float(np.max(np.abs(a))), grid_n)
+    acc = (_angle_series(a, share, terms, h, grid_n) if terms
+           else _angle_direct(a, share, edges))
+    return total * (np.diff(edges + 2.0 * acc) / TWO_PI)
+
+
+def _angle_series(a, share, terms: int, h: float, grid_n: int) -> np.ndarray:
+    """sum_j share_j arg(1 - a_j e^{-it}) on the grid_n + 1 cell edges, from
+    the first terms of its Fourier series and one FFT."""
+    coef = np.zeros(grid_n, dtype=complex)
+    pw = share.astype(complex)
+    for k in range(1, terms + 1):
+        pw *= a
+        coef[k] = pw.sum()
+    k = np.arange(1, terms + 1)
+    coef[1:terms + 1] *= np.exp(0.5j * h * k) / k
+    acc = -np.fft.fft(coef).imag
+    return np.append(acc, acc[0])
+
+
+def _angle_direct(a, share, edges) -> np.ndarray:
+    """sum_j share_j arg(1 - a_j e^{-it}) at the edges, _SWEEP_BLOCK atoms at
+    a time."""
     rot = np.exp(-1j * edges)
     block = min(_SWEEP_BLOCK, a.size)
-    z = np.empty((block, grid_n + 1), dtype=complex)
-    ang = np.empty((block, grid_n + 1))
-    acc = np.zeros(grid_n + 1)
+    z = np.empty((block, edges.size), dtype=complex)
+    ang = np.empty((block, edges.size))
+    acc = np.zeros(edges.size)
     for lo in range(0, a.size, block):
         ab = a[lo:lo + block]
         zb, tb = z[:ab.size], ang[:ab.size]
@@ -80,7 +117,7 @@ def _sweep_to_circle(points, weights, center: complex, radius: float, grid_n: in
         np.subtract(1.0, zb, out=zb)
         np.arctan2(zb.imag, zb.real, out=tb)
         acc += share[lo:lo + block] @ tb
-    return total * (np.diff(edges + 2.0 * acc) / TWO_PI)
+    return acc
 
 
 def _circle_grid(center: complex, radius: float, grid_n: int) -> np.ndarray:

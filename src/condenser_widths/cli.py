@@ -174,7 +174,9 @@ def largest_allocation(cfg: RunConfig) -> int:
         sets, n x (2 scan + 64) with scan = min(grid_n, _SCAN_CAP) >= 64,
         which outgrow the pair's complex Leja grid, 2 max(4096, 16 k);
       - balayage-demo's sweep buffers, complex points and float angles on
-        min(_SWEEP_BLOCK, k) rows of grid_n + 1 cells.
+        min(_SWEEP_BLOCK, k) rows of grid_n + 1 cells.  These are the
+        direct arctan2 path's; the power-series path needs about 2 grid_n
+        complex values, so they bound both paths.
     """
     g, q = cfg.grid_n, cfg.n - cfg.k
     atoms = {"equilibrium": cfg.n_points, "nwidth": cfg.n_points,

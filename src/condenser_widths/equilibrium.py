@@ -47,7 +47,7 @@ log|z - x_i| = log cap(E) + log|w_i| + log|1 - u/w_i|, plus log|1 - conj(u)/w_i|
 on a segment.  So U(z) = -|lam| log cap(E) - sum_i lam_i log|w_i| + Re P(u)
 (+ Re P(conj u)), where P(v) = sum_{k <= K} (c_k / k) v^k and
 c_k = sum_i lam_i w_i^-k (_plate_field).  K is the fewest terms whose tail
-bound, with rho = max_i 1/|w_i|, falls below |lam| 2^-53 (_series_terms).
+bound, with rho = max_i 1/|w_i|, falls below |lam| 2^-53 (geometry.series_terms).
 log_potential's direct sum stays where the series does not converge (rho >= 1,
 an atom on or inside E) or is no cheaper (K >= the atom count).  The plate
 grid is equispaced, in angle on a disk and in abscissa on a segment, so
@@ -71,7 +71,8 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .geometry import (Condenser, EDomain, TWO_PI, green_matrix, green_pole_infinity,
-                       kernel_parts, log_capacity, boundary_samples, phi_exterior, sample_curve)
+                       kernel_parts, log_capacity, boundary_samples, phi_exterior, sample_curve,
+                       series_terms)
 from .measure import DiscreteMeasure, log_abs, log_potential
 from .spectral import CapacitySolve, spectral_capacity, spectral_equilibrium
 
@@ -405,20 +406,13 @@ def leja_weighted(c: Condenser, lambda_n: DiscreteMeasure, theta: float, m: int,
 def _series_terms(e: EDomain, lam: DiscreteMeasure) -> int:
     """Terms K of _plate_field's series, or 0 where the direct sum is used.
 
-    With rho = max_i 1/|phi(x_i)|, K is the fewest terms whose tail bound
-    |lam| rho^(K+1) / ((K+1)(1 - rho)) falls below |lam| 2^-53.  The direct
-    sum is used for the zero measure, for rho >= 1 (an atom on or inside E),
-    and when K >= len(lam), where the series costs no less than the sum.
+    K is series_terms(rho, len(lam)) with rho = max_i 1/|phi(x_i)|, so the
+    direct sum is used for the zero measure, for rho >= 1 (an atom on or
+    inside E), and when K >= len(lam), where the series costs no less.
     """
     if lam.is_zero:
         return 0
-    rho = float(np.max(1.0 / np.abs(phi_exterior(e, lam.points))))
-    if rho >= 1.0:
-        return 0
-    k = np.arange(1, len(lam))
-    tail = rho ** (k + 1) / ((k + 1) * (1.0 - rho))
-    fits = np.flatnonzero(tail <= 2.0 ** -53)
-    return int(k[fits[0]]) if fits.size else 0
+    return series_terms(float(np.max(1.0 / np.abs(phi_exterior(e, lam.points)))), len(lam))
 
 
 def _plate_field(e: EDomain, lam: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:

@@ -252,6 +252,22 @@ def phi_exterior(e: EDomain, z):
     return np.where(np.abs(plus) >= np.abs(minus), plus, minus)
 
 
+def series_terms(rho: float, limit: int) -> int:
+    """Terms K of a series sum_k (c_k / k) v^k, |v| = 1, whose |c_k| is at
+    most rho^k per unit mass, or 0 where the caller's direct sum is used.
+
+    K is the fewest terms whose tail bound rho^(K+1) / ((K+1)(1 - rho))
+    falls below 2^-53.  It is 0 for rho >= 1, where the series does not
+    converge, and when K >= limit, where it costs no less than the direct sum.
+    """
+    if rho >= 1.0:
+        return 0
+    k = np.arange(1, limit)
+    tail = rho ** (k + 1) / ((k + 1) * (1.0 - rho))
+    fits = np.flatnonzero(tail <= 2.0 ** -53)
+    return int(k[fits[0]]) if fits.size else 0
+
+
 def green_pole_infinity(e: EDomain, z):
     """g(z, infinity) for D, continuous, equal to 0 on E."""
     az = np.abs(phi_exterior(e, z))
