@@ -79,6 +79,7 @@ from .spectral import CapacitySolve, spectral_capacity, spectral_equilibrium
 _ENDPOINT_TOL = 1e-12
 _COARSE_SLOTS = 8  # slots per atom on the coarsest grid of a coarse-to-fine solve
 _WINDOW_SPACINGS = 6  # half-width of an exchange visit's first scan, in mean atom spacings
+_MAX_PASSES = 200  # exchange passes of one run before it stops unconverged
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class ExchangeRun(NamedTuple):
 
     ``full_scans`` counts the visits that scored the whole grid because their
     window scan could not be certified.  ``converged`` is False when the run
-    stopped at ``max_passes`` with the last pass still moving atoms.  The
+    stopped at ``_MAX_PASSES`` with the last pass still moving atoms.  The
     engine builds m + moves kernel columns; cols[i] is g(., z_chosen[i]) over
     the grid, 0 at its own slot and on the plate.  For atom weights w,
     (w @ cols)[chosen[i]] is the potential of the other atoms at atom i, so
@@ -176,8 +177,7 @@ def _column_fill(phi_grid):
     return fill
 
 
-def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200,
-                       start=None) -> ExchangeRun:
+def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> ExchangeRun:
     """Single-point exchange passes maximizing
 
         F = -sum_{i<j} g(z_i, z_j) + field_coeff * sum_i g(z_i, inf)
@@ -270,7 +270,7 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, max_passes=200,
     window = score[:width]
     passes = moves = full_scans = 0
     converged = False
-    while not converged and passes < max_passes:
+    while not converged and passes < _MAX_PASSES:
         passes += 1
         moves_before = moves
         for i in rng.permutation(m).tolist():
@@ -403,31 +403,22 @@ def leja_weighted(c: Condenser, lambda_n: DiscreteMeasure, theta: float, m: int,
     return DiscreteMeasure(grid[chosen], np.full(m, theta / m))
 
 
-def _series_terms(e: EDomain, lam: DiscreteMeasure) -> int:
-    """Terms K of _plate_field's series, or 0 where the direct sum is used.
-
-    K is series_terms(rho, len(lam)) with rho = max_i 1/|phi(x_i)|, so the
-    direct sum is used for the zero measure, for rho >= 1 (an atom on or
-    inside E), and when K >= len(lam), where the series costs no less.
-    """
-    if lam.is_zero:
-        return 0
-    return series_terms(float(np.max(1.0 / np.abs(phi_exterior(e, lam.points)))), len(lam))
-
-
 def _plate_field(e: EDomain, lam: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:
     """U^lam on the plate boundary grid, from the exterior-map series.
 
     With w_i = phi(x_i) and u = phi(z), |u| = 1:
         U(z) = -|lam| log cap(E) - sum_i lam_i log|w_i| + Re P(u) (+ Re P(conj u)
-    on a segment), P(v) = sum_{k <= K} (c_k / k) v^k, c_k = sum_i lam_i w_i^-k;
-    K comes from _series_terms, which picks log_potential's direct sum instead
-    where the series is not cheaper or does not converge.
+    on a segment), P(v) = sum_{k <= K} (c_k / k) v^k, c_k = sum_i lam_i w_i^-k.
+    K is series_terms(rho, len(lam)) with rho = max_i 1/|w_i|.  It is 0, and
+    log_potential's direct sum is used instead, for the zero measure, for
+    rho >= 1 (an atom on or inside E), and where K >= len(lam), since the
+    series then costs no less.
     """
-    terms = _series_terms(e, lam)
+    w = phi_exterior(e, lam.points)
+    terms = 0 if lam.is_zero else series_terms(float(np.max(1.0 / np.abs(w))), len(lam))
     if not terms:
         return np.atleast_1d(log_potential(lam, grid))
-    inv = 1.0 / phi_exterior(e, lam.points)
+    inv = 1.0 / w
     coef = lam.weights @ np.cumprod(np.broadcast_to(inv[:, None], (len(lam), terms)), axis=1)
     coef /= np.arange(1, terms + 1)
     u = phi_exterior(e, grid)

@@ -32,6 +32,8 @@ from .measure import (DiscreteMeasure, M_functional, log_abs, log_potential,
 
 _IMPROVE_EPS = 1e-13
 _MAX_SWEEPS = 40  # coordinate-descent budget of the chi estimators
+_BRUTEFORCE_BUDGET = 10 ** 6  # scored configurations of chi_bruteforce
+_PAIR_BUDGET = 10 ** 8  # scored configurations of chi_asymptotic_pair
 _SCAN_CAP = 2048  # largest scan grid of a chi estimator's scorer
 BRUTEFORCE_MAX_N = 6  # the nested search runs at n <= 6 only
 CHI_METHODS = ("auto", "bruteforce", "asymptotic_pair")
@@ -226,7 +228,7 @@ class _Config:
     def move_scores(self, i: int, sign: float, floor: float) -> np.ndarray:
         """Objective after moving zero i to each candidate of its kind whose
         sign * objective can exceed floor; -sign * inf for the others."""
-        self.scorer._charge(len(self.cands_of_kind()))
+        self.scorer._charge(len(self.scorer.cands[self.kind]))
         le, lg = self._totals()
         return self.scorer.move_scores(self.kind, le - self.cols[i][0],
                                        lg - self.cols[i][1], sign, floor)
@@ -237,19 +239,16 @@ class _Config:
         return float(np.max(le - self.cols[i][0]) - np.max(lg - self.cols[i][1]))
 
     def apply_move(self, i: int, cand_idx: int):
-        z = complex(self.cands_of_kind()[cand_idx])
-        self.zeros[i] = z
-        self.cols[i] = (self.scorer.mats[("e", self.kind)][cand_idx].copy(),
-                        self.scorer.mats[("gamma", self.kind)][cand_idx].copy())
+        # zero i takes the scorer's candidate rows as they are: nothing writes to them
+        self.zeros[i] = complex(self.scorer.cands[self.kind][cand_idx])
+        self.cols[i] = (self.scorer.mats[("e", self.kind)][cand_idx],
+                        self.scorer.mats[("gamma", self.kind)][cand_idx])
         self._sums = None
 
     def apply_drop(self, i: int):
         del self.zeros[i]
         del self.cols[i]
         self._sums = None
-
-    def cands_of_kind(self):
-        return self.scorer.cands[self.kind]
 
 
 def _coordinate_descent(cfg: _Config, sign: float, max_sweeps: int = _MAX_SWEEPS):
@@ -306,11 +305,9 @@ def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str, sign: float,
 
 
 def _sup_over_q(scorer: NormRatioScorer, p_zeros, starts, max_sweeps: int = _MAX_SWEEPS):
-    """sup over q of the objective at fixed p zeros: the ascent multistart,
-    then the empty q, which wins only if strictly better."""
-    val, q, converged = _multistart(scorer, p_zeros, starts, "gamma", +1.0, max_sweeps)
-    empty = _Config(scorer, p_zeros, [], "gamma").objective()
-    return (empty, [], converged) if empty > val else (val, q, converged)
+    """sup over q of the objective at fixed p zeros: the ascent multistart
+    with the empty q as its last start."""
+    return _multistart(scorer, p_zeros, [*starts, []], "gamma", +1.0, max_sweeps)
 
 
 def _leja_points(cands: np.ndarray, m: int) -> list:
@@ -322,8 +319,7 @@ def _leja_points(cands: np.ndarray, m: int) -> list:
 
 
 def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
-                   restarts: int = 2, seed: int = 0,
-                   budget: int = 10 ** 6) -> ChiEstimate:
+                   restarts: int = 2, seed: int = 0) -> ChiEstimate:
     """Nested minimax search at small n: outer inf over p zeros, inner sup
     over q zeros, both by multistart cyclic coordinate descent on candidate
     grids, with lower degrees explored through zero-dropping moves.
@@ -340,16 +336,16 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
         return _estimate(n, k, 0.0, 0.0, "bruteforce", ZeroConfig((), (), n, k), True)
 
     scorer = NormRatioScorer(c, grid_n=min(grid_n, _SCAN_CAP), gamma_cand_n=256,
-                             e_cand_n=160, budget=budget)
+                             e_cand_n=160, budget=_BRUTEFORCE_BUDGET)
     rng = np.random.default_rng(seed)
     e_cands = scorer.cands["e"]
     g_cands = scorer.cands["gamma"]
     # each p start scores at least one proxy move (p has k >= 1 zeros), which
     # charges len(e_cands) configurations: past this the budget must run out
     starts = 2 + max(0, restarts)
-    if starts * len(e_cands) > budget:
+    if starts * len(e_cands) > _BRUTEFORCE_BUDGET:
         raise BudgetExceeded(f"{starts} p starts score at least {starts * len(e_cands)} "
-                             f"configurations, over the budget of {budget}")
+                             f"configurations, over the budget of {_BRUTEFORCE_BUDGET}")
 
     p_starts = [_leja_points(boundary_samples(c.e_domain, 128), k),
                 [c.e_domain.midpoint] * k]
@@ -405,8 +401,14 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
                      ZeroConfig(tuple(p_best), tuple(q_best), n, k), converged)
 
 
+def _pair_grid(m: int) -> int:
+    """Grid size of an m-atom stage of chi_asymptotic_pair: 16 slots per
+    atom, and at least 4096."""
+    return max(4096, 16 * m)
+
+
 def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
-                        seed: int = 0, budget: int = 10 ** 8) -> ChiEstimate:
+                        seed: int = 0) -> ChiEstimate:
     """Sandwich from the equilibrium discretizations: p from the plate Leja
     points, q from the curve Fekete points, polished by coordinate descent.
 
@@ -419,13 +421,13 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     theta = k / n
-    lam = fekete_green(c, theta, n - k, max(4096, 16 * (n - k)), seed)
-    mu = leja_weighted(c, lam, theta, k, max(4096, 16 * k))
+    lam = fekete_green(c, theta, n - k, _pair_grid(n - k), seed)
+    mu = leja_weighted(c, lam, theta, k, _pair_grid(k))
     q0 = [complex(z) for z in lam.points]
     p0 = [complex(z) for z in mu.points]
 
     scorer = NormRatioScorer(c, grid_n=min(grid_n, _SCAN_CAP), gamma_cand_n=min(1024, grid_n),
-                             e_cand_n=256, budget=budget)
+                             e_cand_n=256, budget=_PAIR_BUDGET)
 
     log_upper, q_star, converged = _sup_over_q(scorer, p0, [q0])
 

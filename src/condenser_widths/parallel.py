@@ -4,10 +4,8 @@ Chunking bounds the size of the point x atom temporaries of the potential
 scans; chunk boundaries are fixed and results come back in chunk order.
 """
 
-_CHUNK = 8192
 
-
-def run_chunked(fn, n_items: int, chunk: int = _CHUNK):
+def run_chunked(fn, n_items: int, chunk: int):
     """Evaluate fn(lo, hi) over [0, n_items) in fixed chunks, in order.
 
     Returns the list of per-chunk results in chunk order.

@@ -375,6 +375,24 @@ def test_non_finite_result_exits_2(tmp_path, capsys, condenser):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_payload_exits_2_and_writes_no_file(tmp_path, capsys, monkeypatch, value):
+    # the strict-JSON guard runs after the task and before any file is written
+    from condenser_widths import cli
+
+    monkeypatch.setattr(cli, "_task_sweep",
+                        lambda cfg: ({"m": [0.5, value]}, [("sweep.csv", [("theta",), ("0",)])]))
+    cfg = write_cfg(tmp_path, condenser=OFFSET, n_points=16, grid_n=256,
+                    formats=["json", "csv"])
+    out = tmp_path / "guard"
+    rc = main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "validation failure" in err and "non-finite" in err
+    assert not (out / "result.json").exists() and not (out / "manifest.json").exists()
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("task", ["equilibrium", "sweep"])
 def test_non_finite_equilibrium_density_exits_2(tmp_path, capsys, monkeypatch, task):
     # a Nystrom matrix that overflowed gives a NaN density: the run names it
@@ -507,6 +525,62 @@ def test_largest_allocation_counts_each_task():
     for task in ("equilibrium", "sweep", "validate", "nwidth", "balayage-demo"):
         assert largest_allocation(run_config(task, grid_n=2 ** 31)) > MAX_ARRAY_ENTRIES
     assert largest_allocation(run_config("chi", n=10 ** 5, k=5 * 10 ** 4)) > MAX_ARRAY_ENTRIES
+
+
+class _ScorerBuilt(Exception):
+    """Stops a chi estimate once its scorer is built."""
+
+
+@pytest.mark.parametrize("task", ["chi", "nwidth"])
+@pytest.mark.parametrize("plate", ["disk", "segment"])
+@pytest.mark.parametrize("n, k, grid_n, method", [
+    (4, 2, 256, "bruteforce"), (24, 8, 64, "asymptotic_pair"),
+    (24, 8, 4096, "asymptotic_pair"), (8, 7, 64, "asymptotic_pair"),
+    (20, 20, 1024, "asymptotic_pair"), (600, 300, 64, "asymptotic_pair")])
+def test_largest_allocation_covers_the_chi_estimate(monkeypatch, task, plate, n, k, grid_n,
+                                                    method):
+    # the guard must cover what the estimate allocates: the descents' log
+    # columns, n x (plate + curve scan points) of the scorer it builds, and
+    # the equilibrium pair's exchange columns and complex Leja grid
+    import numpy as np
+
+    from condenser_widths import extremal
+    from condenser_widths.cli import largest_allocation
+    from condenser_widths.geometry import Condenser, sample_curve
+    from condenser_widths.measure import DiscreteMeasure
+
+    sizes = []
+
+    class Scorer(extremal.NormRatioScorer):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            sizes.append(n * (self.e_eval.size + self.gamma_eval.size))
+            raise _ScorerBuilt
+
+    leja = extremal.leja_weighted
+
+    def fekete_spy(c, theta, m, slots, seed):
+        # a stand-in for the exchange: only the stage's size matters here
+        sizes.append(m * slots)
+        return DiscreteMeasure(sample_curve(c.gamma, slots).points[:m],
+                               np.full(m, (1.0 - theta) / max(m, 1)))
+
+    def leja_spy(c, lam, theta, m, slots):
+        sizes.append(2 * slots)
+        return leja(c, lam, theta, m, slots)
+
+    monkeypatch.setattr(extremal, "NormRatioScorer", Scorer)
+    monkeypatch.setattr(extremal, "fekete_green", fekete_spy)
+    monkeypatch.setattr(extremal, "leja_weighted", leja_spy)
+    e = ({"kind": "disk", "center": [0, 0], "radius": 1.0} if plate == "disk"
+         else {"kind": "segment", "a": -1.0, "b": 1.0})
+    c = Condenser.from_json_dict({"e": e, "gamma": OFFSET["gamma"]}).validate()
+    with pytest.raises(_ScorerBuilt):
+        extremal.chi_estimate(c, n, k, method, grid_n, restarts=2, seed=0)
+    assert len(sizes) == (3 if method == "asymptotic_pair" else 1)
+    guard = largest_allocation(run_config(task, n=n, k=k, n_points=16, grid_n=grid_n,
+                                          method=method))
+    assert guard >= max(sizes)
 
 
 @pytest.mark.parametrize("task", ["equilibrium", "sweep", "chi", "nwidth", "balayage-demo",

@@ -242,14 +242,16 @@ def test_sweep_rejects_bad_grid(concentric):
         theta_sweep(concentric, [0.5, 0.25], 64, 2048)
 
 
-def test_exchange_reports_passes_and_convergence(offset):
+def test_exchange_reports_passes_and_convergence(offset, monkeypatch):
+    from condenser_widths import equilibrium as eq
     from condenser_widths.equilibrium import _exchange_maximize
     from condenser_widths.geometry import phi_exterior, sample_curve
     pts = sample_curve(offset.gamma, 1024).points
     phi_g, g_inf = phi_exterior(offset.e_domain, pts), green_pole_infinity(offset.e_domain, pts)
     full = _exchange_maximize(phi_g, g_inf, 32, 31 / 0.5, seed=0)
     assert full.converged and full.passes >= 2 and full.moves > 0
-    cut = _exchange_maximize(phi_g, g_inf, 32, 31 / 0.5, seed=0, max_passes=1)
+    monkeypatch.setattr(eq, "_MAX_PASSES", 1)
+    cut = _exchange_maximize(phi_g, g_inf, 32, 31 / 0.5, seed=0)
     assert not cut.converged and cut.passes == 1 and 0 < cut.moves <= full.moves
 
 
@@ -259,9 +261,7 @@ def test_exchange_budget_exhaustion_warns(offset, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # converged runs stay silent
         fekete_green(offset, 0.5, 32, 1024, seed=0)
-    engine = eq._exchange_maximize
-    monkeypatch.setattr(eq, "_exchange_maximize",
-                        lambda *args, **kw: engine(*args, **kw, max_passes=1))
+    monkeypatch.setattr(eq, "_MAX_PASSES", 1)
     with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = 32, grid_n = 1024"):
         fekete_green(offset, 0.5, 32, 1024, seed=0)
     with pytest.warns(RuntimeWarning, match=r"max_passes = 1 .*m = (16|8), grid_n = 512"):
@@ -338,8 +338,9 @@ def test_unconverged_warning_names_the_full_grid(offset, monkeypatch):
 
     def cut(phi_grid, *args, **kw):
         grids.append(phi_grid.size)
-        return engine(phi_grid, *args, **kw, max_passes=1)
+        return engine(phi_grid, *args, **kw)
 
+    monkeypatch.setattr(eq, "_MAX_PASSES", 1)
     monkeypatch.setattr(eq, "_exchange_maximize", cut)
     for solve, levels, want in [
             (lambda: fekete_green(POLAR, 0.5, 32, 1024, seed=0), [256, 512, 1024],

@@ -72,20 +72,25 @@ def test_chi_bruteforce_rejects_large_n(concentric):
         chi_bruteforce(concentric, 7, 3, seed=0)
 
 
-def test_chi_bruteforce_budget(concentric):
+def test_chi_bruteforce_budget(concentric, monkeypatch):
+    from condenser_widths import extremal as ex
+    monkeypatch.setattr(ex, "_BRUTEFORCE_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        chi_bruteforce(concentric, 5, 3, seed=0, budget=100)
+        chi_bruteforce(concentric, 5, 3, seed=0)
 
 
-def test_chi_bruteforce_starts_bound(concentric):
+def test_chi_bruteforce_starts_bound(concentric, monkeypatch):
     # each of the 2 + restarts p starts scores a proxy move over the plate
     # candidates; the search refuses up front only when those alone pass the
     # budget, and otherwise runs until the budget itself runs out
+    from condenser_widths import extremal as ex
     cands = NormRatioScorer(concentric, grid_n=2048, gamma_cand_n=256, e_cand_n=160).cands["e"]
+    monkeypatch.setattr(ex, "_BRUTEFORCE_BUDGET", 3 * len(cands) - 1)
     with pytest.raises(BudgetExceeded, match="p starts score at least"):
-        chi_bruteforce(concentric, 5, 3, restarts=1, seed=0, budget=3 * len(cands) - 1)
+        chi_bruteforce(concentric, 5, 3, restarts=1, seed=0)
+    monkeypatch.setattr(ex, "_BRUTEFORCE_BUDGET", 3 * len(cands))
     with pytest.raises(BudgetExceeded, match="budget of .* exhausted"):
-        chi_bruteforce(concentric, 5, 3, restarts=1, seed=0, budget=3 * len(cands))
+        chi_bruteforce(concentric, 5, 3, restarts=1, seed=0)
 
 
 def test_chi_asymptotic_concentric_rate(concentric):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from condenser_widths import Condenser, CurveSpec, DiscreteMeasure, EDomain
-from condenser_widths.equilibrium import (_leja_indices, _plate_field, _series_terms,
-                                          fekete_green, leja_weighted)
+from condenser_widths import equilibrium
+from condenser_widths.equilibrium import _leja_indices, _plate_field, fekete_green, leja_weighted
 from condenser_widths.geometry import boundary_samples, log_capacity, phi_exterior
 from condenser_widths.measure import energy_I, log_abs, log_potential
 
@@ -37,14 +37,30 @@ def reference_leja(c, lam, theta, m, grid_n):
     return DiscreteMeasure(grid[chosen], np.full(m, theta / m))
 
 
+def direct_sum_calls(monkeypatch):
+    """A list that grows by one at each call of the stage's direct sum,
+    equilibrium.log_potential, which _plate_field takes where its series
+    does not run."""
+    calls = []
+    direct = equilibrium.log_potential
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return direct(*args, **kw)
+
+    monkeypatch.setattr(equilibrium, "log_potential", spy)
+    return calls
+
+
 @pytest.mark.parametrize("m, grid_n, theta", [(1024, 16384, 0.05), (1024, 16384, 0.1),
                                               (256, 4096, 0.25), (256, 4096, 0.5),
                                               (256, 4096, 0.9)])
-def test_offset_pair_matches_reference_slot_for_slot(m, grid_n, theta):
+def test_offset_pair_matches_reference_slot_for_slot(m, grid_n, theta, monkeypatch):
+    calls = direct_sum_calls(monkeypatch)
     for seed in (0, 1, 2):
         lam = fekete_green(OFFSET, theta, m, grid_n, seed)
-        assert _series_terms(OFFSET.e_domain, lam) > 0
         mu = leja_weighted(OFFSET, lam, theta, m, grid_n)
+        assert not calls  # the series field ran
         assert mu.points.tolist() == reference_leja(OFFSET, lam, theta, m, grid_n).points.tolist()
 
 
@@ -76,16 +92,18 @@ def _cloud(e, rng, n=300, mass=0.7):
 @pytest.mark.parametrize("e", [EDomain.disk(0j, 1.0), EDomain.disk(0.5 - 0.3j, 0.8),
                                EDomain.segment(-1.0, 1.0)],
                          ids=["unit-disk", "off-centre-disk", "segment"])
-def test_series_field_matches_log_potential(e):
+def test_series_field_matches_log_potential(e, monkeypatch):
     rng = np.random.default_rng(7)
+    calls = direct_sum_calls(monkeypatch)
     for grid_n in (1024, 4097):
         grid = boundary_samples(e, grid_n)
         lam = _cloud(e, rng)
-        assert 0 < _series_terms(e, lam) < len(lam)
-        assert np.max(np.abs(_plate_field(e, lam, grid) - log_potential(lam, grid))) <= 1e-14
+        field = _plate_field(e, lam, grid)
+        assert not calls  # the series field ran
+        assert np.max(np.abs(field - log_potential(lam, grid))) <= 1e-14
 
 
-def test_series_field_falls_back_to_the_direct_sum():
+def test_series_field_falls_back_to_the_direct_sum(monkeypatch):
     unit, seg = EDomain.disk(0j, 1.0), EDomain.segment(-1.0, 1.0)
     thin = Condenser(seg, CurveSpec.ellipse(0j, (2.0, 0.3))).validate()
     near = 1.0000001 * np.exp(2j * np.pi * np.arange(256) / 256)
@@ -97,13 +115,15 @@ def test_series_field_falls_back_to_the_direct_sum():
         (unit, DiscreteMeasure([0.3 + 0.2j, 2.0, -3.0j], [0.2, 0.3, 0.5]), False),
         (unit, DiscreteMeasure.zero(), False),
     ]
+    calls = direct_sum_calls(monkeypatch)
     for e, lam, outside in cases:
         grid = boundary_samples(e, 1024)
         if outside:
             assert np.max(1.0 / np.abs(phi_exterior(e, lam.points))) < 1.0
-        assert _series_terms(e, lam) == 0
         want = np.atleast_1d(log_potential(lam, grid))
+        calls.clear()
         assert _plate_field(e, lam, grid).tolist() == want.tolist()
+        assert len(calls) == 1  # the direct sum ran
 
 
 def test_shifted_row_matches_the_generic_rows():

@@ -66,7 +66,7 @@ class DenseConfig(_Config):
         return dense_move_scores(self, i, self.mats)
 
     def apply_move(self, i, cand_idx):
-        self.zeros[i] = complex(self.cands_of_kind()[cand_idx])
+        self.zeros[i] = complex(self.scorer.cands[self.kind][cand_idx])
         self.cols[i] = (self.mats[("e", self.kind)][:, cand_idx].copy(),
                         self.mats[("gamma", self.kind)][:, cand_idx].copy())
         self._sums = None
