@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import UnsupportedCurve, UnsupportedDomain
 from .geometry import (Condenser, CurveSpec, EDomain, TWO_PI, green_exterior_gamma,
-                       green_pole_infinity, series_terms)
+                       green_pole_infinity, sample_curve, series_terms)
 from .measure import DiscreteMeasure
 
 _SWEEP_BLOCK = 16  # atoms per block of the sweep; buffers of 24 B x block x (cells + 1)
@@ -120,10 +120,6 @@ def _angle_direct(a, share, edges) -> np.ndarray:
     return acc
 
 
-def _circle_grid(center: complex, radius: float, grid_n: int) -> np.ndarray:
-    return center + radius * np.exp(1j * TWO_PI * np.arange(grid_n) / grid_n)
-
-
 def _sweep_part(points, weights, sweep, center: complex, radius: float,
                 grid_n: int) -> DiscreteMeasure:
     """Atoms where sweep holds moved onto the circle grid (empty cells
@@ -132,7 +128,8 @@ def _sweep_part(points, weights, sweep, center: complex, radius: float,
     if np.any(sweep):
         masses = _sweep_to_circle(points[sweep], weights[sweep], center, radius, grid_n)
         keep = masses > 0.0
-        out = DiscreteMeasure(_circle_grid(center, radius, grid_n)[keep], masses[keep])
+        grid = sample_curve(CurveSpec.circle(center, radius), grid_n).points
+        out = DiscreteMeasure(grid[keep], masses[keep])
     if np.any(~sweep):
         out = out + DiscreteMeasure(points[~sweep], weights[~sweep])
     return out
@@ -203,9 +200,8 @@ def _beta_measure(q_zeros: np.ndarray, c: Condenser, n: int, k: int,
                                     c.gamma, boundary_grid_n)
             beta = res.swept
         if defect > 0:
-            grid = _circle_grid(c.gamma.center, c.gamma.radius, boundary_grid_n)
-            beta = beta + DiscreteMeasure(grid, np.full(boundary_grid_n,
-                                                        defect / boundary_grid_n))
+            beta = beta + DiscreteMeasure(sample_curve(c.gamma, boundary_grid_n).points,
+                                          np.full(boundary_grid_n, defect / boundary_grid_n))
         return beta
     if defect > 0 or not np.all(c.gamma.contains(q_zeros)):
         raise UnsupportedCurve(

@@ -113,8 +113,11 @@ def _check_types(cfg: RunConfig):
             raise ConfigError(f"theta values must be finite, got {val!r}")
     if not (isinstance(cfg.formats, list) and all(isinstance(f, str) for f in cfg.formats)):
         raise ConfigError(f"formats must be a list of strings, got {cfg.formats!r}")
-    if not isinstance(cfg.out, str):
-        raise ConfigError(f"out must be a string, got {cfg.out!r}")
+    for name in ("out", "method"):
+        if not isinstance(getattr(cfg, name), str):
+            raise ConfigError(f"{name} must be a string, got {getattr(cfg, name)!r}")
+    if not isinstance(cfg.fixtures, bool):
+        raise ConfigError(f"fixtures must be true or false, got {cfg.fixtures!r}")
 
 
 def _validate_config(cfg: RunConfig):

@@ -471,11 +471,6 @@ def _leja_indices(pts: np.ndarray, m: int, u_ext=0.0, theta: float = 1.0,
 # the curve field U_D^{lambda_n} - g(., inf)
 
 
-def _grid_support_mask(grid_pts: np.ndarray, lam: DiscreteMeasure) -> np.ndarray:
-    """The grid slots that hold an atom of lam."""
-    return np.isin(grid_pts, lam.points)
-
-
 def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     """(params, field values, support mask) of U_D^{lam} - g(., inf) on the curve grid.
 
@@ -489,7 +484,7 @@ def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     the support).
     """
     samples, phi_g, g_inf = _curve_grid(c, grid_n)
-    mask = _grid_support_mask(samples.points, lam)
+    mask = np.isin(samples.points, lam.points)
     vals = lam.weights @ green_matrix(phi_exterior(c.e_domain, lam.points), phi_g) - g_inf
     vals[mask] = np.min(vals[~mask]) if not mask.all() else 0.0
     return samples.params, vals, mask

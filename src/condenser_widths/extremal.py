@@ -251,16 +251,16 @@ class _Config:
         self._sums = None
 
 
-def _coordinate_descent(cfg: _Config, sign: float, max_sweeps: int = _MAX_SWEEPS):
+def _coordinate_descent(cfg: _Config, sign: float):
     """Cyclic single-zero improvement until a clean sweep; returns
     (final objective, converged).
 
-    sign = +1 maximizes, -1 minimizes; every accepted step strictly improves,
-    so the loop terminates.  converged is False when the last of max_sweeps
-    sweeps still improved.
+    sign = +1 maximizes, -1 minimizes; every accepted step strictly improves.
+    The loop stops at _MAX_SWEEPS sweeps, read when it runs, and converged
+    is False when the last of them still improved.
     """
     best = cfg.objective()
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         i = 0
         while i < len(cfg.zeros):
@@ -288,8 +288,7 @@ def _warn_unconverged(converged: bool, n: int, k: int):
                       f"converging (n = {n}, k = {k})", RuntimeWarning, stacklevel=2)
 
 
-def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str, sign: float,
-                max_sweeps: int = _MAX_SWEEPS):
+def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str, sign: float):
     """Best objective over the movable zeros of a kind at fixed zeros: a
     coordinate descent (sign +1 ascends, -1 descends) from each start, where
     a later start wins only if strictly better.  Returns (value, zeros,
@@ -297,17 +296,17 @@ def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str, sign: float,
     best_val, best, converged = None, [], True
     for z0 in starts:
         cfg = _Config(scorer, fixed, z0, kind)
-        val, ok = _coordinate_descent(cfg, sign, max_sweeps)
+        val, ok = _coordinate_descent(cfg, sign)
         converged = converged and ok
         if best_val is None or sign * val > sign * best_val:
             best_val, best = val, list(cfg.zeros)
     return best_val, best, converged
 
 
-def _sup_over_q(scorer: NormRatioScorer, p_zeros, starts, max_sweeps: int = _MAX_SWEEPS):
+def _sup_over_q(scorer: NormRatioScorer, p_zeros, starts):
     """sup over q of the objective at fixed p zeros: the ascent multistart
     with the empty q as its last start."""
-    return _multistart(scorer, p_zeros, [*starts, []], "gamma", +1.0, max_sweeps)
+    return _multistart(scorer, p_zeros, [*starts, []], "gamma", +1.0)
 
 
 def _leja_points(cands: np.ndarray, m: int) -> list:
@@ -325,8 +324,10 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     grids, with lower degrees explored through zero-dropping moves.
 
     k = 0 is exact: the constant polynomial is the inner maximizer (the
-    maximum principle caps the ratio at 1), so chi = 1.  The inner sups that
-    re-check a trial p are truncated at 6 sweeps on purpose and never warn.
+    maximum principle caps the ratio at 1), so chi = 1.  Every descent, the
+    outer search over p and the inner sups that re-check a trial p included,
+    stops at _MAX_SWEEPS sweeps; converged is False when any of them stopped
+    there still improving.
     """
     if n > BRUTEFORCE_MAX_N:
         raise ValueError(f"chi_bruteforce is restricted to n <= {BRUTEFORCE_MAX_N}")
@@ -363,7 +364,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
         val, q_star, ok = _sup_over_q(scorer, p0, q_starts)
         converged = converged and ok
         p_cur = list(p0)
-        for _ in range(6):  # outer sweeps
+        for _ in range(_MAX_SWEEPS):  # outer sweeps
             improved = False
             i = 0
             while i < len(p_cur):
@@ -375,14 +376,16 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
                         break
                     trial = list(p_cur)
                     trial[i] = complex(e_cands[j])
-                    tv, tq, _ = _sup_over_q(scorer, trial, [q_star, q_leja], 6)
+                    tv, tq, ok = _sup_over_q(scorer, trial, [q_star, q_leja])
+                    converged = converged and ok
                     if tv < val - _IMPROVE_EPS:
                         p_cur, val, q_star = trial, tv, tq
                         improved = True
                         break
                 # degree reduction on p
                 trial = p_cur[:i] + p_cur[i + 1:]
-                tv, tq, _ = _sup_over_q(scorer, trial, [q_star, q_leja], 6)
+                tv, tq, ok = _sup_over_q(scorer, trial, [q_star, q_leja])
+                converged = converged and ok
                 if tv < val - _IMPROVE_EPS:
                     p_cur, val, q_star = trial, tv, tq
                     improved = True
@@ -390,6 +393,8 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
                 i += 1
             if not improved:
                 break
+        else:
+            converged = False
         if best is None or val < best[0]:
             best = (val, list(p_cur), list(q_star))
 

@@ -126,39 +126,43 @@ class FieldGrid:
 # potentials
 
 
-def _chunk_rows(mu: DiscreteMeasure) -> int:
-    """Rows of a points x atoms scan chunk: about _CHUNK_ENTRIES entries, so
-    the chunk's complex differences stay in cache.  A row sum does not depend on how
-    many rows its chunk has, so the chunk size never changes a value."""
-    return max(1, _CHUNK_ENTRIES // max(1, len(mu)))
-
-
-def log_potential(mu: DiscreteMeasure, z):
-    """U^mu(z) = -sum_i w_i log|z - x_i|, with a 1e-300 distance clamp."""
+def _row_scan(mu: DiscreteMeasure, z, make_block):
+    """Row sums of a points x atoms kernel over the atoms of mu, at z: the
+    zero measure gives 0, and a scalar z a float.  make_block(zs, rows, out)
+    returns block(lo, hi), which writes the sums at zs[lo:hi] to out[lo:hi],
+    for chunks of at most rows points: about _CHUNK_ENTRIES entries and at
+    least one row, so a chunk stays in cache.  A row sum does not depend on its
+    chunk, so neither does a value.
+    """
     if mu.is_zero:
         return 0.0 if np.ndim(z) == 0 else np.zeros(np.shape(z))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(zs.shape)
-    # one pair of chunk buffers per call: fresh megabyte temporaries per chunk
-    # made the allocator hand pages back and fault them in again every chunk
-    rows = min(_chunk_rows(mu), zs.size)
-    diff, mag = np.empty((rows, len(mu)), dtype=complex), np.empty((rows, len(mu)))
+    rows = max(1, min(_CHUNK_ENTRIES // len(mu), zs.size))
+    parallel.run_chunked(make_block(zs, rows, out), zs.size, chunk=rows)
+    return float(out[0]) if np.ndim(z) == 0 else out
 
-    def block(lo, hi):
-        d, a = diff[:hi - lo], mag[:hi - lo]
-        np.subtract(zs[lo:hi, None], mu.points[None, :], out=d)
-        # log_abs, then the weights, in place
-        np.abs(d, out=a)
-        np.maximum(a, LOG_CLAMP, out=a)
-        np.log(a, out=a)
-        np.multiply(mu.weights, a, out=a)
-        out[lo:hi] = -np.sum(a, axis=1)
-        return None
 
-    parallel.run_chunked(block, zs.size, chunk=rows)
-    if np.ndim(z) == 0:
-        return float(out[0])
-    return out
+def log_potential(mu: DiscreteMeasure, z):
+    """U^mu(z) = -sum_i w_i log|z - x_i|, with a 1e-300 distance clamp."""
+    def make_block(zs, rows, out):
+        # one pair of chunk buffers per call: fresh megabyte temporaries per chunk
+        # made the allocator hand pages back and fault them in again every chunk
+        diff, mag = np.empty((rows, len(mu)), dtype=complex), np.empty((rows, len(mu)))
+
+        def block(lo, hi):
+            d, a = diff[:hi - lo], mag[:hi - lo]
+            np.subtract(zs[lo:hi, None], mu.points[None, :], out=d)
+            # log_abs, then the weights, in place
+            np.abs(d, out=a)
+            np.maximum(a, LOG_CLAMP, out=a)
+            np.log(a, out=a)
+            np.multiply(mu.weights, a, out=a)
+            out[lo:hi] = -np.sum(a, axis=1)
+
+        return block
+
+    return _row_scan(mu, z, make_block)
 
 
 def green_potential(mu: DiscreteMeasure, e: EDomain, z):
@@ -166,24 +170,18 @@ def green_potential(mu: DiscreteMeasure, e: EDomain, z):
 
     Raises CoincidentPole when z coincides with a support atom outside E.
     """
-    if mu.is_zero:
-        return 0.0 if np.ndim(z) == 0 else np.zeros(np.shape(z))
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    pz = phi_exterior(e, zs)
-    pt = phi_exterior(e, mu.points)
-    out = np.empty(zs.shape)
+    def make_block(zs, rows, out):
+        pz, pt = phi_exterior(e, zs), phi_exterior(e, mu.points)
 
-    def block(lo, hi):
-        k = kernel_from_phi(pz[lo:hi, None], pt[None, :])
-        if np.any(np.isinf(k)):
-            raise CoincidentPole("green_potential evaluated at a support atom")
-        out[lo:hi] = np.sum(mu.weights * k, axis=1)
-        return None
+        def block(lo, hi):
+            k = kernel_from_phi(pz[lo:hi, None], pt[None, :])
+            if np.any(np.isinf(k)):
+                raise CoincidentPole("green_potential evaluated at a support atom")
+            out[lo:hi] = np.sum(mu.weights * k, axis=1)
 
-    parallel.run_chunked(block, zs.size, chunk=_chunk_rows(mu))
-    if np.ndim(z) == 0:
-        return float(out[0])
-    return out
+        return block
+
+    return _row_scan(mu, z, make_block)
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_fekete_atoms_follow_the_exact_density(offset, theta):
     assert seeded.start == "density"
     unseeded = eq._coarse_to_fine(phi_g, g_inf, m, (m - 1) / (1 - theta), 0)
     i = np.arange(1, m + 1)
-    for chosen in (np.flatnonzero(eq._grid_support_mask(samples.points, seeded.lam)),
+    for chosen in (np.flatnonzero(np.isin(samples.points, seeded.lam.points)),
                    unseeded.chosen):
         u = np.sort(cdf[(chosen - k0) % n])
         ks = max(np.max(i / m - u), np.max(u - (i - 1) / m))

@@ -254,6 +254,8 @@ def test_unknown_task_rejected(tmp_path):
     ("equilibrium", {"n_points": 2, "grid_n": 32}, "grid_n must be >= 64"),
     ("chi", {"n": 4, "k": 5}, "need 0 <= k <= n"),
     ("equilibrium", {"formats": ["json", "xml"]}, "formats must be a subset of {json, csv}"),
+    ("chi", {"n": 3, "k": 1, "fixtures": "no"}, "fixtures must be true or false"),
+    ("equilibrium", {"method": 5}, "method must be a string"),
 ], ids=["n-string", "k-float", "theta-string", "bruteforce-n8", "chi-method-unknown",
         "nwidth-method-unknown", "nwidth-bruteforce-n8", "balayage-ellipse",
         "negative-radius", "thetas-scalar", "formats-int", "formats-null", "chi-n0",
@@ -262,7 +264,7 @@ def test_unknown_task_rejected(tmp_path):
         "sweep-seed-negative", "center-short", "semi-axes-short", "semi-axes-string",
         "polar-angle-string", "condenser-missing", "task-unknown", "theta-above-1",
         "thetas-decreasing", "thetas-below-0", "n-points-1", "grid-n-3", "grid-n-32",
-        "k-above-n", "formats-xml"])
+        "k-above-n", "formats-xml", "fixtures-string", "method-int"])
 def test_bad_inputs_exit_2(tmp_path, capsys, monkeypatch, task, extra, message):
     if "task" in extra:
         # the command line's task overrides the config's, and argparse admits
@@ -284,6 +286,29 @@ def test_bad_inputs_exit_2(tmp_path, capsys, monkeypatch, task, extra, message):
     err = capsys.readouterr().err
     assert rc == 2
     assert "validation failure" in err and message in err
+
+
+@pytest.mark.parametrize("task", ["equilibrium", "sweep", "chi", "nwidth", "balayage-demo",
+                                  "validate"])
+def test_every_config_field_is_type_checked(tmp_path, capsys, task):
+    # each field but condenser and task, set to a JSON type its default does
+    # not have: a field added without a type check fails here
+    from dataclasses import fields
+    from condenser_widths.cli import RunConfig
+
+    names = [f.name for f in fields(RunConfig) if f.name not in ("condenser", "task")]
+    defaults = RunConfig(condenser=None, task=task)
+    for name in names:
+        wrong = 5 if isinstance(getattr(defaults, name), str) else "5"
+        cfg = write_cfg(tmp_path, **{name: wrong})
+        argv = [task, "--config", cfg]
+        if name != "seed":
+            argv += ["--seed", "0"]
+        if name != "out":
+            argv += ["--out", str(tmp_path / "bad")]
+        assert main(argv) == 2, name
+        assert "validation failure" in capsys.readouterr().err, name
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("root, message", [

@@ -239,6 +239,40 @@ def test_grid_potentials_identical_across_chunk_boundaries(concentric):
     assert np.array_equal(green_potential(mu, e, zs), want_green)
 
 
+@pytest.mark.parametrize("kind", ["log", "green"])
+def test_potentials_of_empty_and_scalar_inputs(concentric, kind):
+    # both potentials share one scan: no points give an empty array, the zero
+    # measure gives zeros of z's shape, and a scalar z gives a Python float
+    e = concentric.e_domain
+    pot = log_potential if kind == "log" else (lambda mu, z: green_potential(mu, e, z))
+    mu = DiscreteMeasure([2.0 + 0.5j, -1.5j], [0.25, 0.75])
+    empty = pot(mu, np.empty(0))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    zero = pot(DiscreteMeasure.zero(), np.full((2, 3), 3.0 + 0j))
+    assert zero.shape == (2, 3) and not np.any(zero)
+    val = pot(mu, 3.0 + 1.0j)
+    assert type(val) is float and val == pot(mu, np.array([3.0 + 1.0j]))[0]
+    assert type(pot(DiscreteMeasure.zero(), 3.0 + 1.0j)) is float
+
+
+def test_green_potential_raises_at_an_atom_in_the_last_chunk(concentric):
+    # 300 atoms scan 1000 points in chunks of 218 rows; the point that
+    # coincides with an atom is the last one, in the fifth chunk
+    from condenser_widths.errors import CoincidentPole
+    from condenser_widths.measure import _CHUNK_ENTRIES
+
+    rng = np.random.default_rng(5)
+    mu = DiscreteMeasure(2.0 * np.exp(2j * np.pi * rng.uniform(size=300)),
+                         rng.uniform(0.1, 1.0, 300))
+    zs = 4.0 * np.exp(2j * np.pi * rng.uniform(size=1000))
+    zs[-1] = mu.points[17]
+    assert (zs.size - 1) // (_CHUNK_ENTRIES // len(mu)) == 4
+    with pytest.raises(CoincidentPole):
+        green_potential(mu, concentric.e_domain, zs)
+    # without the coincident point every chunk scans cleanly
+    assert np.all(green_potential(mu, concentric.e_domain, zs[:-1]) > 0.0)
+
+
 def test_scan_sets_include_interior_spots(concentric):
     gamma_pts, e_pts = minimax_scan_sets(concentric, 256)
     assert gamma_pts.size == 256
