@@ -93,6 +93,56 @@ def test_chi_bruteforce_starts_bound(concentric, monkeypatch):
         chi_bruteforce(concentric, 5, 3, restarts=1, seed=0)
 
 
+@pytest.fixture
+def scorers(monkeypatch):
+    """Every NormRatioScorer built while the test runs, in order."""
+    made = []
+    init = NormRatioScorer.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(NormRatioScorer, "__init__", spy)
+    return made
+
+
+# the nested search at the default grid: (condenser, n, k, seed, log chi_upper,
+# log chi_lower, scored configurations); all six converge
+BRUTEFORCE_RECORDS = [
+    ("concentric", 6, 3, 0, -2.9999999999999996, -2.9999999999999996, 85223),
+    ("concentric", 6, 3, 1, -2.9999999999999996, -2.9999999999999996, 89623),
+    ("offset", 5, 1, 0, -1.2433843110557374, -1.4580214277020653, 160894),
+    ("offset", 4, 2, 0, -2.313823884883392, -2.351505233035267, 115448),
+    ("offset", 6, 1, 1, -1.3261369179019784, -1.6424890572448856, 132533),
+    ("offset", 5, 5, 1, -6.931471805599452, -6.931471805599452, 8801),
+]
+
+
+@pytest.mark.parametrize("name,n,k,seed,log_upper,log_lower,evals", BRUTEFORCE_RECORDS,
+                         ids=[f"{r[0]}-{r[1]}-{r[2]}-seed{r[3]}" for r in BRUTEFORCE_RECORDS])
+def test_chi_bruteforce_records(request, scorers, name, n, k, seed, log_upper, log_lower, evals):
+    # the breadth of the search shows in these: trying fewer proxy moves per
+    # visit, or skipping the charge of a re-check sup, moves a value or a count
+    est = chi_bruteforce(request.getfixturevalue(name), n, k, seed=seed)
+    assert np.log(est.chi_upper) == pytest.approx(log_upper, abs=1e-12)
+    assert np.log(est.chi_lower) == pytest.approx(log_lower, abs=1e-12)
+    assert est.converged
+    assert [s.evals_used for s in scorers] == [evals]
+
+
+def test_chi_bruteforce_budget_counts_every_recheck(concentric, monkeypatch):
+    # level (6, 3) at seed 1 scores exactly 89623 configurations, repeated
+    # re-check sups included: one fewer must run out, and that many must not
+    from condenser_widths import extremal as ex
+    monkeypatch.setattr(ex, "_BRUTEFORCE_BUDGET", 89622)
+    with pytest.raises(BudgetExceeded, match="budget of 89622 exhausted"):
+        chi_bruteforce(concentric, 6, 3, seed=1)
+    monkeypatch.setattr(ex, "_BRUTEFORCE_BUDGET", 89623)
+    est = chi_bruteforce(concentric, 6, 3, seed=1)
+    assert np.log(est.chi_upper) == pytest.approx(-2.9999999999999996, abs=1e-12)
+
+
 def test_chi_asymptotic_concentric_rate(concentric):
     prev = None
     for n in (16, 32, 64):
