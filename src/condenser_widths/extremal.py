@@ -9,11 +9,16 @@ zeros is scored by
 which is the log of ||pq||_plate / ||pq||_curve and, after dividing by n,
 exactly the minimax functional of the combined counting measure on the same
 scan sets.  Cyclic coordinate descent moves one zero at a time to the best
-candidate of a grid.  A visit passes the floor its move must clear, and a
-candidate is summed exactly only when its score bound (block maxima on one
-side, attained sums on the other) clears it.  Float arithmetic is monotone,
-so exact scores are bit-identical to the dense maximum and no pruned
-candidate can be an accepted move.
+candidate of a grid.  A visit passes the floor its move must clear, and the
+candidates are pruned against it in two stages.  The side a move's score
+adds is bounded above by block maxima; the side it subtracts is bounded
+below by attained sums, at the largest base row of every eval block and at
+the candidate's own largest entry.  A candidate whose bound clears the floor
+gets the exact maximum of the added side, is pruned again with that value,
+and only a survivor sums the other side.  Float addition, subtraction and
+maximum are monotone, so each prune drops only candidates whose score cannot
+clear the floor, and a survivor's score is bit-identical to the dense
+maximum.
 """
 
 from __future__ import annotations
@@ -37,10 +42,9 @@ _PAIR_BUDGET = 10 ** 8  # scored configurations of chi_asymptotic_pair
 _SCAN_CAP = 2048  # largest scan grid of a chi estimator's scorer
 BRUTEFORCE_MAX_N = 6  # the nested search runs at n <= 6 only
 CHI_METHODS = ("auto", "bruteforce", "asymptotic_pair")
-# eval rows per block of the upper bounds, and rows of the base sum probed for
-# the lower bounds of move scores
+# eval rows per block of the move-score bounds: block maxima bound one side
+# from above, and each block's largest base row gives attained sums below
 _ROW_BLOCK = 64
-_TOP_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -137,30 +141,42 @@ class NormRatioScorer:
         """max_r (base_e[r] + M_e[c, r]) - max_r (base_g[r] + M_g[c, r]) for each
         candidate c of a kind whose sign * score can exceed floor, else -sign * inf.
 
-        sign * score is bounded by an upper bound on the side it adds (the
-        largest sum of candidate and base block maxima) minus attained sums
-        on the other side.  Float arithmetic is monotone, so live scores are
-        bit-identical to the dense maximum, and a pruned candidate's sign *
-        score is at most floor.
+        sign * score adds the maximum on one side (e for sign > 0) and subtracts
+        the other.  A first prune bounds it by the largest sum of candidate and
+        base block maxima minus the attained lower bounds of _lower_tops.  A
+        survivor then gets its exact maximum on the added side, is pruned again
+        with that value minus the same lower bound, and only what is left sums
+        the subtracted side.  Float arithmetic is monotone, so a pruned
+        candidate's sign * score is at most floor, and each live score takes
+        both exact maxima: it is bit-identical to the dense one.
         """
         bases = {"e": base_e, "gamma": base_g}
         up, down = ("e", "gamma") if sign > 0 else ("gamma", "e")
         blocks = np.maximum.reduceat(bases[up], np.arange(0, bases[up].size, _ROW_BLOCK))
-        bound = (np.max(self.bounds[(up, kind)][0] + blocks, axis=1)
-                 - self._lower_tops(down, kind, bases[down]))
-        live = np.flatnonzero(bound > floor)
-        scores = np.full(bound.size, -sign * np.inf)
-        scores[live] = (np.max(self.mats[("e", kind)][live] + base_e, axis=1)
-                        - np.max(self.mats[("gamma", kind)][live] + base_g, axis=1))
+        lower = self._lower_tops(down, kind, bases[down])
+        live = np.flatnonzero(np.max(self.bounds[(up, kind)][0] + blocks, axis=1) - lower > floor)
+        tops = {up: np.max(self.mats[(up, kind)][live] + bases[up], axis=1)}
+        keep = tops[up] - lower[live] > floor
+        live, tops[up] = live[keep], tops[up][keep]
+        tops[down] = np.max(self.mats[(down, kind)][live] + bases[down], axis=1)
+        scores = np.full(lower.size, -sign * np.inf)
+        scores[live] = tops["e"] - tops["gamma"]
         return scores
 
     def _lower_tops(self, side: str, kind: str, base: np.ndarray) -> np.ndarray:
-        """Attained sums base[r] + M[c, r] of every candidate c: the larger of
-        the one at its largest entry and the best over the top rows of base."""
+        """Attained sums base[r] + M[c, r] of every candidate c, each at most its
+        exact maximum over r: the best of the one at c's largest entry and those
+        at the largest row of base in every _ROW_BLOCK eval block (the ragged
+        tail is a block of its own).  Those rows spread over the whole eval
+        set; the few largest rows of base can all sit in one spot."""
         m = self.mats[(side, kind)]
         _, best_row, best_val = self.bounds[(side, kind)]
-        top = np.argpartition(base, -min(_TOP_ROWS, base.size))[-_TOP_ROWS:]
-        return np.maximum(base[best_row] + best_val, np.max(m[:, top] + base[top], axis=1))
+        n_blocks = -(-base.size // _ROW_BLOCK)
+        padded = np.full(n_blocks * _ROW_BLOCK, -np.inf)
+        padded[:base.size] = base
+        rows = (np.arange(0, base.size, _ROW_BLOCK)
+                + np.argmax(padded.reshape(n_blocks, _ROW_BLOCK), axis=1))
+        return np.maximum(base[best_row] + best_val, np.max(m[:, rows] + base[rows], axis=1))
 
 
 def _row_bounds(m: np.ndarray):
@@ -327,7 +343,9 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     maximum principle caps the ratio at 1), so chi = 1.  Every descent, the
     outer search over p and the inner sups that re-check a trial p included,
     stops at _MAX_SWEEPS sweeps; converged is False when any of them stopped
-    there still improving.
+    there still improving.  A later sweep can re-try a trial p at the same
+    q_star: its re-check sup is taken from a memo, and charged to the budget
+    as if it ran again.
     """
     if n > BRUTEFORCE_MAX_N:
         raise ValueError(f"chi_bruteforce is restricted to n <= {BRUTEFORCE_MAX_N}")
@@ -353,6 +371,21 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     for _ in range(max(0, restarts)):
         p_starts.append([complex(e_cands[i]) for i in rng.integers(0, len(e_cands), size=k)])
     q_leja = _leja_points(g_cands, n - k)
+    memo = {}  # (trial p, q_star) -> (value, q, converged, configurations scored)
+
+    def recheck(trial, q_start):
+        """The sup over q at a trial p from q_start and q_leja.  It is a
+        deterministic descent, so a repeat returns the first run's result
+        and charges the configurations that run scored."""
+        key = (tuple(trial), tuple(q_start))
+        if key in memo:
+            *result, cost = memo[key]
+            scorer._charge(cost)
+            return result
+        used = scorer.evals_used
+        result = _sup_over_q(scorer, trial, [q_start, q_leja])
+        memo[key] = (*result, scorer.evals_used - used)
+        return result
 
     best = None  # (value, p_zeros, q_zeros)
     converged = True
@@ -376,7 +409,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
                         break
                     trial = list(p_cur)
                     trial[i] = complex(e_cands[j])
-                    tv, tq, ok = _sup_over_q(scorer, trial, [q_star, q_leja])
+                    tv, tq, ok = recheck(trial, q_star)
                     converged = converged and ok
                     if tv < val - _IMPROVE_EPS:
                         p_cur, val, q_star = trial, tv, tq
@@ -384,7 +417,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
                         break
                 # degree reduction on p
                 trial = p_cur[:i] + p_cur[i + 1:]
-                tv, tq, ok = _sup_over_q(scorer, trial, [q_star, q_leja])
+                tv, tq, ok = recheck(trial, q_star)
                 converged = converged and ok
                 if tv < val - _IMPROVE_EPS:
                     p_cur, val, q_star = trial, tv, tq

@@ -128,7 +128,8 @@ class FieldGrid:
 
 def _row_scan(mu: DiscreteMeasure, z, make_block):
     """Row sums of a points x atoms kernel over the atoms of mu, at z: the
-    zero measure gives 0, and a scalar z a float.  make_block(zs, rows, out)
+    zero measure gives 0, a scalar z a float, and an array z an array of its
+    shape (the points are scanned raveled).  make_block(zs, rows, out)
     returns block(lo, hi), which writes the sums at zs[lo:hi] to out[lo:hi],
     for chunks of at most rows points: about _CHUNK_ENTRIES entries and at
     least one row, so a chunk stays in cache.  A row sum does not depend on its
@@ -136,11 +137,11 @@ def _row_scan(mu: DiscreteMeasure, z, make_block):
     """
     if mu.is_zero:
         return 0.0 if np.ndim(z) == 0 else np.zeros(np.shape(z))
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zs = np.ravel(np.asarray(z, dtype=complex))
     out = np.empty(zs.shape)
     rows = max(1, min(_CHUNK_ENTRIES // len(mu), zs.size))
     parallel.run_chunked(make_block(zs, rows, out), zs.size, chunk=rows)
-    return float(out[0]) if np.ndim(z) == 0 else out
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def log_potential(mu: DiscreteMeasure, z):

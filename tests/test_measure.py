@@ -242,7 +242,8 @@ def test_grid_potentials_identical_across_chunk_boundaries(concentric):
 @pytest.mark.parametrize("kind", ["log", "green"])
 def test_potentials_of_empty_and_scalar_inputs(concentric, kind):
     # both potentials share one scan: no points give an empty array, the zero
-    # measure gives zeros of z's shape, and a scalar z gives a Python float
+    # measure gives zeros of z's shape, a 2-D z gives the 1-D values reshaped
+    # (to the bit), and a scalar z gives a Python float
     e = concentric.e_domain
     pot = log_potential if kind == "log" else (lambda mu, z: green_potential(mu, e, z))
     mu = DiscreteMeasure([2.0 + 0.5j, -1.5j], [0.25, 0.75])
@@ -250,6 +251,9 @@ def test_potentials_of_empty_and_scalar_inputs(concentric, kind):
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
     zero = pot(DiscreteMeasure.zero(), np.full((2, 3), 3.0 + 0j))
     assert zero.shape == (2, 3) and not np.any(zero)
+    z = np.array([[3.0 + 1.0j, -2.5, 0.2j], [1.5 - 2.0j, 4.0j, -3.0 - 3.0j]])
+    grid = pot(mu, z)
+    assert grid.shape == (2, 3) and np.array_equal(grid, pot(mu, z.ravel()).reshape(2, 3))
     val = pot(mu, 3.0 + 1.0j)
     assert type(val) is float and val == pot(mu, np.array([3.0 + 1.0j]))[0]
     assert type(pot(DiscreteMeasure.zero(), 3.0 + 1.0j)) is float

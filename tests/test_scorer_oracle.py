@@ -19,7 +19,7 @@ CONDENSERS = {
                                          CurveSpec.ellipse(0.2j, (3.0, 2.0), 0.3)).validate(),
 }
 # (grid_n, gamma_cand_n, e_cand_n): eval counts off the row block size, one
-# exact fit, and a curve eval set smaller than the probed top rows
+# exact fit, and a curve eval set smaller than one row block
 GRIDS = [(100, 70, 37), (64, 64, 48), (77, 129, 65), (5, 4, 20)]
 
 
