@@ -371,7 +371,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     for _ in range(max(0, restarts)):
         p_starts.append([complex(e_cands[i]) for i in rng.integers(0, len(e_cands), size=k)])
     q_leja = _leja_points(g_cands, n - k)
-    memo = {}  # (trial p, q_star) -> (value, q, converged, configurations scored)
+    memo = {}  # (trial p, q start) -> (value, q, converged, configurations scored)
 
     def recheck(trial, q_start):
         """The sup over q at a trial p from q_start and q_leja.  It is a
