@@ -10,15 +10,16 @@ which is the log of ||pq||_plate / ||pq||_curve and, after dividing by n,
 exactly the minimax functional of the combined counting measure on the same
 scan sets.  Cyclic coordinate descent moves one zero at a time to the best
 candidate of a grid.  A visit passes the floor its move must clear, and the
-candidates are pruned against it in two stages.  The side a move's score
-adds is bounded above by block maxima; the side it subtracts is bounded
-below by attained sums, at the largest base row of every eval block and at
-the candidate's own largest entry.  A candidate whose bound clears the floor
-gets the exact maximum of the added side, is pruned again with that value,
-and only a survivor sums the other side.  Float addition, subtraction and
-maximum are monotone, so each prune drops only candidates whose score cannot
-clear the floor, and a survivor's score is bit-identical to the dense
-maximum.
+candidates are pruned against it in stages.  The side a move's score adds is
+bounded above by block maxima; the side it subtracts is bounded below by
+attained sums, first for every candidate at its own block rows (the first
+row where it peaks in each eval block, read next to the block maxima), then
+for the survivors at the largest base row of every eval block.  A candidate
+whose bound still clears the floor gets the exact maximum of the added side,
+is pruned again with that value, and only a survivor sums the other side.
+Float addition, subtraction and maximum are monotone, so each prune drops
+only candidates whose score cannot clear the floor, and a survivor's score
+is bit-identical to the dense maximum.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .balayage import _alpha_measure
 from .errors import BudgetExceeded, GridTooClose, GridTooCoarse
 from .equilibrium import _leja_indices, fekete_green, leja_weighted
 from .geometry import Condenser, boundary_samples, interior_spots, sample_curve
-from .measure import (DiscreteMeasure, M_functional, log_abs, log_potential,
-                      minimax_scan_sets)
+from .measure import (_CHUNK_ENTRIES, DiscreteMeasure, M_functional, log_abs,
+                      log_potential, minimax_scan_sets)
 
 _IMPROVE_EPS = 1e-13
 _MAX_SWEEPS = 40  # coordinate-descent budget of the chi estimators
@@ -120,9 +121,8 @@ class NormRatioScorer:
         self.mats, self.bounds = {}, {}
         for kind, pts in self.cands.items():
             for side, ev in (("e", self.e_eval), ("gamma", self.gamma_eval)):
-                m = log_abs(pts[:, None] - ev[None, :])
-                self.mats[(side, kind)] = m
-                self.bounds[(side, kind)] = _row_bounds(m)
+                self.mats[(side, kind)], self.bounds[(side, kind)] = _log_distance_rows(pts, ev)
+        self.cand_rows = _candidate_rows(self.cands)
         self.budget = budget
         self.evals_used = 0
 
@@ -133,8 +133,14 @@ class NormRatioScorer:
                 f"ratio evaluation budget of {self.budget} exhausted")
 
     def columns(self, z: complex):
-        """Log-distance columns of a single zero over both eval sets."""
-        return (log_abs(self.e_eval - z), log_abs(self.gamma_eval - z))
+        """Log-distance columns of a single zero over both eval sets.  A zero
+        on a candidate shares that candidate's rows of mats: |a - b| and
+        |b - a| are the same float, so are their logs."""
+        hit = self.cand_rows.get(z)
+        if hit is None:
+            return (log_abs(self.e_eval - z), log_abs(self.gamma_eval - z))
+        kind, i = hit
+        return self.mats[("e", kind)][i], self.mats[("gamma", kind)][i]
 
     def move_scores(self, kind: str, base_e: np.ndarray, base_g: np.ndarray,
                     sign: float, floor: float) -> np.ndarray:
@@ -142,50 +148,94 @@ class NormRatioScorer:
         candidate c of a kind whose sign * score can exceed floor, else -sign * inf.
 
         sign * score adds the maximum on one side (e for sign > 0) and subtracts
-        the other.  A first prune bounds it by the largest sum of candidate and
-        base block maxima minus the attained lower bounds of _lower_tops.  A
-        survivor then gets its exact maximum on the added side, is pruned again
-        with that value minus the same lower bound, and only what is left sums
-        the subtracted side.  Float arithmetic is monotone, so a pruned
-        candidate's sign * score is at most floor, and each live score takes
-        both exact maxima: it is bit-identical to the dense one.
+        the other.  Its upper bound is the largest sum of candidate and base
+        block maxima minus a lower bound of the subtracted maximum, which
+        tightens in two stages.  Every candidate is pruned first with the
+        attained sums of _block_tops, read from contiguous bounds; only the
+        survivors take the base-row sums of _lower_tops, and are pruned again
+        with the better of the two.  A survivor then gets its exact maximum
+        on the added side, is pruned once more with that value minus the same
+        lower bound, and only what is left sums the subtracted side.  Float
+        arithmetic is monotone, so a pruned candidate's sign * score is at
+        most floor, and each live score takes both exact maxima: it is
+        bit-identical to the dense one.
         """
         bases = {"e": base_e, "gamma": base_g}
         up, down = ("e", "gamma") if sign > 0 else ("gamma", "e")
         blocks = np.maximum.reduceat(bases[up], np.arange(0, bases[up].size, _ROW_BLOCK))
-        lower = self._lower_tops(down, kind, bases[down])
-        live = np.flatnonzero(np.max(self.bounds[(up, kind)][0] + blocks, axis=1) - lower > floor)
+        upper = np.max(self.bounds[(up, kind)][0] + blocks[:, None], axis=0)
+        lower = self._block_tops(down, kind, bases[down])
+        live = np.flatnonzero(upper - lower > floor)
+        lower = np.maximum(lower[live], self._lower_tops(down, kind, bases[down], live))
+        keep = upper[live] - lower > floor
+        live, lower = live[keep], lower[keep]
         tops = {up: np.max(self.mats[(up, kind)][live] + bases[up], axis=1)}
-        keep = tops[up] - lower[live] > floor
+        keep = tops[up] - lower > floor
         live, tops[up] = live[keep], tops[up][keep]
         tops[down] = np.max(self.mats[(down, kind)][live] + bases[down], axis=1)
-        scores = np.full(lower.size, -sign * np.inf)
+        scores = np.full(upper.size, -sign * np.inf)
         scores[live] = tops["e"] - tops["gamma"]
         return scores
 
-    def _lower_tops(self, side: str, kind: str, base: np.ndarray) -> np.ndarray:
+    def _block_tops(self, side: str, kind: str, base: np.ndarray) -> np.ndarray:
         """Attained sums base[r] + M[c, r] of every candidate c, each at most its
-        exact maximum over r: the best of the one at c's largest entry and those
-        at the largest row of base in every _ROW_BLOCK eval block (the ragged
-        tail is a block of its own).  Those rows spread over the whole eval
-        set; the few largest rows of base can all sit in one spot."""
-        m = self.mats[(side, kind)]
-        _, best_row, best_val = self.bounds[(side, kind)]
-        n_blocks = -(-base.size // _ROW_BLOCK)
-        padded = np.full(n_blocks * _ROW_BLOCK, -np.inf)
-        padded[:base.size] = base
-        rows = (np.arange(0, base.size, _ROW_BLOCK)
-                + np.argmax(padded.reshape(n_blocks, _ROW_BLOCK), axis=1))
-        return np.maximum(base[best_row] + best_val, np.max(m[:, rows] + base[rows], axis=1))
+        exact maximum over r: the best of those at c's own block rows, the
+        first row where M[c] peaks in every _ROW_BLOCK eval block.  One of
+        them is c's largest entry."""
+        block_max, block_row = self.bounds[(side, kind)]
+        return np.max(block_max + np.take(base, block_row), axis=0)
+
+    def _lower_tops(self, side: str, kind: str, base: np.ndarray,
+                    live: np.ndarray) -> np.ndarray:
+        """Attained sums base[r] + M[c, r] of the candidates c in live, each at
+        most its exact maximum over r: the best of those at the first largest
+        row of base in every _ROW_BLOCK eval block.  Those rows spread over the
+        whole eval set; the few largest rows of base can all sit in one spot."""
+        rows = _block_rows(base)
+        return np.max(self.mats[(side, kind)][np.ix_(live, rows)] + base[rows], axis=1)
+
+
+def _candidate_rows(cands: dict) -> dict:
+    """Candidate value -> (kind, row): a zero on a candidate takes its rows."""
+    return {z: (kind, i) for kind, pts in cands.items() for i, z in enumerate(pts.tolist())}
+
+
+def _block_rows(a: np.ndarray) -> np.ndarray:
+    """Index of the first largest entry of a in every _ROW_BLOCK block along
+    its last axis (the ragged tail is a block of its own)."""
+    n = a.shape[-1]
+    n_blocks = -(-n // _ROW_BLOCK)
+    padded = np.full((*a.shape[:-1], n_blocks * _ROW_BLOCK), -np.inf)
+    padded[..., :n] = a
+    blocks = padded.reshape(*a.shape[:-1], n_blocks, _ROW_BLOCK)
+    return np.arange(0, n, _ROW_BLOCK) + np.argmax(blocks, axis=-1)
 
 
 def _row_bounds(m: np.ndarray):
-    """(block maxima, best row, best value) of a candidate-major matrix: each
-    candidate's largest entry over every _ROW_BLOCK eval rows (ragged at the
-    end), and its largest entry with its row."""
-    block_max = np.maximum.reduceat(m, np.arange(0, m.shape[1], _ROW_BLOCK), axis=1)
-    best_row = np.argmax(m, axis=1)
-    return block_max, best_row, m[np.arange(m.shape[0]), best_row]
+    """(block maxima, block rows) of a candidate-major matrix, both
+    block-major: entry [b, c] is candidate c's largest entry over the b-th
+    _ROW_BLOCK eval rows (the ragged tail is a block of its own), and the
+    first row where it is attained.  A bound over the blocks is then a
+    reduction of whole contiguous rows of candidates."""
+    block_row = _block_rows(m).T
+    return m[np.arange(m.shape[0]), block_row], block_row
+
+
+def _log_distance_rows(pts: np.ndarray, ev: np.ndarray):
+    """(M, _row_bounds(M)) of M[c, r] = log|pts[c] - ev[r]|, built in chunks
+    of about measure._CHUNK_ENTRIES entries (at least one row) written into
+    preallocated arrays, so no temporary grows with the matrix.  Each entry
+    is computed on its own, so it does not depend on its chunk."""
+    m = np.empty((pts.size, ev.size))
+    n_blocks = -(-ev.size // _ROW_BLOCK)
+    block_max = np.empty((n_blocks, pts.size))
+    block_row = np.empty((n_blocks, pts.size), dtype=np.intp)
+    rows = max(1, _CHUNK_ENTRIES // ev.size)
+    for lo in range(0, pts.size, rows):
+        chunk = m[lo:lo + rows]
+        chunk[...] = log_abs(pts[lo:lo + rows, None] - ev)
+        block_max[:, lo:lo + rows], block_row[:, lo:lo + rows] = _row_bounds(chunk)
+    return m, (block_max, block_row)
 
 
 def _plate_candidates(c: Condenser, n: int) -> np.ndarray:

@@ -2,14 +2,16 @@
 eval-major score matrices, kept verbatim, is the reference.  Every live score
 must be bit-identical to it, and no pruned candidate may clear the floor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from condenser_widths import Condenser, CurveSpec, EDomain, concentric_condenser, offset_condenser
 from condenser_widths import extremal
-from condenser_widths.extremal import (_IMPROVE_EPS, NormRatioScorer, _Config,
-                                       _coordinate_descent, _row_bounds, chi_asymptotic_pair,
-                                       chi_bruteforce)
+from condenser_widths.extremal import (_IMPROVE_EPS, _ROW_BLOCK, NormRatioScorer, _Config,
+                                       _candidate_rows, _coordinate_descent, _row_bounds,
+                                       chi_asymptotic_pair, chi_bruteforce)
 from condenser_widths.measure import log_abs
 
 CONDENSERS = {
@@ -73,12 +75,14 @@ class DenseConfig(_Config):
 
 
 def restrict(scorer, kind, idx):
-    """Keep only the candidates idx of one kind, with their row bounds."""
+    """Keep only the candidates idx of one kind, with their row bounds and
+    their rows in the candidate index."""
     scorer.cands[kind] = scorer.cands[kind][idx]
     for side in ("e", "gamma"):
         m = np.ascontiguousarray(scorer.mats[(side, kind)][idx])
         scorer.mats[(side, kind)] = m
         scorer.bounds[(side, kind)] = _row_bounds(m)
+    scorer.cand_rows = _candidate_rows(scorer.cands)
 
 
 @pytest.fixture(scope="module", params=[(c, g) for c in CONDENSERS for g in GRIDS],
@@ -119,15 +123,20 @@ def check_visits(cfg, mats):
 
 
 def check_bases(scorer, mats, bases):
-    """Per pair of bases on the two eval sets: the attained lower bounds stay
-    below the dense maxima, and the scores obey check_floors."""
+    """Per pair of bases on the two eval sets: both stages of attained lower
+    bounds stay at or below the dense maxima (the base-row stage also on a
+    subset of candidates), and the scores obey check_floors."""
     for kind in scorer.cands:
         me, mg = mats[("e", kind)], mats[("gamma", kind)]
         for base_e, base_g in zip(bases(me.shape[0], "e", kind), bases(mg.shape[0], "gamma", kind)):
             tops_e = np.max(base_e[:, None] + me, axis=0)
             tops_g = np.max(base_g[:, None] + mg, axis=0)
-            assert np.all(scorer._lower_tops("e", kind, base_e) <= tops_e)
-            assert np.all(scorer._lower_tops("gamma", kind, base_g) <= tops_g)
+            for side, base, tops in (("e", base_e, tops_e), ("gamma", base_g, tops_g)):
+                every = np.arange(tops.size)
+                assert np.all(scorer._block_tops(side, kind, base) <= tops)
+                lower = scorer._lower_tops(side, kind, base, every)
+                assert np.all(lower <= tops)
+                assert_bit_equal(scorer._lower_tops(side, kind, base, every[1::3]), lower[1::3])
             check_floors(lambda sign, floor: scorer.move_scores(kind, base_e, base_g, sign, floor),
                          tops_e - tops_g)
 
@@ -136,6 +145,86 @@ def test_stored_matrices_are_the_transpose(scorer):
     for key, m in eval_major(scorer).items():
         assert scorer.mats[key].flags.c_contiguous
         assert_bit_equal(scorer.mats[key], m.T)
+
+
+def test_row_bounds_are_first_block_argmax(scorer):
+    """Each block row is the first row where a candidate peaks in its eval
+    block, the ragged tail included, and its entry is the block maximum.
+    The bounds are block-major: [b, c] is block b of candidate c."""
+    for key, m in scorer.mats.items():
+        block_max, block_row = scorer.bounds[key]
+        starts = np.arange(0, m.shape[1], _ROW_BLOCK)
+        assert block_row.shape == block_max.shape == (starts.size, m.shape[0])
+        for b, lo in enumerate(starts):
+            block = m[:, lo:lo + _ROW_BLOCK]
+            cols = np.arange(lo, lo + block.shape[1])
+            first = np.min(np.where(block == np.max(block, axis=1, keepdims=True), cols, m.shape[1]),
+                           axis=1)
+            assert np.array_equal(block_row[b], first)
+        assert_bit_equal(m[np.arange(m.shape[0]), block_row], block_max)
+        assert_bit_equal(block_max, np.maximum.reduceat(m, starts, axis=1).T)
+
+
+@pytest.mark.parametrize("entries", [1, 100, 1000])
+def test_chunked_build_matches_one_pass(monkeypatch, entries):
+    """Chunks of one row, of a few rows with a ragged last chunk, and of many
+    rows build the same matrices and bounds as one chunk."""
+    args = dict(grid_n=100, gamma_cand_n=131, e_cand_n=70)
+    whole = NormRatioScorer(offset_condenser(), **args)
+    monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", entries)
+    chunked = NormRatioScorer(offset_condenser(), **args)
+    for key, m in whole.mats.items():
+        assert_bit_equal(chunked.mats[key], m)
+        assert_bit_equal(chunked.bounds[key][0], whole.bounds[key][0])
+        assert np.array_equal(chunked.bounds[key][1], whole.bounds[key][1])
+
+
+def test_scorer_build_peak_memory():
+    """The asymptotic_pair scorer at n = 256 builds its matrices in chunks:
+    no temporary of the matrices' size exists while it is made."""
+    c = concentric_condenser()
+    tracemalloc.start()
+    try:
+        scorer = NormRatioScorer(c, grid_n=2048, gamma_cand_n=1024, e_cand_n=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = (sum(m.nbytes for m in scorer.mats.values())
+            + sum(a.nbytes for bound in scorer.bounds.values() for a in bound))
+    assert peak <= 1.25 * held
+
+
+def test_config_takes_candidate_rows(scorer):
+    """A zero on a candidate shares that candidate's rows of mats, and any
+    zero's columns are log_abs of the eval sets minus it, bit for bit: a
+    zero from .tolist(), a numpy zero, the plate centre with a -0.0 part
+    and zeros off the candidates."""
+    e_cands, g_cands = scorer.cands["e"], scorer.cands["gamma"]
+    mid = scorer.condenser.e_domain.midpoint
+    centre = complex(mid.real, -0.0)
+    at_centre = np.flatnonzero(e_cands == mid)[:1]
+    assert at_centre.size or scorer.condenser.e_domain.kind != "disk"
+    cases = [(e_cands.tolist()[-1], ("e", len(e_cands) - 1)),
+             (g_cands[len(g_cands) // 2], ("gamma", len(g_cands) // 2)),
+             (centre, ("e", at_centre[0]) if at_centre.size else None),
+             (0.5 * (g_cands[0] + g_cands[1]), None), (0.123 + 0.0456j, None), (mid + 1e-17j, None)]
+    zeros = [z for z, _ in cases]
+    expected = [(log_abs(scorer.e_eval - z), log_abs(scorer.gamma_eval - z)) for z in zeros]
+    cfg = _Config(scorer, [], zeros, "e")
+    for (_, hit), cols, want in zip(cases, cfg.cols, expected):
+        for side, col, x in zip(("e", "gamma"), cols, want):
+            assert_bit_equal(col, x)
+            if hit is None:
+                assert not any(np.shares_memory(col, m) for m in scorer.mats.values())
+            else:
+                assert np.shares_memory(col, scorer.mats[(side, hit[0])][hit[1]])
+    fixed = _Config(scorer, zeros, [], "gamma")
+    total_e, total_g = np.zeros(scorer.e_eval.size), np.zeros(scorer.gamma_eval.size)
+    for xe, xg in expected:
+        total_e += xe
+        total_g += xg
+    assert_bit_equal(fixed.fixed_le, total_e)
+    assert_bit_equal(fixed.fixed_lg, total_g)
 
 
 def test_moves_match_dense_scores(scorer):
