@@ -131,6 +131,31 @@ def test_chi_bruteforce_records(request, scorers, name, n, k, seed, log_upper, l
     assert [s.evals_used for s in scorers] == [evals]
 
 
+# the equilibrium pair at the default grid: (condenser, n, k, seed, log chi_upper,
+# log chi_lower, scored configurations); all seven converge
+ASYMPTOTIC_RECORDS = [
+    ("concentric", 16, 8, 0, -7.999999999999998, -8.692811774187051, 26526),
+    ("concentric", 64, 32, 0, -31.999999999999993, -32.693147180559926, 81798),
+    ("concentric", 48, 16, 0, -15.999999999999996, -16.693147180559933, 73702),
+    ("offset", 16, 8, 0, -7.757822143980917, -7.888294371138578, 65502),
+    ("offset", 64, 32, 0, -31.378442629902956, -31.404496569215368, 376582),
+    ("offset", 48, 16, 0, -16.299436239967328, -16.338653813082935, 249846),
+    ("offset", 16, 8, 1, -7.756108994784002, -7.891804903234389, 57302),
+]
+
+
+@pytest.mark.parametrize("name,n,k,seed,log_upper,log_lower,evals", ASYMPTOTIC_RECORDS,
+                         ids=[f"{r[0]}-{r[1]}-{r[2]}-seed{r[3]}" for r in ASYMPTOTIC_RECORDS])
+def test_chi_asymptotic_pair_records(request, scorers, name, n, k, seed, log_upper, log_lower,
+                                     evals):
+    # the q ascent, the p descent and the re-run sup all show in these
+    est = chi_asymptotic_pair(request.getfixturevalue(name), n, k, seed=seed)
+    assert np.log(est.chi_upper) == pytest.approx(log_upper, abs=1e-12)
+    assert np.log(est.chi_lower) == pytest.approx(log_lower, abs=1e-12)
+    assert est.converged
+    assert [s.evals_used for s in scorers] == [evals]
+
+
 def test_chi_bruteforce_budget_counts_every_recheck(concentric, monkeypatch):
     # level (6, 3) at seed 1 scores exactly 89623 configurations, repeated
     # re-check sups included: one fewer must run out, and that many must not
