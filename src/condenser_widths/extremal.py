@@ -9,12 +9,15 @@ zeros is scored by
 which is the log of ||pq||_plate / ||pq||_curve and, after dividing by n,
 exactly the minimax functional of the combined counting measure on the same
 scan sets.  Cyclic coordinate descent moves one zero at a time to the best
-candidate of a grid.  A visit passes the floor its move must clear, and the
-candidates are pruned against it in stages.  The side a move's score adds is
-bounded above by block maxima; the side it subtracts is bounded below by
-attained sums, first for every candidate at its own block rows (the first
-row where it peaks in each eval block, read next to the block maxima), then
-for the survivors at the largest base row of every eval block.  A candidate
+candidate of a grid, and the zero's kind sets the direction: a q zero moves
+on the curve candidates and ascends toward the sup over q, a p zero moves on
+the plate candidates and descends toward the inf over p.  A visit passes the
+floor its move must clear, and the candidates are pruned against it in
+stages.  The side a move's score adds (the other kind's eval set) is bounded
+above by block maxima; the side it subtracts (its own kind's) is bounded
+below by attained sums, first for every candidate at its own block rows (the
+first row where it peaks in each eval block, read next to the block maxima),
+then for the survivors at the largest base row of every eval block.  A candidate
 whose bound still clears the floor gets the exact maximum of the added side,
 is pruned again with that value, and only a survivor sums the other side.
 Float addition, subtraction and maximum are monotone, so each prune drops
@@ -143,25 +146,25 @@ class NormRatioScorer:
         return self.mats[("e", kind)][i], self.mats[("gamma", kind)][i]
 
     def move_scores(self, kind: str, base_e: np.ndarray, base_g: np.ndarray,
-                    sign: float, floor: float) -> np.ndarray:
+                    floor: float) -> np.ndarray:
         """max_r (base_e[r] + M_e[c, r]) - max_r (base_g[r] + M_g[c, r]) for each
         candidate c of a kind whose sign * score can exceed floor, else -sign * inf.
 
-        sign * score adds the maximum on one side (e for sign > 0) and subtracts
-        the other.  Its upper bound is the largest sum of candidate and base
-        block maxima minus a lower bound of the subtracted maximum, which
+        sign is +1 for q zeros (kind "gamma") and -1 for p: sign * score adds
+        the maximum over the other eval set and subtracts the one over the
+        candidates' own.  Its upper bound is the largest sum of candidate and
+        base block maxima minus a lower bound of the subtracted maximum, which
         tightens in two stages.  Every candidate is pruned first with the
         attained sums of _block_tops, read from contiguous bounds; only the
         survivors take the base-row sums of _lower_tops, and are pruned again
-        with the better of the two.  A survivor then gets its exact maximum
-        on the added side, is pruned once more with that value minus the same
+        with the better of the two.  A survivor then gets its exact maximum on
+        the added side, is pruned once more with that value minus the same
         lower bound, and only what is left sums the subtracted side.  Float
-        arithmetic is monotone, so a pruned candidate's sign * score is at
-        most floor, and each live score takes both exact maxima: it is
-        bit-identical to the dense one.
+        arithmetic is monotone, so a pruned sign * score is at most floor, and
+        a live score takes both exact maxima: it is bit-identical to the dense one.
         """
         bases = {"e": base_e, "gamma": base_g}
-        up, down = ("e", "gamma") if sign > 0 else ("gamma", "e")
+        up, down = ("e", "gamma") if kind == "gamma" else ("gamma", "e")
         blocks = np.maximum.reduceat(bases[up], np.arange(0, bases[up].size, _ROW_BLOCK))
         upper = np.max(self.bounds[(up, kind)][0] + blocks[:, None], axis=0)
         lower = self._block_tops(down, kind, bases[down])
@@ -173,7 +176,7 @@ class NormRatioScorer:
         keep = tops[up] - lower > floor
         live, tops[up] = live[keep], tops[up][keep]
         tops[down] = np.max(self.mats[(down, kind)][live] + bases[down], axis=1)
-        scores = np.full(upper.size, -sign * np.inf)
+        scores = np.full(upper.size, -np.inf if kind == "gamma" else np.inf)
         scores[live] = tops["e"] - tops["gamma"]
         return scores
 
@@ -258,12 +261,13 @@ def _plate_candidates(c: Condenser, n: int) -> np.ndarray:
 class _Config:
     """A zero configuration with running log sums over the eval sets.
 
-    fixed zeros never move; movable zeros all share one candidate kind.
+    fixed zeros never move; movable zeros share one kind: q ascends, p descends.
     """
 
     def __init__(self, scorer: NormRatioScorer, fixed_zeros, movable_zeros, kind: str):
         self.scorer = scorer
         self.kind = kind
+        self.sign = 1.0 if kind == "gamma" else -1.0
         self.fixed_le = np.zeros(scorer.e_eval.size)
         self.fixed_lg = np.zeros(scorer.gamma_eval.size)
         for z in fixed_zeros:
@@ -291,13 +295,13 @@ class _Config:
         le, lg = self._totals()
         return float(np.max(le) - np.max(lg))
 
-    def move_scores(self, i: int, sign: float, floor: float) -> np.ndarray:
+    def move_scores(self, i: int, floor: float) -> np.ndarray:
         """Objective after moving zero i to each candidate of its kind whose
         sign * objective can exceed floor; -sign * inf for the others."""
         self.scorer._charge(len(self.scorer.cands[self.kind]))
         le, lg = self._totals()
         return self.scorer.move_scores(self.kind, le - self.cols[i][0],
-                                       lg - self.cols[i][1], sign, floor)
+                                       lg - self.cols[i][1], floor)
 
     def drop_score(self, i: int) -> float:
         self.scorer._charge(1)
@@ -305,10 +309,8 @@ class _Config:
         return float(np.max(le - self.cols[i][0]) - np.max(lg - self.cols[i][1]))
 
     def apply_move(self, i: int, cand_idx: int):
-        # zero i takes the scorer's candidate rows as they are: nothing writes to them
         self.zeros[i] = complex(self.scorer.cands[self.kind][cand_idx])
-        self.cols[i] = (self.scorer.mats[("e", self.kind)][cand_idx],
-                        self.scorer.mats[("gamma", self.kind)][cand_idx])
+        self.cols[i] = self.scorer.columns(self.zeros[i])
         self._sums = None
 
     def apply_drop(self, i: int):
@@ -317,20 +319,21 @@ class _Config:
         self._sums = None
 
 
-def _coordinate_descent(cfg: _Config, sign: float):
+def _coordinate_descent(cfg: _Config):
     """Cyclic single-zero improvement until a clean sweep; returns
     (final objective, converged).
 
-    sign = +1 maximizes, -1 minimizes; every accepted step strictly improves.
-    The loop stops at _MAX_SWEEPS sweeps, read when it runs, and converged
-    is False when the last of them still improved.
+    cfg.sign = +1 maximizes, -1 minimizes; every accepted step strictly
+    improves.  The loop stops at _MAX_SWEEPS sweeps, read when it runs, and
+    converged is False when the last of them still improved.
     """
+    sign = cfg.sign
     best = cfg.objective()
     for _ in range(_MAX_SWEEPS):
         improved = False
         i = 0
         while i < len(cfg.zeros):
-            scores = cfg.move_scores(i, sign, sign * best + _IMPROVE_EPS)
+            scores = cfg.move_scores(i, sign * best + _IMPROVE_EPS)
             j = int(np.argmax(sign * scores))
             if sign * scores[j] > sign * best + _IMPROVE_EPS:
                 cfg.apply_move(i, j)
@@ -354,17 +357,17 @@ def _warn_unconverged(converged: bool, n: int, k: int):
                       f"converging (n = {n}, k = {k})", RuntimeWarning, stacklevel=2)
 
 
-def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str, sign: float):
+def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str):
     """Best objective over the movable zeros of a kind at fixed zeros: a
-    coordinate descent (sign +1 ascends, -1 descends) from each start, where
-    a later start wins only if strictly better.  Returns (value, zeros,
-    every descent converged); inf over p is kind "e" with sign -1."""
+    coordinate descent from each start, where a later start wins only if
+    strictly better.  Returns (value, zeros, every descent converged); kind
+    "gamma" gives the sup over q, kind "e" the inf over p."""
     best_val, best, converged = None, [], True
     for z0 in starts:
         cfg = _Config(scorer, fixed, z0, kind)
-        val, ok = _coordinate_descent(cfg, sign)
+        val, ok = _coordinate_descent(cfg)
         converged = converged and ok
-        if best_val is None or sign * val > sign * best_val:
+        if best_val is None or cfg.sign * val > cfg.sign * best_val:
             best_val, best = val, list(cfg.zeros)
     return best_val, best, converged
 
@@ -372,7 +375,7 @@ def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str, sign: float):
 def _sup_over_q(scorer: NormRatioScorer, p_zeros, starts):
     """sup over q of the objective at fixed p zeros: the ascent multistart
     with the empty q as its last start."""
-    return _multistart(scorer, p_zeros, [*starts, []], "gamma", +1.0)
+    return _multistart(scorer, p_zeros, [*starts, []], "gamma")
 
 
 def _leja_points(cands: np.ndarray, m: int) -> list:
@@ -452,7 +455,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
             i = 0
             while i < len(p_cur):
                 proxy_cfg = _Config(scorer, q_star, p_cur, "e")
-                scores = proxy_cfg.move_scores(i, -1.0, -val + _IMPROVE_EPS)
+                scores = proxy_cfg.move_scores(i, -val + _IMPROVE_EPS)
                 order = np.argsort(scores, kind="stable")[:4]  # most promising moves
                 for j in order:
                     if scores[j] >= val - _IMPROVE_EPS:
@@ -482,7 +485,7 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
             best = (val, list(p_cur), list(q_star))
 
     log_upper, p_best, q_best = best
-    log_lower, _, ok = _multistart(scorer, q_best, [p_best], "e", -1.0)
+    log_lower, _, ok = _multistart(scorer, q_best, [p_best], "e")
     converged = converged and ok
     _warn_unconverged(converged, n, k)
     return _estimate(n, k, log_upper, log_lower, "bruteforce",
@@ -522,8 +525,7 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     # the inf side descends from the Leja start and from the all-at-center
     # start (the config whose swept counting measure is the plate equilibrium
     # distribution); single-zero moves cannot cross between the two basins
-    log_lower, p_star, ok = _multistart(scorer, q0, [p0, [c.e_domain.midpoint] * k],
-                                         "e", -1.0)
+    log_lower, p_star, ok = _multistart(scorer, q0, [p0, [c.e_domain.midpoint] * k], "e")
     converged = converged and ok
 
     if p_star != p0:

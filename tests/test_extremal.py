@@ -308,11 +308,11 @@ def test_config_sums_follow_moves_and_drops(concentric):
     cfg = _Config(scorer, fixed, list(scorer.cands["gamma"][:3]), "gamma")
     cfg.objective()
     cfg.apply_move(1, 10)
-    cfg.move_scores(0, 1.0, -np.inf)
+    cfg.move_scores(0, -np.inf)
     cfg.apply_drop(0)
     fresh = _Config(scorer, fixed, cfg.zeros, "gamma")
     assert cfg.objective() == fresh.objective()
-    assert np.array_equal(cfg.move_scores(0, 1.0, -np.inf), fresh.move_scores(0, 1.0, -np.inf))
+    assert np.array_equal(cfg.move_scores(0, -np.inf), fresh.move_scores(0, -np.inf))
     assert cfg.drop_score(1) == fresh.drop_score(1)
 
 

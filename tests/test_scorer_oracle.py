@@ -23,6 +23,8 @@ CONDENSERS = {
 # (grid_n, gamma_cand_n, e_cand_n): eval counts off the row block size, one
 # exact fit, and a curve eval set smaller than one row block
 GRIDS = [(100, 70, 37), (64, 64, 48), (77, 129, 65), (5, 4, 20)]
+# the direction of a move: q zeros (curve candidates) ascend, p zeros descend
+SIGN = {"gamma": 1.0, "e": -1.0}
 
 
 def bits(a):
@@ -64,7 +66,7 @@ class DenseConfig(_Config):
         super().__init__(scorer, fixed_zeros, movable_zeros, kind)
         self.mats = mats
 
-    def move_scores(self, i, sign, floor):
+    def move_scores(self, i, floor):
         return dense_move_scores(self, i, self.mats)
 
     def apply_move(self, i, cand_idx):
@@ -101,25 +103,26 @@ def check_pruned(out, dense, sign, floor):
     return live
 
 
-def check_floors(scores, dense):
-    """scores(sign, floor) against the dense scores: all live at floor -inf,
-    none at +inf, and the pruning contract at random floors in between."""
+def check_floors(scores, dense, kind):
+    """scores(floor) against the dense scores of a kind: all live at floor
+    -inf, none at +inf, and the pruning contract at random floors in between."""
     rng = np.random.default_rng(11)
-    for sign in (1.0, -1.0):
-        assert_bit_equal(scores(sign, -np.inf), dense)
-        assert np.all(scores(sign, np.inf) == -sign * np.inf)
-        signed = sign * dense
-        ties = signed[rng.integers(0, signed.size, size=2)]
-        floors = [*np.quantile(signed, [0.0, 0.5, 0.99]), *ties, *(ties + _IMPROVE_EPS),
-                  np.max(signed), np.max(signed) + rng.uniform(-1.0, 1.0)]
-        for floor in floors:
-            check_pruned(scores(sign, floor), dense, sign, floor)
+    sign = SIGN[kind]
+    assert_bit_equal(scores(-np.inf), dense)
+    assert np.all(scores(np.inf) == -sign * np.inf)
+    signed = sign * dense
+    ties = signed[rng.integers(0, signed.size, size=2)]
+    floors = [*np.quantile(signed, [0.0, 0.5, 0.99]), *ties, *(ties + _IMPROVE_EPS),
+              np.max(signed), np.max(signed) + rng.uniform(-1.0, 1.0)]
+    for floor in floors:
+        check_pruned(scores(floor), dense, sign, floor)
 
 
 def check_visits(cfg, mats):
+    assert cfg.sign == SIGN[cfg.kind]
     for i in range(len(cfg.zeros)):
         dense = dense_move_scores(cfg, i, mats)
-        check_floors(lambda sign, floor: cfg.move_scores(i, sign, floor), dense)
+        check_floors(lambda floor: cfg.move_scores(i, floor), dense, cfg.kind)
 
 
 def check_bases(scorer, mats, bases):
@@ -137,8 +140,8 @@ def check_bases(scorer, mats, bases):
                 lower = scorer._lower_tops(side, kind, base, every)
                 assert np.all(lower <= tops)
                 assert_bit_equal(scorer._lower_tops(side, kind, base, every[1::3]), lower[1::3])
-            check_floors(lambda sign, floor: scorer.move_scores(kind, base_e, base_g, sign, floor),
-                         tops_e - tops_g)
+            check_floors(lambda floor: scorer.move_scores(kind, base_e, base_g, floor),
+                         tops_e - tops_g, kind)
 
 
 def test_stored_matrices_are_the_transpose(scorer):
@@ -282,8 +285,8 @@ def test_candidate_counts_off_the_tile_size(keep):
     check_visits(_Config(scorer, q, p, "e"), mats)
 
 
-@pytest.mark.parametrize("sign,kind", [(1.0, "gamma"), (-1.0, "e")])
-def test_descent_matches_dense_descent(sign, kind):
+@pytest.mark.parametrize("kind", ["gamma", "e"])
+def test_descent_matches_dense_descent(kind):
     c = offset_condenser()
     args = dict(grid_n=256, gamma_cand_n=96, e_cand_n=70)
     tiled, dense = NormRatioScorer(c, **args), NormRatioScorer(c, **args)
@@ -292,7 +295,7 @@ def test_descent_matches_dense_descent(sign, kind):
     fixed, movable = (p0, q0) if kind == "gamma" else (q0, p0)
     a = _Config(tiled, fixed, movable, kind)
     b = DenseConfig(dense, fixed, movable, kind, eval_major(dense))
-    assert _coordinate_descent(a, sign) == _coordinate_descent(b, sign)
+    assert _coordinate_descent(a) == _coordinate_descent(b)
     assert a.zeros == b.zeros
     assert tiled.evals_used == dense.evals_used > 0
 
@@ -303,11 +306,11 @@ def checked_scores(monkeypatch):
     pruned_scores = NormRatioScorer.move_scores
     visits = []
 
-    def checked(self, kind, base_e, base_g, sign, floor):
-        out = pruned_scores(self, kind, base_e, base_g, sign, floor)
+    def checked(self, kind, base_e, base_g, floor):
+        out = pruned_scores(self, kind, base_e, base_g, floor)
         dense = (np.max(base_e[:, None] + self.mats[("e", kind)].T, axis=0)
                  - np.max(base_g[:, None] + self.mats[("gamma", kind)].T, axis=0))
-        live = check_pruned(out, dense, sign, floor)
+        live = check_pruned(out, dense, SIGN[kind], floor)
         visits.append((int(np.count_nonzero(live)), out.size))
         return out
 
@@ -353,7 +356,7 @@ def test_bruteforce_proxy_walk_matches_dense(scorer):
         vals = [*ordered[[0, 2, min(4, dense.size - 1)]], ordered[0] + _IMPROVE_EPS,
                 ordered[min(4, dense.size - 1)] + rng.uniform(0.0, 1e-3), np.inf, -np.inf]
         for val in vals:
-            pruned = cfg.move_scores(i, -1.0, -val + _IMPROVE_EPS)
+            pruned = cfg.move_scores(i, -val + _IMPROVE_EPS)
             assert proxy_walk(pruned, val) == proxy_walk(dense, val)
 
 
