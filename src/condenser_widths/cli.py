@@ -30,9 +30,9 @@ from .balayage import _SWEEP_BLOCK, balayage_to_E, balayage_to_gamma, counting_a
 from .equilibrium import (_theta_stage, equilibrium_result, fekete_green, m_hat_theta,
                           m_theta, theta_sweep)
 from .errors import BudgetExceeded, CondenserWidthsError, ConfigError, GeometryValidationError
-from .extremal import _SCAN_CAP, BRUTEFORCE_MAX_N, CHI_METHODS, _pair_grid, chi_estimate
+from .extremal import BRUTEFORCE_MAX_N, CHI_METHODS, chi_allocation, chi_estimate
 from .geometry import Condenser, boundary_samples, green_kernel, log_capacity
-from .measure import _SPOTS, DiscreteMeasure, log_potential, to_json
+from .measure import DiscreteMeasure, log_potential, to_json
 from .nwidth import g_theta_field, width_rate_predict
 
 SCHEMA_VERSION = 1
@@ -171,23 +171,21 @@ def largest_allocation(cfg: RunConfig) -> int:
 
       - the complex curve and plate grids of every task, 2 grid_n;
       - a Fekete stage's exchange columns, atoms x grid_n;
-      - chi's equilibrium pair, (n - k) x _pair_grid(n - k) exchange
-        columns and a complex Leja grid of 2 _pair_grid(k);
-      - chi's descents, whose n zeros each keep log columns over both scan
-        sets, n x (2 scan + _SPOTS) with scan = min(grid_n, _SCAN_CAP);
+      - chi's and nwidth's chi estimate, extremal.chi_allocation: the
+        equilibrium pair's exchange columns and Leja grid, the scorer's
+        largest candidate x eval matrix and the descents' log columns;
       - balayage-demo's sweep buffers, complex points and float angles on
         min(_SWEEP_BLOCK, k) rows of grid_n + 1 cells.  These are the
         direct arctan2 path's; the power-series path needs about 2 grid_n
         complex values, so they bound both paths.
     """
-    g, q = cfg.grid_n, cfg.n - cfg.k
+    g = cfg.grid_n
     atoms = {"equilibrium": cfg.n_points, "nwidth": cfg.n_points,
              "sweep": min(cfg.n_points, SWEEP_MAX_POINTS),
              "validate": min(cfg.n_points, SMOKE_POINTS)}.get(cfg.task, 0)
     sizes = [2 * g, atoms * g]
     if cfg.task in ("chi", "nwidth"):
-        sizes += [q * _pair_grid(q), 2 * _pair_grid(cfg.k),
-                  cfg.n * (2 * min(g, _SCAN_CAP) + _SPOTS)]
+        sizes.append(chi_allocation(cfg.n, cfg.k, g))
     if cfg.task == "balayage-demo":
         sizes.append(3 * max(1, min(_SWEEP_BLOCK, cfg.k)) * (g + 1))
     return max(sizes)

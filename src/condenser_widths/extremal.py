@@ -36,7 +36,7 @@ from .balayage import _alpha_measure
 from .errors import BudgetExceeded, GridTooClose, GridTooCoarse
 from .equilibrium import _leja_indices, fekete_green, leja_weighted
 from .geometry import Condenser, boundary_samples, interior_spots, sample_curve
-from .measure import (_CHUNK_ENTRIES, DiscreteMeasure, M_functional, log_abs,
+from .measure import (_CHUNK_ENTRIES, _SPOTS, DiscreteMeasure, M_functional, log_abs,
                       log_potential, minimax_scan_sets)
 
 _IMPROVE_EPS = 1e-13
@@ -553,6 +553,23 @@ def chi_estimate(c: Condenser, n: int, k: int, method: str = "auto", grid_n: int
     if method == "asymptotic_pair":
         return chi_asymptotic_pair(c, n, k, grid_n=grid_n, seed=seed)
     raise ValueError(f"unknown chi method {method!r}; choose one of {CHI_METHODS}")
+
+
+def chi_allocation(n: int, k: int, grid_n: int) -> int:
+    """Float64 entries of the largest array chi_estimate plans at (n, k,
+    grid_n), by either method, with scan = min(grid_n, _SCAN_CAP):
+
+      - the equilibrium pair's (n - k) x _pair_grid(n - k) exchange columns
+        and its complex Leja grid of 2 _pair_grid(k);
+      - the scorer's largest candidate x eval matrix.  A kind has at most
+        min(1024, grid_n) curve or 257 plate candidates (256, made odd on a
+        segment), and an eval set at most scan + _SPOTS points;
+      - the descents' log columns: n zeros, each over both scan sets,
+        n x (2 scan + _SPOTS).
+    """
+    scan = min(grid_n, _SCAN_CAP)
+    return max((n - k) * _pair_grid(n - k), 2 * _pair_grid(k),
+               max(257, min(1024, grid_n)) * (scan + _SPOTS), n * (2 * scan + _SPOTS))
 
 
 def _estimate(n, k, log_upper, log_lower, method, config, converged) -> ChiEstimate:

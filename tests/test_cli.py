@@ -537,10 +537,11 @@ def test_largest_allocation_counts_each_task():
     # a sweep's stages take at most 160 atoms, validate's smoke stage 32
     assert largest_allocation(run_config("sweep", n_points=1024, grid_n=4096)) == 160 * 4096
     assert largest_allocation(run_config("validate", n_points=1024, grid_n=4096)) == 32 * 4096
-    # chi: the equilibrium pair's columns or the descents' log columns
+    # chi: the equilibrium pair's columns, the scorer's largest matrix (1024
+    # curve candidates over 2048 + 64 plate evals) or the descents' log columns
     assert largest_allocation(run_config("chi", n=4096, k=2048, grid_n=4096)) == 2048 * 32768
-    assert largest_allocation(run_config("chi", n=256, k=128, grid_n=4096)) == 256 * 4160
-    assert largest_allocation(run_config("chi", n=4, k=2, grid_n=1024)) == 4 * 2112
+    assert largest_allocation(run_config("chi", n=256, k=128, grid_n=4096)) == 1024 * 2112
+    assert largest_allocation(run_config("chi", n=4, k=2, grid_n=1024)) == 1024 * 1088
     assert largest_allocation(run_config("chi", n=10 ** 4, k=10 ** 4, grid_n=64)) == 192 * 10 ** 4
     # balayage-demo: complex points and float angles on min(16, k) sweep rows
     assert largest_allocation(run_config("balayage-demo", k=2, grid_n=4096)) == 6 * 4097
@@ -565,8 +566,9 @@ class _ScorerBuilt(Exception):
 def test_largest_allocation_covers_the_chi_estimate(monkeypatch, task, plate, n, k, grid_n,
                                                     method):
     # the guard must cover what the estimate allocates: the descents' log
-    # columns, n x (plate + curve scan points) of the scorer it builds, and
-    # the equilibrium pair's exchange columns and complex Leja grid
+    # columns, n x (plate + curve scan points) of the scorer it builds, that
+    # scorer's largest candidate x eval matrix, and the equilibrium pair's
+    # exchange columns and complex Leja grid
     import numpy as np
 
     from condenser_widths import extremal
@@ -580,6 +582,7 @@ def test_largest_allocation_covers_the_chi_estimate(monkeypatch, task, plate, n,
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
             sizes.append(n * (self.e_eval.size + self.gamma_eval.size))
+            sizes.append(max(m.size for m in self.mats.values()))
             raise _ScorerBuilt
 
     leja = extremal.leja_weighted
@@ -602,7 +605,7 @@ def test_largest_allocation_covers_the_chi_estimate(monkeypatch, task, plate, n,
     c = Condenser.from_json_dict({"e": e, "gamma": OFFSET["gamma"]}).validate()
     with pytest.raises(_ScorerBuilt):
         extremal.chi_estimate(c, n, k, method, grid_n, restarts=2, seed=0)
-    assert len(sizes) == (3 if method == "asymptotic_pair" else 1)
+    assert len(sizes) == (4 if method == "asymptotic_pair" else 2)
     guard = largest_allocation(run_config(task, n=n, k=k, n_points=16, grid_n=grid_n,
                                           method=method))
     assert guard >= max(sizes)
