@@ -30,15 +30,17 @@ a window of _WINDOW_SPACINGS mean atom spacings on either side of it, and the
 whole grid only when a bound on every score outside the window does not
 certify the window's verdict; the chosen slots are those of full scans, bit
 for bit.  tests/test_exchange_oracle.py holds the per-visit reference loop
-for both engine starts.  The exchange run keeps its final kernel columns,
-each 0 at its own slot, so a stage's field is one product w @ cols - g(., inf),
-and u at atom i holds the potential of the other atoms.
+for both engine starts.  The engine keeps no whole kernel column: per atom
+only the column's window slice and its maximum outside the window, and the
+running potential pot, the sum of the columns, each 0 at its own slot.  A
+column is refilled when its atom moves or its visit scans the whole grid.
+A stage's field is then ((1 - theta) / m) pot - g(., inf), and u at atom i
+holds the potential of the other atoms.
 
 _theta_stage does a whole Fekete stage (curve grid, start, exchange, field,
-both routes and the support) and returns one ThetaStage record, which keeps
-no kernel columns.  The support S_theta is the field within _support_tol of
-its minimum: one threshold, shared by equilibrium_result, theta_sweep and
-support_S_theta.
+both routes and the support) and returns one ThetaStage record.  The support
+S_theta is the field within _support_tol of its minimum: one threshold,
+shared by equilibrium_result, theta_sweep and support_S_theta.
 
 Leja points on the plate (leja_weighted) take U^{lam_n} as their field.
 It comes from the exterior map phi of E, not from the direct sum.  With
@@ -73,7 +75,7 @@ from .errors import GridTooCoarse
 from .geometry import (Condenser, EDomain, TWO_PI, green_matrix, green_pole_infinity,
                        kernel_parts, log_capacity, boundary_samples, phi_exterior, sample_curve,
                        series_terms)
-from .measure import DiscreteMeasure, log_abs, log_potential
+from .measure import _CHUNK_ENTRIES, DiscreteMeasure, log_abs, log_potential
 from .spectral import CapacitySolve, spectral_capacity, spectral_equilibrium
 
 _ENDPOINT_TOL = 1e-12
@@ -128,15 +130,15 @@ class SweepReport:
 
 class ExchangeRun(NamedTuple):
     """Chosen grid slots of one exchange run, with its pass and move counts
-    and the final kernel columns.
+    and the final running potential.
 
     ``full_scans`` counts the visits that scored the whole grid because their
     window scan could not be certified.  ``converged`` is False when the run
-    stopped at ``_MAX_PASSES`` with the last pass still moving atoms.  The
-    engine builds m + moves kernel columns; cols[i] is g(., z_chosen[i]) over
-    the grid, 0 at its own slot and on the plate.  For atom weights w,
-    (w @ cols)[chosen[i]] is the potential of the other atoms at atom i, so
-    one product gives a stage's field and its pair energy.
+    stopped at ``_MAX_PASSES`` with the last pass still moving atoms.
+    pot = sum_i g(., z_chosen[i]) over the grid, each kernel column taken 0
+    at its own slot and on the plate, summed as the run went: pot[chosen[i]]
+    is the potential of the other atoms at atom i, so for m atoms of weight w
+    one scaling w * pot gives a stage's field and its pair energy.
     """
 
     chosen: np.ndarray
@@ -144,37 +146,67 @@ class ExchangeRun(NamedTuple):
     moves: int
     full_scans: int
     converged: bool
-    cols: np.ndarray
+    pot: np.ndarray
 
 
-def _column_fill(phi_grid):
-    """fill(idx, out): the kernel column g(., z_idx) over the grid, 0 at slot idx.
+def _column_fill(phi_grid, rows: int = 1):
+    """fill(idx, out): the kernel columns g(., z_j) over the grid for the
+    slots j of idx, one per row of out (at most rows of them), each 0 at its
+    own slot; a scalar idx fills a 1-D out.
 
-    The column is kernel_from_phi's one-log form,
-    g = log1p(s * s_idx / |phi - phi_idx|^2) / 2 with s = |phi|^2 - 1 clamped
+    A column is kernel_from_phi's one-log form,
+    g = log1p(s * s_j / |phi - phi_j|^2) / 2 with s = |phi|^2 - 1 clamped
     to 0 on the plate.  Re phi, Im phi and s are taken once per grid; a fill
-    runs kernel_from_phi's operations in its order into reused buffers, so the
-    column is bit-identical to it off slot idx.  A slot on the plate, or a
-    pole there, has s = 0 and so a zero product: the plate needs no mask.
-    Slot idx's squared distance is set to 1 before the divide, so nothing
-    divides by zero, and its output to 0 after.
+    runs kernel_from_phi's elementwise operations in its order, into out and
+    one reused scratch block, so each column is bit-identical to it off slot
+    j.  A slot on the plate, or a pole there, has s = 0 and so a zero
+    product: the plate needs no mask.  Slot j's squared distance is set to 1
+    before the divide, so nothing divides by zero, and its output to 0 after.
     """
     x, y, s = (np.ascontiguousarray(a) for a in kernel_parts(phi_grid))
-    d2, dy = np.empty(phi_grid.size), np.empty(phi_grid.size)
+    n = phi_grid.size
+    scratch = np.empty(rows * n)
+    offsets = n * np.arange(rows)  # flat offset of each row of a block
 
     def fill(idx, out):
-        np.subtract(x, x[idx], out=d2)
+        idx = np.asarray(idx)
+        pole = idx[..., None]
+        own = idx + offsets[:idx.size]  # flat index of each slot j in out
+        d2 = scratch[:out.size].reshape(out.shape)
+        np.subtract(x, x[pole], out=d2)
         np.multiply(d2, d2, out=d2)
-        np.subtract(y, y[idx], out=dy)
-        np.multiply(dy, dy, out=dy)
-        np.add(d2, dy, out=d2)
-        d2[idx] = 1.0
-        np.multiply(s, s[idx], out=out)
+        np.subtract(y, y[pole], out=out)
+        np.multiply(out, out, out=out)
+        np.add(d2, out, out=d2)
+        d2.put(own, 1.0)
+        np.multiply(s, s[pole], out=out)
         np.divide(out, d2, out=out)
         np.log1p(out, out=out)
         np.multiply(0.5, out, out=out)
-        out[idx] = 0.0
+        out.put(own, 0.0)
     return fill
+
+
+def _fill_rows(grid_n: int, m: int) -> int:
+    """Rows of an exchange run's fill block: about measure._CHUNK_ENTRIES
+    entries and at most the m start columns, but at least the two columns
+    of a move."""
+    return max(2, min(m, _CHUNK_ENTRIES // grid_n))
+
+
+def _window_half(grid_n: int, m: int) -> int:
+    """Slots on either side of an atom's slot that its exchange visit scores
+    first: _WINDOW_SPACINGS mean atom spacings, rounded up."""
+    return -(-_WINDOW_SPACINGS * grid_n // m)
+
+
+def exchange_allocation(m: int, grid_n: int) -> int:
+    """Float64 entries of the largest array an exchange run of m >= 1 atoms
+    on grid_n slots allocates: its window store (a window of 2 half + 1
+    slots per atom, none when a window covers the grid), or its fill block
+    and the block's scratch, _fill_rows(grid_n, m) x grid_n each."""
+    width = 2 * _window_half(grid_n, m) + 1
+    return max(m * width if width < grid_n else 0, _fill_rows(grid_n, m) * grid_n)
 
 
 def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> ExchangeRun:
@@ -188,82 +220,100 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> Exc
     exchange visiting order, ties go to the lowest grid index, and every
     accepted move strictly increases F.
 
-    State kept across visits: cols[i] is atom i's kernel column with 0 at its
-    own slot, so pot = sum_i cols[i] is finite everywhere and pot[chosen[i]]
-    is the potential of the other atoms at atom i.  dp = drive - pot with
-    -inf at occupied slots (occupancy lives in free_drive, a copy of drive
-    set to -inf there).  score = dp + cols[i] is atom i's objective at every
-    free slot, and drive - pot at its own slot (plus a 1e-12 drift guard) is
-    the value of staying.  A move updates pot by two column passes,
-    free_drive at two slots, and recomputes dp.
+    State kept across visits: pot = sum_i col_i, where col_i is atom i's
+    kernel column with 0 at its own slot, so pot is finite everywhere and
+    pot[chosen[i]] is the potential of the other atoms at atom i.  dp =
+    drive - pot with -inf at occupied slots (occupancy lives in free_drive, a
+    copy of drive set to -inf there).  score = dp + col_i is atom i's
+    objective at every free slot, and drive - pot at its own slot (plus a
+    1e-12 drift guard) is the value of staying.  No column is kept whole: the
+    start fills the m columns in blocks of _fill_rows(grid_n, m) rows of one
+    reused buffer, adding each to pot in atom order; a move refills the old
+    column and the new one in one 2-row fill, takes the old from pot and adds
+    the new, and recomputes dp.  Every fill gives the same bits as the first
+    fill of that slot, so pot has the bits of a sum over kept columns.
 
     A visit first scores only its window: the half = ceil(_WINDOW_SPACINGS *
     grid_n / m) slots on either side of the atom's slot, taken cyclically
     (the curve grid is closed) and scanned in increasing slot order.  The
     engine keeps dpmax = max(dp), recomputed after the start and after each
     move, and for each atom its window record, taken when its column is
-    filled: the window's place, views of dp and cols[i] over it, and
-    out_max, the largest value of cols[i] outside it (inf when the window
-    covers the grid).  IEEE addition is monotone, so no score outside the
-    window exceeds bound = dpmax + out_max.  A window maximum above bound is
-    therefore the grid maximum, and the window's first argmax is the grid's
-    lowest one.  Otherwise the visit scores the whole grid (counted in
-    full_scans).  Every visit thus reaches the full scan's verdict, bit for
-    bit, mostly after reading a few atom spacings: 193 of 16384 slots at 1024
-    atoms.
+    filled: the window's place, a view of dp over it, its row of the window
+    store (m x (2 half + 1), col_i over the window in scan order), and
+    out_max, the largest value of col_i outside the window (inf when the
+    window covers the grid, which then needs no store).  IEEE addition is
+    monotone, so no score outside the window exceeds bound = dpmax + out_max.
+    A window maximum above bound is therefore the grid maximum, and the
+    window's first argmax is the grid's lowest one.  Otherwise the visit
+    refills col_i and scores the whole grid (counted in full_scans).  Every
+    visit thus reaches the full scan's verdict, bit for bit, mostly after
+    reading a few atom spacings: 193 of 16384 slots at 1024 atoms.  The
+    largest arrays are the window store and the fill block
+    (exchange_allocation): 1.5 and 0.5 MiB at 1024 atoms on 16384 slots.
 
     tests/test_exchange_oracle.py keeps the per-visit loop that recomputes
     every score, from greedy insertion and from given start slots; this
     engine must match it slot for slot from either start.
     """
     grid_n = phi_grid.size
-    fill = _column_fill(phi_grid)
+    rows = _fill_rows(grid_n, m)
+    fill = _column_fill(phi_grid, rows)
+    block = np.empty((rows, grid_n))
     drive = field_coeff * g_inf
     free_drive = drive.copy()
-    chosen = np.empty(m, dtype=int)
-    cols = np.empty((m, grid_n))
     pot = np.zeros(grid_n)
     dp = np.empty(grid_n)
 
+    # a window is the cyclic slot range first, ..., first + width - 1; when it
+    # wraps past the last slot, its slots 0, ..., split - 1 are scored first,
+    # so it is always scanned, and stored, in increasing slot order
+    half = _window_half(grid_n, m)
+    width = 2 * half + 1
+    windowed = width < grid_n
+    store = np.empty((m, width if windowed else 0))
+    windows = [None] * m
+
+    def keep(j, col):
+        """Take atom j's window record, (first, split, out_max, dp view,
+        store row), from its column col; the dp view, kept so a visit slices
+        nothing, is None when the window wraps."""
+        if not windowed:
+            windows[j] = 0, 0, np.inf, None, None
+            return
+        first = (slots[j] - half) % grid_n
+        split = first + width - grid_n
+        win = store[j]
+        if split > 0:
+            win[:split] = col[:split]
+            win[split:] = col[first:]
+            windows[j] = first, split, float(col[split:first].max()), None, win
+            return
+        win[:] = col[first:first + width]
+        off = max(col[:first].max(initial=-np.inf), col[first + width:].max(initial=-np.inf))
+        windows[j] = first, 0, float(off), dp[first:first + width], win
+
     if start is None:
+        slots = []
         idx = int(np.argmax(drive))
         for j in range(m):
-            chosen[j] = idx
+            slots.append(idx)
             free_drive[idx] = -np.inf
-            fill(idx, cols[j])
-            pot += cols[j]
+            fill(idx, block[0])
+            pot += block[0]
+            keep(j, block[0])
             np.subtract(free_drive, pot, out=dp)
             idx = int(dp.argmax())
     else:
-        chosen[:] = start
-        for j in range(m):
-            fill(chosen[j], cols[j])
-            pot += cols[j]
-        free_drive[chosen] = -np.inf
+        slots = np.asarray(start, dtype=int).tolist()
+        for lo in range(0, m, rows):
+            cols = block[:min(rows, m - lo)]
+            fill(slots[lo:lo + rows], cols)
+            for j, col in enumerate(cols, lo):
+                pot += col
+                keep(j, col)
+        free_drive[slots] = -np.inf
         np.subtract(free_drive, pot, out=dp)
 
-    # a window is the cyclic slot range first, ..., first + width - 1; when it
-    # wraps past the last slot, its slots 0, ..., split - 1 are scored first,
-    # so it is always scanned in increasing slot order
-    half = -(-_WINDOW_SPACINGS * grid_n // m)
-    width = 2 * half + 1
-    slots = chosen.tolist()
-
-    def window_of(j):
-        """(first, split, out_max, dp view, column view) of atom j's window.
-        out_max is inf when the window covers the grid; the views, kept so a
-        visit slices nothing, are None when it wraps."""
-        if width >= grid_n:
-            return 0, 0, np.inf, None, None
-        first = (slots[j] - half) % grid_n
-        split = first + width - grid_n
-        if split > 0:
-            return first, split, float(cols[j, split:first].max()), None, None
-        off = max(cols[j, :first].max(initial=-np.inf),
-                  cols[j, first + width:].max(initial=-np.inf))
-        return first, 0, float(off), dp[first:first + width], cols[j, first:first + width]
-
-    windows = [window_of(j) for j in range(m)]
     dpmax = float(dp.max())
     rng = np.random.default_rng(seed)
     score = np.empty(grid_n)
@@ -276,38 +326,39 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> Exc
         for i in rng.permutation(m).tolist():
             pos = slots[i]
             stay = drive.item(pos) - pot.item(pos) + 1e-12
-            first, split, out_max, dp_win, col_win = windows[i]
+            first, split, out_max, dp_win, win = windows[i]
             bound = dpmax + out_max
             best = -1
             if bound < np.inf:
                 if split:
-                    np.add(dp[:split], cols[i, :split], window[:split])
-                    np.add(dp[first:], cols[i, first:], window[split:])
+                    np.add(dp[:split], win[:split], window[:split])
+                    np.add(dp[first:], win[split:], window[split:])
                 else:
-                    np.add(dp_win, col_win, window)
+                    np.add(dp_win, win, window)
                 k = int(window.argmax())
                 top = window.item(k)
                 if top > bound:
                     best = k if k < split else first + k - split
             if best < 0:
                 full_scans += 1
-                np.add(dp, cols[i], score)
+                fill(pos, score)
+                np.add(dp, score, score)
                 best = int(score.argmax())
                 top = score.item(best)
             # strict improvement with a drift guard so float noise cannot cycle
             if top > stay:
-                pot -= cols[i]
-                fill(best, cols[i])
-                pot += cols[i]
+                fill([pos, best], block[:2])
+                pot -= block[0]
+                pot += block[1]
                 free_drive[pos] = drive[pos]
                 free_drive[best] = -np.inf
                 np.subtract(free_drive, pot, out=dp)
                 dpmax = float(dp.max())
                 slots[i] = best
-                windows[i] = window_of(i)
+                keep(i, block[1])
                 moves += 1
         converged = moves == moves_before
-    return ExchangeRun(np.array(slots), passes, moves, full_scans, converged, cols)
+    return ExchangeRun(np.array(slots), passes, moves, full_scans, converged, pot)
 
 
 def _halves(grid_n: int, m: int) -> bool:
@@ -321,8 +372,7 @@ def _coarse_to_fine(phi_grid, g_inf, m, field_coeff, seed) -> ExchangeRun:
     grid (every other slot, solved the same way) while that grid keeps at
     least _COARSE_SLOTS * m slots; coarse slot k starts fine slot 2k.
 
-    Only the full-grid run decides convergence; a coarse run is a start, and
-    its columns are freed before the next level allocates its own.
+    Only the full-grid run decides convergence; a coarse run is a start.
     """
     start = None
     if _halves(phi_grid.size, m):
@@ -476,12 +526,13 @@ def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
 
     The independent reference for a Fekete stage's field: the rows g(x_i, .)
     are rebuilt from the atoms by geometry.green_matrix into an atoms x grid_n
-    store, 0 at each atom's own grid slot, and the field is the same product
-    as the stage's, w @ store - g(., inf).  The store holds len(lam) * grid_n
-    floats (128 MiB at 1024 atoms on 16384 slots).  Grid slots occupied by
-    atoms of lam carry the field minimum over the free slots (the discrete
-    potential is infinite there; the continuum field attains its minimum on
-    the support).
+    matrix, 0 at each atom's own grid slot, and the field is w @ matrix -
+    g(., inf).  It agrees with the stage's field, read off the exchange's
+    running potential, to the rounding of that running sum.  The matrix
+    holds len(lam) * grid_n floats (128 MiB at 1024 atoms on 16384 slots),
+    which no Fekete stage allocates.  Grid slots occupied by atoms of lam
+    carry the field minimum over the free slots (the discrete potential is
+    infinite there; the continuum field attains its minimum on the support).
     """
     samples, phi_g, g_inf = _curve_grid(c, grid_n)
     mask = np.isin(samples.points, lam.points)
@@ -530,15 +581,13 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
 
     The full-grid exchange starts at _quantile_start's slots, and on a polar
     curve solves coarse to fine.  A single atom has no pair term, so it sits
-    at the grid maximum of g(., inf).  Then
-    u = w @ run.cols - g(., inf) over the run's own columns: the field route
-    is the minimum of u over the free slots, the energy route the
-    lambda_n-average of u at the atoms over 1 - theta.  The atom slots then
-    carry the field minimum, as in gamma_field, and the support is the field
-    within _support_tol of it.  theta = 1 runs no exchange, for any m.
-
-    The record keeps no kernel columns: they are freed on return, before the
-    Leja stage or the next theta allocates its own.
+    at the grid maximum of g(., inf), and its kernel column is its pot.  Then
+    u = ((1 - theta) / m) run.pot - g(., inf), from the run's running
+    potential: the field route is the minimum of u over the free slots, the
+    energy route the lambda_n-average of u at the atoms over 1 - theta.  The
+    atom slots then carry the field minimum, as in gamma_field, and the
+    support is the field within _support_tol of it.  theta = 1 runs no
+    exchange, for any m.
     """
     if theta >= 1.0 - _ENDPOINT_TOL:
         # theta = 1 leaves the field -g(., inf), whose minimum is -max g(., inf)
@@ -556,9 +605,9 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
         coeff = (m - 1) / (1.0 - theta)
         if m == 1:
             idx = int(np.argmax(g_inf))
-            cols = np.empty((1, grid_n))
-            _column_fill(phi_g)(idx, cols[0])
-            run, start = ExchangeRun(np.array([idx]), 0, 0, 0, True, cols), "greedy"
+            pot = np.empty(grid_n)
+            _column_fill(phi_g)(idx, pot)
+            run, start = ExchangeRun(np.array([idx]), 0, 0, 0, True, pot), "greedy"
         elif c.gamma.kind == "polar":
             run = _coarse_to_fine(phi_g, g_inf, m, coeff, seed)
             start = "coarse_to_fine" if _halves(grid_n, m) else "greedy"
@@ -567,7 +616,7 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
             run, start = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots), "density"
         _warn_unconverged(run, m, grid_n)
         lam = DiscreteMeasure(samples.points[run.chosen], np.full(m, (1.0 - theta) / m))
-        vals = lam.weights @ run.cols - g_inf
+        vals = ((1.0 - theta) / m) * run.pot - g_inf
         at_atoms = vals[run.chosen]
         vals[run.chosen] = np.inf  # the minimum runs over the free slots
         field_min = float(np.min(vals))

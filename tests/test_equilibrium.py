@@ -306,8 +306,7 @@ def test_density_started_stage_is_the_seeded_exchange(offset):
 
 def exchange_objective(run, g_inf, coeff):
     """F = coeff sum_i g(z_i, inf) - sum_{i<j} g(z_i, z_j) of an exchange run."""
-    pot = run.cols.sum(axis=0)
-    return coeff * g_inf[run.chosen].sum() - 0.5 * pot[run.chosen].sum()
+    return coeff * g_inf[run.chosen].sum() - 0.5 * run.pot[run.chosen].sum()
 
 
 SEGMENT_ELLIPSE = Condenser(EDomain.segment(-1.0, 1.0),

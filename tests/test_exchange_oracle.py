@@ -1,6 +1,8 @@
 """Oracle for the exchange engine: the original per-visit exchange loop, kept
 verbatim, must choose exactly the same grid slots as the fused engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from condenser_widths import Condenser, CurveSpec, EDomain
 from condenser_widths import equilibrium as eq
 from condenser_widths.equilibrium import (_column_fill, _exchange_maximize, _theta_stage,
                                           gamma_field)
-from condenser_widths.geometry import (green_pole_infinity, kernel_from_phi, phi_exterior,
-                                       sample_curve)
+from condenser_widths.geometry import (green_matrix, green_pole_infinity, kernel_from_phi,
+                                       phi_exterior, sample_curve)
 
 
 def reference_exchange(phi_grid, g_inf, m, field_coeff, seed, max_passes=200):
@@ -163,6 +165,26 @@ def test_columns_bit_identical_to_kernel_from_phi():
             assert out[idx] == 0.0
             want[idx] = 0.0
             assert np.array_equal(out, want)
+        # block fills, as the exchange's start and moves take them, give
+        # every row the bits of its single fill: a full block with the plate
+        # slot and a pole repeated, a partial one and a move's pair
+        fill = _column_fill(grid, 4)
+        block = np.empty((4, grid.size))
+        single = _column_fill(grid)
+        for idx in ([5, 17, 1023, 5], [1023, 0], [17, 5]):
+            rows = block[:len(idx)]
+            fill(idx, rows)
+            for j, row in zip(idx, rows):
+                single(j, out)
+                assert np.array_equal(row, out)
+                # the pole on the plate has a zero column
+                assert row.any() == (grid is phi_g or j != 5)
+
+
+def rounding_bound(run_m, moves, pot):
+    """Rounding of a running sum of run_m + 2 moves kernel columns, each
+    addition off by at most eps max|pot|, and of one more operation."""
+    return (run_m + 2 * moves + 1) * np.finfo(float).eps * np.max(np.abs(pot), initial=0.0)
 
 
 LEVEL = Condenser(DISK, CurveSpec.circle(0j, float(np.e))).validate()
@@ -177,15 +199,53 @@ SEGMENT_ELLIPSE = Condenser(SEGMENT, CURVES["ellipse"]).validate(samples=1024)
                                               (0.4, 100, 4096), (0.1, 513, 8500),
                                               (1.0, 64, 1024)])
 def test_stage_field_equals_gamma_field(c, theta, m, grid_n):
-    # the stage sums the field from the exchange's own columns; gamma_field
-    # rebuilds the kernel from the atoms and must give the same bits
+    # the stage reads its field off the exchange's running potential,
+    # ((1 - theta) / m) pot - g(., inf); gamma_field rebuilds the kernel from
+    # the atoms, and the two agree to the rounding of the running sum
     stage = _theta_stage(c, theta, m, grid_n, 0)
     want_params, want_vals, mask = gamma_field(c, stage.lam, grid_n)
     assert np.array_equal(stage.params, want_params)
-    assert np.array_equal(stage.vals, want_vals)
-    assert stage.field_min == np.min(want_vals[~mask])
+    phi_g = phi_exterior(c.e_domain, sample_curve(c.gamma, grid_n).points)
+    pot = green_matrix(phi_exterior(c.e_domain, stage.lam.points), phi_g).sum(axis=0)
+    tol = rounding_bound(len(stage.lam), stage.moves, pot) * (1.0 - theta) / max(m, 1)
+    assert np.max(np.abs(stage.vals - want_vals)) <= tol
+    assert abs(stage.field_min - np.min(want_vals[~mask])) <= tol
     assert stage.lam.is_zero == (theta == 1.0)
     assert len(stage.lam) == (0 if theta == 1.0 else m)
+    if theta == 1.0:
+        assert np.array_equal(stage.vals, want_vals)
+
+
+@pytest.mark.parametrize("curve", list(CURVES), ids=list(CURVES))
+@pytest.mark.parametrize("m, grid_n, coeff", [(32, 1024, 31 / 0.3), (16, 256, 0.0),
+                                              (100, 4096, 99 / 0.6)])
+def test_running_potential_is_the_sum_of_kernel_columns(curve, m, grid_n, coeff):
+    # the run keeps no columns, only their running sum; a fresh sum of
+    # kernel_from_phi columns at the chosen slots must agree to rounding
+    phi_g, g_inf = curve_grid(SEGMENT, CURVES[curve], grid_n)
+    start = np.random.default_rng(m).choice(grid_n, m, replace=False)
+    for run in (_exchange_maximize(phi_g, g_inf, m, coeff, 0),
+                _exchange_maximize(phi_g, g_inf, m, coeff, 1, start=start)):
+        assert run.moves > 0
+        cols = kernel_from_phi(phi_g[None, :], phi_g[run.chosen, None])
+        cols[np.arange(m), run.chosen] = 0.0
+        want = cols.sum(axis=0)
+        assert np.max(np.abs(run.pot - want)) <= rounding_bound(m, run.moves, want)
+
+
+def test_stage_keeps_no_column_store():
+    # the 1024/16384 stage of the benchmark's slope oracle: its largest
+    # arrays are the 1024 x 193 window store and the 4 x 16384 fill block,
+    # where an m x grid_n column store would take 128 MiB
+    tracemalloc.start()
+    try:
+        stage = _theta_stage(OFFSET, 0.1, 1024, 16384, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stage.converged
+    assert peak < 16 * 2 ** 20
+    assert eq.exchange_allocation(1024, 16384) == 1024 * 193
 
 
 # Windowed visits: the engine scores a window of _WINDOW_SPACINGS atom

@@ -58,12 +58,11 @@ def _capacity(phi_g: np.ndarray, m: int, seed: int) -> CapacitySolve:
 
 def _pair_energy(phi_g: np.ndarray, g_inf: np.ndarray, m: int, seed: int):
     """(sum_{i != j} w_i w_j g(z_i, z_j), converged) of m equal atoms
-    minimizing the sum on the slots, from the run's own columns; they are
-    freed on return, before the next level allocates its own."""
+    minimizing the sum on the slots, from the run's running potential."""
     run = eq._coarse_to_fine(phi_g, g_inf, m, 0.0, seed)
     eq._warn_unconverged(run, m, phi_g.size)
     w = np.full(m, 1.0 / m)
-    return float(w @ (w @ run.cols)[run.chosen]), run.converged
+    return float(w @ (w * run.pot[run.chosen])), run.converged
 
 
 def test_concentric_capacities(concentric, concentric_e2):
