@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .balayage import _SWEEP_BLOCK, balayage_to_E, balayage_to_gamma, counting_alpha_beta
-from .equilibrium import (_theta_stage, equilibrium_result, fekete_green, m_hat_theta,
-                          m_theta, theta_sweep)
+from .equilibrium import (_theta_stage, equilibrium_result, exchange_allocation, fekete_green,
+                          m_hat_theta, m_theta, theta_sweep)
 from .errors import BudgetExceeded, CondenserWidthsError, ConfigError, GeometryValidationError
 from .extremal import BRUTEFORCE_MAX_N, CHI_METHODS, chi_allocation, chi_estimate
 from .geometry import Condenser, boundary_samples, green_kernel, log_capacity
@@ -170,9 +170,11 @@ def largest_allocation(cfg: RunConfig) -> int:
     grid_n, n_points, n and k, counted before anything is allocated:
 
       - the complex curve and plate grids of every task, 2 grid_n;
-      - a Fekete stage's exchange columns, atoms x grid_n;
+      - a Fekete stage's exchange run, equilibrium.exchange_allocation: its
+        window store of about 12 grid_n entries (atoms x the window) or its
+        fill block of about measure._CHUNK_ENTRIES;
       - chi's and nwidth's chi estimate, extremal.chi_allocation: the
-        equilibrium pair's exchange columns and Leja grid, the scorer's
+        equilibrium pair's exchange run and Leja grid, the scorer's
         largest candidate x eval matrix and the descents' log columns;
       - balayage-demo's sweep buffers, complex points and float angles on
         min(_SWEEP_BLOCK, k) rows of grid_n + 1 cells.  These are the
@@ -183,7 +185,7 @@ def largest_allocation(cfg: RunConfig) -> int:
     atoms = {"equilibrium": cfg.n_points, "nwidth": cfg.n_points,
              "sweep": min(cfg.n_points, SWEEP_MAX_POINTS),
              "validate": min(cfg.n_points, SMOKE_POINTS)}.get(cfg.task, 0)
-    sizes = [2 * g, atoms * g]
+    sizes = [2 * g, exchange_allocation(atoms, g) if atoms else 0]
     if cfg.task in ("chi", "nwidth"):
         sizes.append(chi_allocation(cfg.n, cfg.k, g))
     if cfg.task == "balayage-demo":

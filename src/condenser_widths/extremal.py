@@ -34,7 +34,7 @@ import numpy as np
 
 from .balayage import _alpha_measure
 from .errors import BudgetExceeded, GridTooClose, GridTooCoarse
-from .equilibrium import _leja_indices, fekete_green, leja_weighted
+from .equilibrium import _leja_indices, exchange_allocation, fekete_green, leja_weighted
 from .geometry import Condenser, boundary_samples, interior_spots, sample_curve
 from .measure import (_CHUNK_ENTRIES, _SPOTS, DiscreteMeasure, M_functional, log_abs,
                       log_potential, minimax_scan_sets)
@@ -559,8 +559,9 @@ def chi_allocation(n: int, k: int, grid_n: int) -> int:
     """Float64 entries of the largest array chi_estimate plans at (n, k,
     grid_n), by either method, with scan = min(grid_n, _SCAN_CAP):
 
-      - the equilibrium pair's (n - k) x _pair_grid(n - k) exchange columns
-        and its complex Leja grid of 2 _pair_grid(k);
+      - the equilibrium pair's exchange run of n - k atoms on
+        _pair_grid(n - k) slots (equilibrium.exchange_allocation; none when
+        k = n) and its complex Leja grid of 2 _pair_grid(k);
       - the scorer's largest candidate x eval matrix.  A kind has at most
         min(1024, grid_n) curve or 257 plate candidates (256, made odd on a
         segment), and an eval set at most scan + _SPOTS points;
@@ -568,7 +569,7 @@ def chi_allocation(n: int, k: int, grid_n: int) -> int:
         n x (2 scan + _SPOTS).
     """
     scan = min(grid_n, _SCAN_CAP)
-    return max((n - k) * _pair_grid(n - k), 2 * _pair_grid(k),
+    return max(exchange_allocation(n - k, _pair_grid(n - k)) if n > k else 0, 2 * _pair_grid(k),
                max(257, min(1024, grid_n)) * (scan + _SPOTS), n * (2 * scan + _SPOTS))
 
 

@@ -529,17 +529,22 @@ def run_config(task, **extra):
 def test_largest_allocation_counts_each_task():
     from condenser_widths.cli import MAX_ARRAY_ENTRIES, largest_allocation
 
-    # the benchmark's finest equilibrium run: 1024 x 16384 exchange columns
-    assert largest_allocation(run_config("equilibrium", n_points=1024, grid_n=16384)) == 2 ** 24
+    # the benchmark's finest equilibrium run: the exchange's window store of
+    # 1024 atoms x 193 slots (6 atom spacings of 16 slots on either side);
+    # nwidth's chi estimate then outgrows it with the scorer's largest matrix
+    assert largest_allocation(run_config("equilibrium", n_points=1024, grid_n=16384)) == 1024 * 193
     assert largest_allocation(run_config("nwidth", n=4, k=2, n_points=1024,
-                                         grid_n=16384)) == 2 ** 24
-    assert 2 ** 24 <= MAX_ARRAY_ENTRIES
-    # a sweep's stages take at most 160 atoms, validate's smoke stage 32
-    assert largest_allocation(run_config("sweep", n_points=1024, grid_n=4096)) == 160 * 4096
-    assert largest_allocation(run_config("validate", n_points=1024, grid_n=4096)) == 32 * 4096
-    # chi: the equilibrium pair's columns, the scorer's largest matrix (1024
-    # curve candidates over 2048 + 64 plate evals) or the descents' log columns
-    assert largest_allocation(run_config("chi", n=4096, k=2048, grid_n=4096)) == 2048 * 32768
+                                         grid_n=16384)) == 1024 * 2112
+    # a sweep's stages take at most 160 atoms and validate's smoke stage 32:
+    # their window stores (160 x 309, 32 x 1537) stay below the fill block of
+    # 16 rows of 4096 slots
+    assert largest_allocation(run_config("sweep", n_points=1024, grid_n=4096)) == 16 * 4096
+    assert largest_allocation(run_config("validate", n_points=1024, grid_n=4096)) == 16 * 4096
+    # chi: the equilibrium pair's window store (2048 atoms x 193 on 32768
+    # slots, here below the rest), the scorer's largest matrix (1024 curve
+    # candidates over 2048 + 64 plate evals) or the descents' log columns
+    assert largest_allocation(run_config("chi", n=4096, k=2048, grid_n=4096)) == 4096 * 4160
+    assert largest_allocation(run_config("chi", n=10 ** 4, k=0, grid_n=64)) == 10 ** 4 * 193
     assert largest_allocation(run_config("chi", n=256, k=128, grid_n=4096)) == 1024 * 2112
     assert largest_allocation(run_config("chi", n=4, k=2, grid_n=1024)) == 1024 * 1088
     assert largest_allocation(run_config("chi", n=10 ** 4, k=10 ** 4, grid_n=64)) == 192 * 10 ** 4
@@ -568,11 +573,12 @@ def test_largest_allocation_covers_the_chi_estimate(monkeypatch, task, plate, n,
     # the guard must cover what the estimate allocates: the descents' log
     # columns, n x (plate + curve scan points) of the scorer it builds, that
     # scorer's largest candidate x eval matrix, and the equilibrium pair's
-    # exchange columns and complex Leja grid
+    # exchange run and complex Leja grid
     import numpy as np
 
     from condenser_widths import extremal
     from condenser_widths.cli import largest_allocation
+    from condenser_widths.equilibrium import exchange_allocation
     from condenser_widths.geometry import Condenser, sample_curve
     from condenser_widths.measure import DiscreteMeasure
 
@@ -588,8 +594,9 @@ def test_largest_allocation_covers_the_chi_estimate(monkeypatch, task, plate, n,
     leja = extremal.leja_weighted
 
     def fekete_spy(c, theta, m, slots, seed):
-        # a stand-in for the exchange: only the stage's size matters here
-        sizes.append(m * slots)
+        # a stand-in for the exchange: only the stage's size matters here,
+        # its window store or fill block (theta = 1 runs no exchange)
+        sizes.append(exchange_allocation(m, slots) if theta < 1 else 0)
         return DiscreteMeasure(sample_curve(c.gamma, slots).points[:m],
                                np.full(m, (1.0 - theta) / max(m, 1)))
 
