@@ -39,8 +39,9 @@ SCHEMA_VERSION = 1
 TASKS = ("equilibrium", "sweep", "chi", "nwidth", "balayage-demo", "validate")
 SWEEP_MAX_POINTS = 160  # a sweep's Fekete stages take min(n_points, this) atoms
 SMOKE_POINTS = 32  # validate's Fekete smoke stage takes min(n_points, this) atoms
-# the largest allocation a config may plan, in float64 entries (256 MiB): twice
-# the 1024 x 16384 exchange columns of the finest equilibrium benchmark run
+# the largest allocation a config may plan, in float64 entries (256 MiB): over
+# 15 times the largest plan of the benchmark's runs, chi's 1024 x 2112 scorer
+# matrix
 MAX_ARRAY_ENTRIES = 2 ** 25
 
 

@@ -72,10 +72,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridTooCoarse
-from .geometry import (Condenser, EDomain, TWO_PI, green_matrix, green_pole_infinity,
-                       kernel_parts, log_capacity, boundary_samples, phi_exterior, sample_curve,
+from .geometry import (Condenser, EDomain, TWO_PI, boundary_samples, green_columns,
+                       green_pole_infinity, log_capacity, phi_exterior, sample_curve,
                        series_terms)
-from .measure import _CHUNK_ENTRIES, DiscreteMeasure, log_abs, log_potential
+from .measure import _CHUNK_ENTRIES, DiscreteMeasure, green_potential, log_abs, log_potential
 from .spectral import CapacitySolve, spectral_capacity, spectral_equilibrium
 
 _ENDPOINT_TOL = 1e-12
@@ -149,44 +149,6 @@ class ExchangeRun(NamedTuple):
     pot: np.ndarray
 
 
-def _column_fill(phi_grid, rows: int = 1):
-    """fill(idx, out): the kernel columns g(., z_j) over the grid for the
-    slots j of idx, one per row of out (at most rows of them), each 0 at its
-    own slot; a scalar idx fills a 1-D out.
-
-    A column is kernel_from_phi's one-log form,
-    g = log1p(s * s_j / |phi - phi_j|^2) / 2 with s = |phi|^2 - 1 clamped
-    to 0 on the plate.  Re phi, Im phi and s are taken once per grid; a fill
-    runs kernel_from_phi's elementwise operations in its order, into out and
-    one reused scratch block, so each column is bit-identical to it off slot
-    j.  A slot on the plate, or a pole there, has s = 0 and so a zero
-    product: the plate needs no mask.  Slot j's squared distance is set to 1
-    before the divide, so nothing divides by zero, and its output to 0 after.
-    """
-    x, y, s = (np.ascontiguousarray(a) for a in kernel_parts(phi_grid))
-    n = phi_grid.size
-    scratch = np.empty(rows * n)
-    offsets = n * np.arange(rows)  # flat offset of each row of a block
-
-    def fill(idx, out):
-        idx = np.asarray(idx)
-        pole = idx[..., None]
-        own = idx + offsets[:idx.size]  # flat index of each slot j in out
-        d2 = scratch[:out.size].reshape(out.shape)
-        np.subtract(x, x[pole], out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(y, y[pole], out=out)
-        np.multiply(out, out, out=out)
-        np.add(d2, out, out=d2)
-        d2.put(own, 1.0)
-        np.multiply(s, s[pole], out=out)
-        np.divide(out, d2, out=out)
-        np.log1p(out, out=out)
-        np.multiply(0.5, out, out=out)
-        out.put(own, 0.0)
-    return fill
-
-
 def _fill_rows(grid_n: int, m: int) -> int:
     """Rows of an exchange run's fill block: about measure._CHUNK_ENTRIES
     entries and at most the m start columns, but at least the two columns
@@ -257,7 +219,7 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> Exc
     """
     grid_n = phi_grid.size
     rows = _fill_rows(grid_n, m)
-    fill = _column_fill(phi_grid, rows)
+    fill = green_columns(phi_grid, rows)
     block = np.empty((rows, grid_n))
     drive = field_coeff * g_inf
     free_drive = drive.copy()
@@ -361,12 +323,6 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> Exc
     return ExchangeRun(np.array(slots), passes, moves, full_scans, converged, pot)
 
 
-def _halves(grid_n: int, m: int) -> bool:
-    """Whether a coarse-to-fine solve of m atoms on grid_n slots first solves
-    the halved grid."""
-    return (grid_n + 1) // 2 >= _COARSE_SLOTS * m
-
-
 def _coarse_to_fine(phi_grid, g_inf, m, field_coeff, seed) -> ExchangeRun:
     """The exchange run on the full grid, started from the run on the halved
     grid (every other slot, solved the same way) while that grid keeps at
@@ -375,7 +331,7 @@ def _coarse_to_fine(phi_grid, g_inf, m, field_coeff, seed) -> ExchangeRun:
     Only the full-grid run decides convergence; a coarse run is a start.
     """
     start = None
-    if _halves(phi_grid.size, m):
+    if (phi_grid.size + 1) // 2 >= _COARSE_SLOTS * m:
         start = 2 * _coarse_to_fine(np.ascontiguousarray(phi_grid[::2]),
                                     np.ascontiguousarray(g_inf[::2]),
                                     m, field_coeff, seed).chosen
@@ -524,20 +480,20 @@ def _leja_indices(pts: np.ndarray, m: int, u_ext=0.0, theta: float = 1.0,
 def gamma_field(c: Condenser, lam: DiscreteMeasure, grid_n: int = 4096):
     """(params, field values, support mask) of U_D^{lam} - g(., inf) on the curve grid.
 
-    The independent reference for a Fekete stage's field: the rows g(x_i, .)
-    are rebuilt from the atoms by geometry.green_matrix into an atoms x grid_n
-    matrix, 0 at each atom's own grid slot, and the field is w @ matrix -
-    g(., inf).  It agrees with the stage's field, read off the exchange's
-    running potential, to the rounding of that running sum.  The matrix
-    holds len(lam) * grid_n floats (128 MiB at 1024 atoms on 16384 slots),
-    which no Fekete stage allocates.  Grid slots occupied by atoms of lam
+    The independent reference for a Fekete stage's field: green_potential
+    (the chunked row scan of every potential sum, no atoms x grid_n matrix)
+    at the grid slots free of atoms of lam, minus g(., inf).  It agrees with
+    the stage's field, read off the exchange's running potential, to the
+    rounding of that running sum.  Grid slots occupied by atoms of lam
     carry the field minimum over the free slots (the discrete potential is
     infinite there; the continuum field attains its minimum on the support).
     """
-    samples, phi_g, g_inf = _curve_grid(c, grid_n)
+    samples, _, g_inf = _curve_grid(c, grid_n)
     mask = np.isin(samples.points, lam.points)
-    vals = lam.weights @ green_matrix(phi_exterior(c.e_domain, lam.points), phi_g) - g_inf
-    vals[mask] = np.min(vals[~mask]) if not mask.all() else 0.0
+    free = ~mask
+    vals = np.empty(g_inf.shape)
+    vals[free] = green_potential(lam, c.e_domain, samples.points[free]) - g_inf[free]
+    vals[mask] = np.min(vals[free]) if free.any() else 0.0
     return samples.params, vals, mask
 
 
@@ -606,11 +562,10 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
         if m == 1:
             idx = int(np.argmax(g_inf))
             pot = np.empty(grid_n)
-            _column_fill(phi_g)(idx, pot)
+            green_columns(phi_g)(idx, pot)
             run, start = ExchangeRun(np.array([idx]), 0, 0, 0, True, pot), "greedy"
         elif c.gamma.kind == "polar":
-            run = _coarse_to_fine(phi_g, g_inf, m, coeff, seed)
-            start = "coarse_to_fine" if _halves(grid_n, m) else "greedy"
+            run, start = _coarse_to_fine(phi_g, g_inf, m, coeff, seed), "coarse_to_fine"
         else:
             slots = _quantile_start(c, theta, m, samples.params)
             run, start = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots), "density"

@@ -35,7 +35,6 @@ from .errors import CoincidentPole, GeometryValidationError, UnsupportedCurve
 TWO_PI = 2.0 * np.pi
 # the kernel's s_z * s_t overflows once |phi| on the curve passes DBL_MAX^(1/4)
 _G_INF_MAX = np.log(np.finfo(float).max) / 4.0
-_ROW_BLOCK = 64  # rows of a green_matrix built at a time
 
 
 def _check_finite(what: str, *numbers):
@@ -304,21 +303,53 @@ def kernel_from_phi(phi_z, phi_t):
     return np.fmax(val, 0.0)
 
 
-def green_matrix(phi_rows, phi_cols):
-    """g over every (row, column) pair of two point sets, from phi at the
-    points: the one Green-kernel matrix builder of the package.
+def green_columns(phi, rows: int = 1):
+    """fill(idx, out): the kernel columns g(., z_j) over the points of phi for
+    the points j of idx, one per row of out (at most rows of them), each 0 at
+    its own point; a scalar idx fills a 1-D out.  The one in-place Green
+    kernel builder of the package.
 
-    It is built _ROW_BLOCK rows at a time, so no kernel temporary outgrows a
-    row block.  kernel_from_phi's +inf for a point paired with itself off the
-    plate becomes 0 (on a validated condenser every other entry is finite), so
-    a product w @ green_matrix(phi, phi) holds, at each point, the potential
-    of the others.
+    A column is kernel_from_phi's one-log form,
+    g = log1p(s * s_j / |phi - phi_j|^2) / 2 with s = |phi|^2 - 1 clamped
+    to 0 on the plate.  Re phi, Im phi and s are taken once per point set; a
+    fill runs kernel_from_phi's elementwise operations in its order, into out
+    and one reused scratch block, so each column is bit-identical to it off
+    point j.  A point on the plate, or a pole there, has s = 0 and so a zero
+    product: the plate needs no mask.  Point j's squared distance is set to 1
+    before the divide, so nothing divides by zero, and its output to 0 after.
     """
-    out = np.empty((phi_rows.size, phi_cols.size))
-    for lo in range(0, phi_rows.size, _ROW_BLOCK):
-        rows = out[lo:lo + _ROW_BLOCK]
-        rows[:] = kernel_from_phi(phi_rows[lo:lo + _ROW_BLOCK, None], phi_cols[None, :])
-        rows[np.isinf(rows)] = 0.0
+    x, y, s = (np.ascontiguousarray(a) for a in kernel_parts(phi))
+    n = phi.size
+    scratch = np.empty(rows * n)
+    offsets = n * np.arange(rows)  # flat offset of each row of a block
+
+    def fill(idx, out):
+        idx = np.asarray(idx)
+        pole = idx[..., None]
+        own = idx + offsets[:idx.size]  # flat index of each point j in out
+        d2 = scratch[:out.size].reshape(out.shape)
+        np.subtract(x, x[pole], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(y, y[pole], out=out)
+        np.multiply(out, out, out=out)
+        np.add(d2, out, out=d2)
+        d2.put(own, 1.0)
+        np.multiply(s, s[pole], out=out)
+        np.divide(out, d2, out=out)
+        np.log1p(out, out=out)
+        np.multiply(0.5, out, out=out)
+        out.put(own, 0.0)
+    return fill
+
+
+def green_matrix(phi):
+    """g over every pair of a point set, from phi at the points, with 0 on
+    the diagonal: green_columns over all of its poles.  The kernel is
+    symmetric to the bit, so row j is also g(z_j, .), and a product
+    w @ green_matrix(phi) holds, at each point, the potential of the others.
+    """
+    out = np.empty((phi.size, phi.size))
+    green_columns(phi, phi.size)(np.arange(phi.size), out)
     return out
 
 

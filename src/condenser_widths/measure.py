@@ -213,11 +213,11 @@ def energy_J(lam: DiscreteMeasure, e: EDomain, theta: float) -> float:
 def green_pair_energy(phi_pts, weights) -> float:
     """sum_{i != j} w_i w_j g(x_i, x_j) from phi at the atoms, diagonal excluded.
 
-    geometry.green_matrix gives the atoms x atoms kernel with a zero diagonal.
-    For a Fekete stage's atoms it is smaller than the atoms x grid_n (grid_n
-    >= 16 atoms) kernel columns of the exchange that placed them.
+    geometry.green_matrix gives the atoms x atoms kernel with a zero diagonal;
+    it and its fill's scratch hold two atoms x atoms arrays (8 MiB each at
+    1024 atoms).
     """
-    return float(weights @ (green_matrix(phi_pts, phi_pts) @ weights))
+    return float(weights @ (green_matrix(phi_pts) @ weights))
 
 
 def energy_I(mu: DiscreteMeasure, lambda_theta: DiscreteMeasure, theta: float) -> float:

@@ -107,7 +107,7 @@ def _closed_matrix(c: Condenser, n: int) -> np.ndarray:
     log_sine[0] = 0.0
     # the circulant's first column: exact singular weights plus h log|2 sin|
     circ = np.fft.ifft(multipliers).real + h * log_sine
-    a = green_matrix(phi, phi)
+    a = green_matrix(phi)
     a *= h
     a += circ[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     a[np.diag_indices(n)] -= h * diag
@@ -164,7 +164,7 @@ def _arcs_solve(c: Condenser, arcs, n: int) -> float:
     halves = [0.5 * length for _, length in arcs]
     t = np.concatenate([start + h * (1.0 + y) for (start, _), h in zip(arcs, halves)])
     phi, diag = _nodes(c, t)
-    a = green_matrix(phi, phi)
+    a = green_matrix(phi)
     a *= 1.0 / n
     for p, h in enumerate(halves):
         block = slice(p * n, (p + 1) * n)

@@ -8,9 +8,8 @@ import pytest
 
 from condenser_widths import Condenser, CurveSpec, EDomain
 from condenser_widths import equilibrium as eq
-from condenser_widths.equilibrium import (_column_fill, _exchange_maximize, _theta_stage,
-                                          gamma_field)
-from condenser_widths.geometry import (green_matrix, green_pole_infinity, kernel_from_phi,
+from condenser_widths.equilibrium import _exchange_maximize, _theta_stage, gamma_field
+from condenser_widths.geometry import (green_columns, green_pole_infinity, kernel_from_phi,
                                        phi_exterior, sample_curve)
 
 
@@ -158,7 +157,7 @@ def test_columns_bit_identical_to_kernel_from_phi():
     on_plate[5] = 0.5  # one slot on the plate selects the masked path
     out = np.empty(phi_g.size)
     for grid in (phi_g, on_plate):
-        fill = _column_fill(grid)
+        fill = green_columns(grid)
         for idx in (0, 5, 17, 1023):
             fill(idx, out)
             want = kernel_from_phi(grid, grid[idx])
@@ -168,9 +167,9 @@ def test_columns_bit_identical_to_kernel_from_phi():
         # block fills, as the exchange's start and moves take them, give
         # every row the bits of its single fill: a full block with the plate
         # slot and a pole repeated, a partial one and a move's pair
-        fill = _column_fill(grid, 4)
+        fill = green_columns(grid, 4)
         block = np.empty((4, grid.size))
-        single = _column_fill(grid)
+        single = green_columns(grid)
         for idx in ([5, 17, 1023, 5], [1023, 0], [17, 5]):
             rows = block[:len(idx)]
             fill(idx, rows)
@@ -200,13 +199,17 @@ SEGMENT_ELLIPSE = Condenser(SEGMENT, CURVES["ellipse"]).validate(samples=1024)
                                               (1.0, 64, 1024)])
 def test_stage_field_equals_gamma_field(c, theta, m, grid_n):
     # the stage reads its field off the exchange's running potential,
-    # ((1 - theta) / m) pot - g(., inf); gamma_field rebuilds the kernel from
-    # the atoms, and the two agree to the rounding of the running sum
+    # ((1 - theta) / m) pot - g(., inf); gamma_field sums the atoms'
+    # potential afresh by green_potential, and the two agree to the rounding
+    # of the running sum
     stage = _theta_stage(c, theta, m, grid_n, 0)
     want_params, want_vals, mask = gamma_field(c, stage.lam, grid_n)
     assert np.array_equal(stage.params, want_params)
     phi_g = phi_exterior(c.e_domain, sample_curve(c.gamma, grid_n).points)
-    pot = green_matrix(phi_exterior(c.e_domain, stage.lam.points), phi_g).sum(axis=0)
+    fill, col, pot = green_columns(phi_g), np.empty(grid_n), np.zeros(grid_n)
+    for j in np.flatnonzero(mask):
+        fill(j, col)
+        pot += col
     tol = rounding_bound(len(stage.lam), stage.moves, pot) * (1.0 - theta) / max(m, 1)
     assert np.max(np.abs(stage.vals - want_vals)) <= tol
     assert abs(stage.field_min - np.min(want_vals[~mask])) <= tol
@@ -246,6 +249,20 @@ def test_stage_keeps_no_column_store():
     assert stage.converged
     assert peak < 16 * 2 ** 20
     assert eq.exchange_allocation(1024, 16384) == 1024 * 193
+
+
+def test_support_field_keeps_no_kernel_matrix():
+    # support_S_theta's field comes from gamma_field's chunked row scan, not
+    # from an atoms x grid_n kernel matrix, which would take 128 MiB here
+    stage = _theta_stage(OFFSET, 0.1, 1024, 16384, 1)
+    tracemalloc.start()
+    try:
+        arcs = eq.support_S_theta(OFFSET, stage.lam, stage.m_field, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arcs == [(0.0, 2.0 * np.pi)]
+    assert peak < 16 * 2 ** 20
 
 
 # Windowed visits: the engine scores a window of _WINDOW_SPACINGS atom
@@ -295,7 +312,7 @@ def test_thin_ellipse_columns_peak_away_from_the_window():
     phi_g, _ = curve_grid(SEGMENT, THIN_ELLIPSE, grid_n)
     col = np.empty(grid_n)
     top = grid_n // 4  # the point 0.3i, above the middle of the plate
-    _column_fill(phi_g)(top, col)
+    green_columns(phi_g)(top, col)
     gap = np.abs((np.arange(grid_n) - top + grid_n // 2) % grid_n - grid_n // 2)
     outside = np.flatnonzero(gap > half)
     far = outside[np.argmax(col[outside])]

@@ -12,9 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from condenser_widths.equilibrium import _column_fill
-from condenser_widths.geometry import (CurveSpec, EDomain, kernel_from_phi, phi_exterior,
-                                       sample_curve)
+from condenser_widths.geometry import (CurveSpec, EDomain, green_columns, kernel_from_phi,
+                                       phi_exterior, sample_curve)
 from condenser_widths.measure import green_pair_energy
 
 EPS = np.finfo(float).eps
@@ -108,7 +107,7 @@ def test_kernel_plate_and_coincidence_values(plate):
 def test_column_fill_raises_no_floating_point_error():
     grid = phi_exterior(PLATES["disk"], sample_curve(CurveSpec.circle(0.5, 4.0), 256).points)
     grid[7] = 0.25  # one slot on the plate: a zero column and a zero entry
-    fill = _column_fill(grid)
+    fill = green_columns(grid)
     out = np.empty(grid.size)
     with np.errstate(all="raise"):
         for idx in range(grid.size):

@@ -124,12 +124,15 @@ def test_budget_bound_solve_reports_unconverged(offset):
 
 
 def test_constant_radius_polar_table_is_the_circle():
-    # a 12-row table of radius e draws the level circle: cap = 1 / log e
+    # a 12-row table of radius e draws the level circle: cap = 1 / log e,
+    # and m_theta = -theta
     angles = 2.0 * np.pi * np.arange(12) / 12
     c = Condenser(EDomain.disk(0j, 1.0), CurveSpec.polar(0j, angles, [np.e] * 12)).validate()
     solve = spectral_capacity(c)
     assert solve.converged
     assert abs(solve.cap - 1.0) <= 1e-12
+    for theta in (0.25, 0.5, 0.75):
+        assert abs(spectral_equilibrium(c, theta)[1] + theta) <= 1e-12
 
 
 def test_polar_table_capacity_is_the_budget_solve():
