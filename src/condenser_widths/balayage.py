@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedCurve, UnsupportedDomain
+from .errors import InvalidArgument, UnsupportedCurve, UnsupportedDomain
 from .geometry import (Condenser, CurveSpec, EDomain, TWO_PI, green_exterior_gamma,
                        green_pole_infinity, sample_curve, series_terms)
 from .measure import DiscreteMeasure
@@ -223,9 +223,9 @@ def counting_alpha_beta(p_zeros, q_zeros, c: Condenser, n: int, k: int,
     p_zeros = np.asarray(p_zeros, dtype=complex)
     q_zeros = np.asarray(q_zeros, dtype=complex)
     if p_zeros.size > k:
-        raise ValueError(f"p has {p_zeros.size} zeros but degree bound k = {k}")
+        raise InvalidArgument(f"p has {p_zeros.size} zeros but degree bound k = {k}")
     if q_zeros.size > n - k:
-        raise ValueError(f"q has {q_zeros.size} zeros but degree bound n - k = {n - k}")
+        raise InvalidArgument(f"q has {q_zeros.size} zeros but degree bound n - k = {n - k}")
     return (_alpha_measure(p_zeros, c, n, boundary_grid_n),
             _beta_measure(q_zeros, c, n, k, boundary_grid_n))
 

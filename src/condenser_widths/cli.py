@@ -7,10 +7,12 @@ both estimate chi through extremal.chi_estimate.  Exit codes: 0 success, 2
 validation failure (config, geometry, grid knobs, a planned allocation over
 MAX_ARRAY_ENTRIES, an out that names a file, any other package error, a
 payload holding a NaN or infinite float, which writes no file), 3 numeric
-budget failure (BudgetExceeded).  result.json is byte-identical across
-reruns with the same config and seed; wall time lives only in manifest.json.
---threads and the threads config field are accepted and echoed but have no
-effect.
+budget failure (BudgetExceeded).  Library argument errors are package errors
+(errors.InvalidArgument), so the CLI checks only types, sizes, seeds, formats,
+the allocation cap, theta in [0, 1] and 16 slots per Fekete atom.  result.json
+is byte-identical across reruns with the same config and seed; wall time lives
+only in manifest.json.  --threads and the threads config field are accepted
+and echoed but have no effect.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .balayage import _SWEEP_BLOCK, balayage_to_E, balayage_to_gamma, counting_a
 from .equilibrium import (_theta_stage, equilibrium_result, exchange_allocation, fekete_green,
                           m_hat_theta, m_theta, theta_sweep)
 from .errors import BudgetExceeded, CondenserWidthsError, ConfigError, GeometryValidationError
-from .extremal import BRUTEFORCE_MAX_N, CHI_METHODS, chi_allocation, chi_estimate
-from .geometry import Condenser, boundary_samples, green_kernel, log_capacity
+from .extremal import chi_allocation, chi_estimate
+from .geometry import Condenser, boundary_samples, green_kernel, log_capacity, phi_exterior
 from .measure import DiscreteMeasure, log_potential, to_json
 from .nwidth import g_theta_field, width_rate_predict
 
@@ -126,11 +128,6 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError(f"unknown task {cfg.task!r}; choose one of {TASKS}")
     if not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError("theta must lie in [0, 1]")
-    if cfg.task == "sweep":
-        if len(cfg.thetas) < 2 or any(b <= a for a, b in zip(cfg.thetas, cfg.thetas[1:])):
-            raise ConfigError("thetas must be strictly increasing")
-        if cfg.thetas[0] < 0 or cfg.thetas[-1] > 1:
-            raise ConfigError("thetas must lie in [0, 1]")
     if cfg.n_points < 2:
         raise ConfigError("n_points must be >= 2")
     if cfg.grid_n < 4:
@@ -152,12 +149,6 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("chi task requires an explicit seed")
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.task in ("chi", "nwidth"):
-        if cfg.method not in CHI_METHODS:
-            raise ConfigError(f"unknown chi method {cfg.method!r}; choose one of {CHI_METHODS}")
-        if cfg.method == "bruteforce" and cfg.n > BRUTEFORCE_MAX_N:
-            raise ConfigError(f"method bruteforce is restricted to n <= {BRUTEFORCE_MAX_N}, "
-                              f"got n = {cfg.n}")
     if not set(cfg.formats) <= {"json", "csv"}:
         raise ConfigError("formats must be a subset of {json, csv}")
     size = largest_allocation(cfg)
@@ -219,13 +210,14 @@ def _task_chi(cfg: RunConfig):
 
 
 def _task_nwidth(cfg: RunConfig):
-    # field.csv draws the stage's lambda_n, so the stage runs once, here
+    # chi_estimate checks the method before any work, so it runs first; field.csv
+    # draws the stage's lambda_n, so the stage runs once, here
+    est = chi_estimate(cfg.condenser, cfg.n, cfg.k, cfg.method, cfg.grid_n, cfg.restarts,
+                       cfg.seed or 0)
     stage = (_theta_stage(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n, cfg.seed or 0)
              if "csv" in cfg.formats else None)
     rep = width_rate_predict(cfg.condenser, cfg.theta, cfg.n_points, cfg.grid_n,
                              seed=cfg.seed or 0, stage=stage)
-    est = chi_estimate(cfg.condenser, cfg.n, cfg.k, cfg.method, cfg.grid_n, cfg.restarts,
-                       cfg.seed or 0)
     rep = dc_replace(rep, chi_lower_bounds=[(cfg.n, cfg.k, est.log_rate_lower)])
     csv_files = []
     if stage is not None:
@@ -288,13 +280,20 @@ def _task_validate(cfg: RunConfig):
         rng = np.random.default_rng(0)
         e = c.e_domain
         scale = 3.0 * (e.radius if e.kind == "disk" else (e.b - e.a))
-        worst = 0.0
+        asym = dev = 0.0
         for _ in range(200):
             z, t = (complex(*rng.uniform(-scale, scale, 2)) for _ in range(2))
             if abs(z - t) < 1e-6:
                 continue
-            worst = max(worst, abs(green_kernel(e, z, t) - green_kernel(e, t, z)))
-        return worst <= 1e-12, f"max asymmetry {worst:.2e}"
+            g = green_kernel(e, z, t)
+            asym = max(asym, abs(g - green_kernel(e, t, z)))
+            # the one-log kernel is symmetric by construction: check the two-log form
+            pz, pt = complex(phi_exterior(e, z)), complex(phi_exterior(e, t))
+            two_log = (0.0 if min(abs(pz), abs(pt)) <= 1.0 else
+                       np.log(abs(1.0 - pz * pt.conjugate())) - np.log(abs(pz - pt)))
+            dev = max(dev, abs(g - two_log))
+        return (asym <= 1e-12 and dev <= 1e-12,
+                f"max asymmetry {asym:.2e}, max deviation from the two-log form {dev:.2e}")
 
     def balayage_identity():
         if c.e_domain.kind != "disk":

@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, InvalidArgument
 from .geometry import (Condenser, EDomain, TWO_PI, boundary_samples, green_columns,
                        green_pole_infinity, log_capacity, phi_exterior, sample_curve,
                        series_terms)
@@ -381,7 +381,7 @@ def fekete_green(c: Condenser, theta: float, m: int, grid_n: int,
     theta = 1 gives the zero measure, for any m.
     """
     if not 0.0 <= theta <= 1.0:
-        raise ValueError("fekete_green needs theta in [0, 1]")
+        raise InvalidArgument("fekete_green needs theta in [0, 1]")
     if theta >= 1.0 - _ENDPOINT_TOL:
         return DiscreteMeasure.zero()
     return _theta_stage(c, theta, m, grid_n, seed).lam
@@ -396,11 +396,11 @@ def leja_weighted(c: Condenser, lambda_n: DiscreteMeasure, theta: float, m: int,
     theta = 0 gives the zero measure, for any m.
     """
     if not 0.0 <= theta <= 1.0:
-        raise ValueError("leja_weighted needs theta in [0, 1]")
+        raise InvalidArgument("leja_weighted needs theta in [0, 1]")
     if theta <= _ENDPOINT_TOL:
         return DiscreteMeasure.zero()
     if m < 1:
-        raise ValueError("leja_weighted needs m >= 1")
+        raise InvalidArgument("leja_weighted needs m >= 1")
     if grid_n < 16 * m:
         raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
     grid = boundary_samples(c.e_domain, grid_n)
@@ -505,7 +505,7 @@ def m_theta(c: Condenser, theta: float, n_points: int = 256, grid_n: int = 4096,
     gives -max over the curve grid of g(., inf) for both routes.
     """
     if not 0.0 <= theta <= 1.0:
-        raise ValueError("m_theta needs theta in [0, 1]")
+        raise InvalidArgument("m_theta needs theta in [0, 1]")
     if theta <= _ENDPOINT_TOL:
         return 0.0, 0.0
     stage = _theta_stage(c, theta, n_points, grid_n, seed)
@@ -536,8 +536,8 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
     """The Fekete stage of m atoms at theta, from one field vector.
 
     The full-grid exchange starts at _quantile_start's slots, and on a polar
-    curve solves coarse to fine.  A single atom has no pair term, so it sits
-    at the grid maximum of g(., inf), and its kernel column is its pot.  Then
+    curve solves coarse to fine.  A single atom has no pair term, so it stays
+    at greedy insertion's first slot, the grid maximum of g(., inf).  Then
     u = ((1 - theta) / m) run.pot - g(., inf), from the run's running
     potential: the field route is the minimum of u over the free slots, the
     energy route the lambda_n-average of u at the atoms over 1 - theta.  The
@@ -554,21 +554,17 @@ def _theta_stage(c: Condenser, theta: float, m: int, grid_n: int, seed: int) -> 
         counts = 0, 0, 0, True, "none"
     else:
         if m < 1:
-            raise ValueError("fekete stage needs m >= 1")
+            raise InvalidArgument("fekete stage needs m >= 1")
         if grid_n < 16 * m:
             raise GridTooCoarse(f"grid_n = {grid_n} < 16 * m = {16 * m}")
         samples, phi_g, g_inf = _curve_grid(c, grid_n)
         coeff = (m - 1) / (1.0 - theta)
-        if m == 1:
-            idx = int(np.argmax(g_inf))
-            pot = np.empty(grid_n)
-            green_columns(phi_g)(idx, pot)
-            run, start = ExchangeRun(np.array([idx]), 0, 0, 0, True, pot), "greedy"
-        elif c.gamma.kind == "polar":
+        if m > 1 and c.gamma.kind == "polar":
             run, start = _coarse_to_fine(phi_g, g_inf, m, coeff, seed), "coarse_to_fine"
         else:
-            slots = _quantile_start(c, theta, m, samples.params)
-            run, start = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots), "density"
+            slots, start = (([int(np.argmax(g_inf))], "greedy") if m == 1 else
+                            (_quantile_start(c, theta, m, samples.params), "density"))
+            run = _exchange_maximize(phi_g, g_inf, m, coeff, seed, start=slots)
         _warn_unconverged(run, m, grid_n)
         lam = DiscreteMeasure(samples.points[run.chosen], np.full(m, (1.0 - theta) / m))
         vals = ((1.0 - theta) / m) * run.pot - g_inf
@@ -666,7 +662,7 @@ def equilibrium_result(c: Condenser, theta: float, n_points: int = 256,
     flag and start ("density", "coarse_to_fine" or "greedy"; "none" at
     theta = 1, where no exchange runs)."""
     if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
+        raise InvalidArgument("theta must lie in [0, 1]")
     stage = _theta_stage(c, theta, n_points, grid_n, seed)
     lam = stage.lam
     mu = leja_weighted(c, lam, theta, n_points, grid_n)
@@ -698,9 +694,9 @@ def theta_sweep(c: Condenser, thetas, n_points: int = 160, grid_n: int = 4096,
     """
     thetas = [float(t) for t in thetas]
     if len(thetas) < 2 or any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ValueError("thetas must be strictly increasing")
+        raise InvalidArgument("thetas must be strictly increasing")
     if thetas[0] < 0 or thetas[-1] > 1:
-        raise ValueError("thetas must lie in [0, 1]")
+        raise InvalidArgument("thetas must lie in [0, 1]")
 
     cap_full = spectral_capacity(c)
     m_e_list, m_f_list, m_hat_list, caps, arcs_list, converged = [], [], [], [], [], []

@@ -43,3 +43,7 @@ class BudgetExceeded(CondenserWidthsError):
 
 class ConfigError(CondenserWidthsError):
     """Run configuration failed validation."""
+
+
+class InvalidArgument(CondenserWidthsError, ValueError):
+    """A library call's argument failed an explicit check; the message names the rule."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balayage import _alpha_measure
-from .errors import BudgetExceeded, GridTooClose, GridTooCoarse
+from .errors import BudgetExceeded, GridTooClose, GridTooCoarse, InvalidArgument
 from .equilibrium import _leja_indices, exchange_allocation, fekete_green, leja_weighted
 from .geometry import Condenser, boundary_samples, interior_spots, sample_curve
 from .measure import (_CHUNK_ENTRIES, _SPOTS, DiscreteMeasure, M_functional, log_abs,
@@ -62,11 +62,11 @@ class ZeroConfig:
 
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
-            raise ValueError("need 0 <= k <= n")
+            raise InvalidArgument("need 0 <= k <= n")
         if len(self.p_zeros) > self.k:
-            raise ValueError("too many p zeros for the degree bound k")
+            raise InvalidArgument("too many p zeros for the degree bound k")
         if len(self.q_zeros) > self.n - self.k:
-            raise ValueError("too many q zeros for the degree bound n - k")
+            raise InvalidArgument("too many q zeros for the degree bound n - k")
 
 
 @dataclass(frozen=True)
@@ -401,9 +401,9 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
     as if it ran again.
     """
     if n > BRUTEFORCE_MAX_N:
-        raise ValueError(f"chi_bruteforce is restricted to n <= {BRUTEFORCE_MAX_N}")
+        raise InvalidArgument(f"chi_bruteforce is restricted to n <= {BRUTEFORCE_MAX_N}")
     if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+        raise InvalidArgument("need 0 <= k <= n")
     if k == 0:
         return _estimate(n, k, 0.0, 0.0, "bruteforce", ZeroConfig((), (), n, k), True)
 
@@ -510,7 +510,7 @@ def chi_asymptotic_pair(c: Condenser, n: int, k: int, grid_n: int = 2048,
     return the zero measure.
     """
     if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+        raise InvalidArgument("need 0 <= k <= n")
     theta = k / n
     lam = fekete_green(c, theta, n - k, _pair_grid(n - k), seed)
     mu = leja_weighted(c, lam, theta, k, _pair_grid(k))
@@ -552,7 +552,7 @@ def chi_estimate(c: Condenser, n: int, k: int, method: str = "auto", grid_n: int
         return chi_bruteforce(c, n, k, grid_n=grid_n, restarts=restarts, seed=seed)
     if method == "asymptotic_pair":
         return chi_asymptotic_pair(c, n, k, grid_n=grid_n, seed=seed)
-    raise ValueError(f"unknown chi method {method!r}; choose one of {CHI_METHODS}")
+    raise InvalidArgument(f"unknown chi method {method!r}; choose one of {CHI_METHODS}")
 
 
 def chi_allocation(n: int, k: int, grid_n: int) -> int:

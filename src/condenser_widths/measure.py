@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import parallel
-from .errors import CoincidentPole, EmptyMeasure, MassMismatch
+from .errors import CoincidentPole, EmptyMeasure, InvalidArgument, MassMismatch
 from .geometry import (Condenser, EDomain, boundary_samples, green_matrix,
                        green_pole_infinity, interior_spots, kernel_from_phi, phi_exterior,
                        sample_curve)
@@ -38,11 +38,11 @@ class DiscreteMeasure:
         pts = np.asarray(points, dtype=complex).ravel()
         wts = np.asarray(weights, dtype=float).ravel()
         if pts.shape != wts.shape:
-            raise ValueError("points and weights must have the same length")
+            raise InvalidArgument("points and weights must have the same length")
         if pts.size and (not np.all(np.isfinite(wts)) or not np.all(np.isfinite(pts.view(float)))):
-            raise ValueError("points and weights must be finite")
+            raise InvalidArgument("points and weights must be finite")
         if np.any(wts <= 0):
-            raise ValueError("weights must be positive")
+            raise InvalidArgument("weights must be positive")
         if pts.size:
             merged: dict[complex, float] = {}
             for p, w in zip(pts.tolist(), wts.tolist()):
@@ -119,7 +119,7 @@ class FieldGrid:
 
     def __post_init__(self):
         if np.shape(self.grid_points) != np.shape(self.values):
-            raise ValueError("grid_points and values must have the same length")
+            raise InvalidArgument("grid_points and values must have the same length")
 
 
 # ---------------------------------------------------------------------------

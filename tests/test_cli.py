@@ -130,6 +130,23 @@ def test_validate_task_offset_m1_pin(tmp_path, capsys):
     assert "m_1 = -1.386294" in out  # -log 4 via the grid maximum
 
 
+def test_validate_kernel_item_fails_on_a_symmetric_wrong_kernel(tmp_path, capsys, monkeypatch):
+    # twice the Green kernel is still symmetric, so only the comparison with
+    # the two-log form fails it
+    from condenser_widths import geometry
+
+    kernel = geometry.kernel_from_phi
+    monkeypatch.setattr(geometry, "kernel_from_phi", lambda pz, pt: 2.0 * kernel(pz, pt))
+    cfg = write_cfg(tmp_path, grid_n=1024, n_points=32)
+    out = tmp_path / "vk"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    items = json.loads((out / "result.json").read_text())["payload"]["items"]
+    assert [item["pass"] for item in items] == [False, True, True, True, True]
+    assert items[0]["name"] == "green kernel symmetry"
+    assert "max asymmetry 0.00e+00" in items[0]["detail"]
+    assert "[FAIL] green kernel symmetry" in capsys.readouterr().out
+
+
 def test_validate_task_surfaces_coarse_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, grid_n=8)
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v8")]) == 2
@@ -457,6 +474,28 @@ def test_nwidth_with_csv_runs_one_fekete_stage(tmp_path, monkeypatch, offset):
     payload = json.loads((out / "result.json").read_text())["payload"]
     assert payload["predicted_rate"] == stage(offset, 0.3, 64, 1024, 0).m_field
     assert len((out / "field.csv").read_text().splitlines()) > 1000
+
+
+def test_nwidth_unknown_method_exits_2_before_its_fekete_stage(tmp_path, capsys, monkeypatch):
+    # the method is the library's rule: nwidth runs its chi estimate, which
+    # checks it, before the stage that field.csv draws
+    from condenser_widths import cli, equilibrium
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:])
+        raise AssertionError("the Fekete stage ran")
+
+    monkeypatch.setattr(equilibrium, "_theta_stage", spy)
+    monkeypatch.setattr(cli, "_theta_stage", spy)
+    cfg = write_cfg(tmp_path, condenser=OFFSET, theta=0.3, n=4, k=2, n_points=16,
+                    grid_n=1024, method="newton", formats=["json", "csv"])
+    out = tmp_path / "nw"
+    assert main(["nwidth", "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    assert calls == []
+    assert "validation failure: unknown chi method 'newton'" in capsys.readouterr().err
+    assert not (out / "result.json").exists() and not (out / "field.csv").exists()
 
 
 @pytest.mark.parametrize("condenser", [OFFSET, POLAR], ids=["offset", "polar"])

@@ -39,6 +39,21 @@ def test_fekete_single_atom_at_field_max(offset):
     want = curve[np.argmax(green_pole_infinity(offset.e_domain, curve))]
     assert lam.points.tolist() == [want]
     assert lam.weights.tolist() == [0.75]
+    # the exchange engine runs one pass from that slot, with one full scan,
+    # and moves nothing: the field is 0.75 times the atom's kernel column,
+    # bit for bit, minus g(., inf)
+    from condenser_widths import equilibrium as eq
+    from condenser_widths.geometry import green_columns
+
+    stage = eq._theta_stage(offset, 0.25, 1, 4096, 0)
+    _, phi_g, g_inf = eq._curve_grid(offset, 4096)
+    idx = int(np.argmax(g_inf))
+    col = np.empty(4096)
+    green_columns(phi_g)(idx, col)
+    field = 0.75 * col - g_inf
+    field[idx] = np.min(np.delete(field, idx))
+    assert stage.vals.tobytes() == field.tobytes() and stage.m_field == field[idx]
+    assert (stage.passes, stage.moves, stage.full_scans, stage.converged) == (1, 0, 1, True)
     with pytest.raises(GridTooCoarse):
         fekete_green(offset, 0.25, 1, 8, seed=0)
 
@@ -234,6 +249,31 @@ def test_sweep_partial_support_capacities(offset):
     upper = [cap for th, cap in zip(rep.thetas, rep.cap_s_tau) if th >= 0.5]
     assert len(upper) == 11
     assert all(b < a for a, b in zip(upper, upper[1:]))
+
+
+@pytest.mark.parametrize("step, monotone", [(1e-7, True), (1e-4, False)])
+def test_sweep_monotone_flags_forgive_only_rounding(offset, monkeypatch, step, monotone):
+    # constants fed through the sweep whose last step goes the wrong way by
+    # step: a step of 1e-7 is within the flags' 1e-6 slack and 1e-4 is not,
+    # so a slack of 0 or of 1e-2 fails one of the two cases
+    from types import SimpleNamespace
+
+    from condenser_widths import equilibrium as eq
+
+    m_field = {0.2: -0.1, 0.5: -0.2, 0.8: -0.2 + step}
+    m_hat = {0.2: 0.1, 0.5: 0.2, 0.8: 0.2 - step}
+
+    def stage(c, theta, m, grid_n, seed):
+        return SimpleNamespace(lam=theta, m_energy=m_field[theta], m_field=m_field[theta],
+                               support=np.ones(grid_n, dtype=bool), params=None,
+                               converged=True)
+
+    monkeypatch.setattr(eq, "_theta_stage", stage)
+    monkeypatch.setattr(eq, "m_hat_theta", lambda c, lam: m_hat[lam])
+    rep = eq.theta_sweep(offset, [0.2, 0.5, 0.8], 16, 256)
+    assert rep.m_theta_field == list(m_field.values())
+    assert rep.m_hat_theta == list(m_hat.values())
+    assert rep.monotone_m is monotone and rep.monotone_m_hat is monotone
 
 
 def test_sweep_rejects_bad_grid(concentric):
