@@ -347,7 +347,6 @@ def run(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     t0 = time.perf_counter()
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
         cfg.condenser = cfg.condenser.validate(samples=max(512, min(cfg.grid_n, 4096)))
         task_fn = {"equilibrium": _task_equilibrium, "sweep": _task_sweep,
                    "chi": _task_chi, "nwidth": _task_nwidth,
@@ -357,7 +356,7 @@ def run(cfg: RunConfig) -> int:
     except BudgetExceeded as exc:
         print(f"numeric budget failure: {exc}", file=sys.stderr)
         return 3
-    except (CondenserWidthsError, FileExistsError, NotADirectoryError) as exc:
+    except CondenserWidthsError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
 
@@ -367,6 +366,12 @@ def run(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"validation failure: the result holds a non-finite value ({exc}), as when "
               f"|phi|^2 overflows on a curve far from a small plate", file=sys.stderr)
+        return 2
+    # out is made only for a run that writes its files, so a failed run leaves none
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     if "json" in cfg.formats:
         (outdir / "result.json").write_text(result + "\n")

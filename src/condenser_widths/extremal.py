@@ -11,18 +11,23 @@ exactly the minimax functional of the combined counting measure on the same
 scan sets.  Cyclic coordinate descent moves one zero at a time to the best
 candidate of a grid, and the zero's kind sets the direction: a q zero moves
 on the curve candidates and ascends toward the sup over q, a p zero moves on
-the plate candidates and descends toward the inf over p.  A visit passes the
-floor its move must clear, and the candidates are pruned against it in
+the plate candidates and descends toward the inf over p.  A visit asks for
+the best few moves only (one for a descent, _PROXY_MOVES for the nested
+search's proxy), best first with ties to the lowest candidate index, and
+passes the floor a move must clear; the candidates are pruned against it in
 stages.  The side a move's score adds (the other kind's eval set) is bounded
 above by block maxima; the side it subtracts (its own kind's) is bounded
 below by attained sums, first for every candidate at its own block rows (the
 first row where it peaks in each eval block, read next to the block maxima),
-then for the survivors at the largest base row of every eval block.  A candidate
-whose bound still clears the floor gets the exact maximum of the added side,
-is pruned again with that value, and only a survivor sums the other side.
-Float addition, subtraction and maximum are monotone, so each prune drops
-only candidates whose score cannot clear the floor, and a survivor's score
-is bit-identical to the dense maximum.
+then for the survivors at the largest base row of every eval block.  If more
+candidates survive than the visit asks for, that many with the largest bound
+are probed: when all of them clear the floor, their exact scores raise it to
+just below the lowest of them, which every move at or above the last one
+asked for, ties included, still clears.  A candidate whose bound clears the floor gets the
+exact maximum of the added side, is pruned again with that value, and only
+a survivor sums the other side.  Float addition, subtraction and maximum are
+monotone, so each prune drops only candidates whose score cannot clear the
+floor, and a returned score is bit-identical to the dense maximum.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ _BRUTEFORCE_BUDGET = 10 ** 6  # scored configurations of chi_bruteforce
 _PAIR_BUDGET = 10 ** 8  # scored configurations of chi_asymptotic_pair
 _SCAN_CAP = 2048  # largest scan grid of a chi estimator's scorer
 BRUTEFORCE_MAX_N = 6  # the nested search runs at n <= 6 only
+_PROXY_MOVES = 4  # most promising proxy moves of a p zero that the nested search re-checks
 CHI_METHODS = ("auto", "bruteforce", "asymptotic_pair")
 # eval rows per block of the move-score bounds: block maxima bound one side
 # from above, and each block's largest base row gives attained sums below
@@ -145,10 +151,21 @@ class NormRatioScorer:
         kind, i = hit
         return self.mats[("e", kind)][i], self.mats[("gamma", kind)][i]
 
-    def move_scores(self, kind: str, base_e: np.ndarray, base_g: np.ndarray,
-                    floor: float) -> np.ndarray:
-        """max_r (base_e[r] + M_e[c, r]) - max_r (base_g[r] + M_g[c, r]) for each
-        candidate c of a kind whose sign * score can exceed floor, else -sign * inf.
+    def column_sums(self, zeros):
+        """(le, lg): the zeros' log columns summed in order over both eval sets."""
+        le = np.zeros(self.e_eval.size)
+        lg = np.zeros(self.gamma_eval.size)
+        for z in zeros:
+            ce, cg = self.columns(complex(z))
+            le += ce
+            lg += cg
+        return le, lg
+
+    def best_moves(self, kind: str, base_e: np.ndarray, base_g: np.ndarray, floor: float,
+                   count: int):
+        """(indices, scores) of at most count candidates of a kind whose sign *
+        score clears floor, best first and ties to the lowest index, where
+        score[c] = max_r (base_e[r] + M_e[c, r]) - max_r (base_g[r] + M_g[c, r]).
 
         sign is +1 for q zeros (kind "gamma") and -1 for p: sign * score adds
         the maximum over the other eval set and subtracts the one over the
@@ -157,11 +174,17 @@ class NormRatioScorer:
         tightens in two stages.  Every candidate is pruned first with the
         attained sums of _block_tops, read from contiguous bounds; only the
         survivors take the base-row sums of _lower_tops, and are pruned again
-        with the better of the two.  A survivor then gets its exact maximum on
-        the added side, is pruned once more with that value minus the same
-        lower bound, and only what is left sums the subtracted side.  Float
-        arithmetic is monotone, so a pruned sign * score is at most floor, and
-        a live score takes both exact maxima: it is bit-identical to the dense one.
+        with the better of the two.  If more than count are left, the count
+        with the largest bound are probed.  If each one's exact added side
+        minus its lower bound still clears the floor, their exact scores raise
+        the floor to just below the lowest of them: count candidates reach it,
+        so every candidate at or above the count-th best, ties included, still
+        clears it (otherwise one probe cannot clear the floor, and it stays).
+        A survivor then gets its exact maximum on the added side, is pruned
+        once more with that value minus the same lower bound, and only what is
+        left sums the subtracted side.  Float arithmetic is monotone,
+        so a pruned sign * score is at most floor, and a returned score takes
+        both exact maxima: it is bit-identical to the dense one.
         """
         bases = {"e": base_e, "gamma": base_g}
         up, down = ("e", "gamma") if kind == "gamma" else ("gamma", "e")
@@ -170,15 +193,33 @@ class NormRatioScorer:
         lower = self._block_tops(down, kind, bases[down])
         live = np.flatnonzero(upper - lower > floor)
         lower = np.maximum(lower[live], self._lower_tops(down, kind, bases[down], live))
-        keep = upper[live] - lower > floor
-        live, lower = live[keep], lower[keep]
-        tops = {up: np.max(self.mats[(up, kind)][live] + bases[up], axis=1)}
+        bound = upper[live] - lower
+        keep = bound > floor
+        live, lower, bound = live[keep], lower[keep], bound[keep]
+        if live.size > count:
+            pick = np.argpartition(bound, -count)[-count:]
+            probe = live[pick]
+            top = self._row_tops(up, kind, probe, bases[up])
+            if np.all(top - lower[pick] > floor):
+                kth = np.min(top - self._row_tops(down, kind, probe, bases[down]))
+                floor = max(floor, float(np.nextafter(kth, -np.inf)))
+                keep = bound > floor
+                live, lower = live[keep], lower[keep]
+        tops = {up: self._row_tops(up, kind, live, bases[up])}
         keep = tops[up] - lower > floor
         live, tops[up] = live[keep], tops[up][keep]
-        tops[down] = np.max(self.mats[(down, kind)][live] + bases[down], axis=1)
-        scores = np.full(upper.size, -np.inf if kind == "gamma" else np.inf)
-        scores[live] = tops["e"] - tops["gamma"]
-        return scores
+        tops[down] = self._row_tops(down, kind, live, bases[down])
+        gain = tops[up] - tops[down]  # sign * score, up to the sign of a zero
+        order = np.argsort(-gain, kind="stable")
+        order = order[gain[order] > floor][:count]
+        return live[order], (tops["e"] - tops["gamma"])[order]
+
+    def _row_tops(self, side: str, kind: str, idx: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Exact maxima max_r (base[r] + M[c, r]) of the candidates c in idx,
+        summed in place in their gathered rows."""
+        rows = self.mats[(side, kind)][idx]
+        rows += base
+        return np.max(rows, axis=1)
 
     def _block_tops(self, side: str, kind: str, base: np.ndarray) -> np.ndarray:
         """Attained sums base[r] + M[c, r] of every candidate c, each at most its
@@ -261,19 +302,16 @@ def _plate_candidates(c: Condenser, n: int) -> np.ndarray:
 class _Config:
     """A zero configuration with running log sums over the eval sets.
 
-    fixed zeros never move; movable zeros share one kind: q ascends, p descends.
+    fixed_sums are the fixed zeros' scorer.column_sums, which the configuration
+    only reads, so starts at the same fixed zeros share them.  The fixed zeros
+    never move; movable zeros share one kind: q ascends, p descends.
     """
 
-    def __init__(self, scorer: NormRatioScorer, fixed_zeros, movable_zeros, kind: str):
+    def __init__(self, scorer: NormRatioScorer, fixed_sums, movable_zeros, kind: str):
         self.scorer = scorer
         self.kind = kind
         self.sign = 1.0 if kind == "gamma" else -1.0
-        self.fixed_le = np.zeros(scorer.e_eval.size)
-        self.fixed_lg = np.zeros(scorer.gamma_eval.size)
-        for z in fixed_zeros:
-            ce, cg = scorer.columns(complex(z))
-            self.fixed_le += ce
-            self.fixed_lg += cg
+        self.fixed_le, self.fixed_lg = fixed_sums
         self.zeros = [complex(z) for z in movable_zeros]
         self.cols = [scorer.columns(z) for z in self.zeros]
         self._sums = None
@@ -295,13 +333,14 @@ class _Config:
         le, lg = self._totals()
         return float(np.max(le) - np.max(lg))
 
-    def move_scores(self, i: int, floor: float) -> np.ndarray:
-        """Objective after moving zero i to each candidate of its kind whose
-        sign * objective can exceed floor; -sign * inf for the others."""
+    def best_moves(self, i: int, floor: float, count: int):
+        """(candidate indices, objectives) of at most count moves of zero i
+        whose sign * objective clears floor, best first, ties to the lowest
+        index.  Every candidate of the kind is charged to the budget."""
         self.scorer._charge(len(self.scorer.cands[self.kind]))
         le, lg = self._totals()
-        return self.scorer.move_scores(self.kind, le - self.cols[i][0],
-                                       lg - self.cols[i][1], floor)
+        return self.scorer.best_moves(self.kind, le - self.cols[i][0],
+                                      lg - self.cols[i][1], floor, count)
 
     def drop_score(self, i: int) -> float:
         self.scorer._charge(1)
@@ -333,11 +372,10 @@ def _coordinate_descent(cfg: _Config):
         improved = False
         i = 0
         while i < len(cfg.zeros):
-            scores = cfg.move_scores(i, sign * best + _IMPROVE_EPS)
-            j = int(np.argmax(sign * scores))
-            if sign * scores[j] > sign * best + _IMPROVE_EPS:
-                cfg.apply_move(i, j)
-                best = float(scores[j])
+            moves, scores = cfg.best_moves(i, sign * best + _IMPROVE_EPS, 1)
+            if moves.size:
+                cfg.apply_move(i, int(moves[0]))
+                best = float(scores[0])
                 improved = True
             dropped = cfg.drop_score(i)
             if sign * dropped > sign * best + _IMPROVE_EPS:
@@ -363,8 +401,9 @@ def _multistart(scorer: NormRatioScorer, fixed, starts, kind: str):
     strictly better.  Returns (value, zeros, every descent converged); kind
     "gamma" gives the sup over q, kind "e" the inf over p."""
     best_val, best, converged = None, [], True
+    fixed_sums = scorer.column_sums(fixed)
     for z0 in starts:
-        cfg = _Config(scorer, fixed, z0, kind)
+        cfg = _Config(scorer, fixed_sums, z0, kind)
         val, ok = _coordinate_descent(cfg)
         converged = converged and ok
         if best_val is None or cfg.sign * val > cfg.sign * best_val:
@@ -454,12 +493,9 @@ def chi_bruteforce(c: Condenser, n: int, k: int, grid_n: int = 2048,
             improved = False
             i = 0
             while i < len(p_cur):
-                proxy_cfg = _Config(scorer, q_star, p_cur, "e")
-                scores = proxy_cfg.move_scores(i, -val + _IMPROVE_EPS)
-                order = np.argsort(scores, kind="stable")[:4]  # most promising moves
-                for j in order:
-                    if scores[j] >= val - _IMPROVE_EPS:
-                        break
+                proxy_cfg = _Config(scorer, scorer.column_sums(q_star), p_cur, "e")
+                moves, _ = proxy_cfg.best_moves(i, -val + _IMPROVE_EPS, _PROXY_MOVES)
+                for j in moves:
                     trial = list(p_cur)
                     trial[i] = complex(e_cands[j])
                     tv, tq, ok = recheck(trial, q_star)

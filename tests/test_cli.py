@@ -414,7 +414,7 @@ def test_non_finite_result_exits_2(tmp_path, capsys, condenser):
     err = capsys.readouterr().err
     assert rc == 2
     assert "validation failure" in err and "non-finite" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -432,7 +432,7 @@ def test_non_finite_payload_exits_2_and_writes_no_file(tmp_path, capsys, monkeyp
     assert rc == 2
     assert "validation failure" in err and "non-finite" in err
     assert not (out / "result.json").exists() and not (out / "manifest.json").exists()
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("task", ["equilibrium", "sweep"])
@@ -546,8 +546,8 @@ def test_any_package_error_exits_2(tmp_path, capsys, monkeypatch):
 def test_restarts_past_the_budget_exit_3_at_once(tmp_path, capsys, task):
     # 2 + 10^9 starts each score at least one proxy move over the plate
     # candidates, far past the 10^6 budget: the search stops before any start
-    # (nwidth runs its Fekete stage and capacity solve first, whose first
-    # dense solve in a process can pay a BLAS warm-up, so only chi is timed)
+    # (nwidth runs its chi estimate first, so it too stops before any stage;
+    # only chi is timed)
     cfg = write_cfg(tmp_path, n=4, k=2, n_points=16, grid_n=1024, method="bruteforce",
                     restarts=10 ** 9)
     out = tmp_path / "restarts"
@@ -557,6 +557,21 @@ def test_restarts_past_the_budget_exit_3_at_once(tmp_path, capsys, task):
     assert rc == 3
     assert "numeric budget failure" in capsys.readouterr().err
     assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("task, extra, rc", [
+    ("sweep", {"thetas": [0.5, 0.2], "n_points": 16, "grid_n": 256}, 2),
+    ("chi", {"n": 4, "k": 2, "grid_n": 1024, "method": "newton"}, 2),
+    ("chi", {"n": 4, "k": 2, "grid_n": 1024, "method": "bruteforce", "restarts": 10 ** 9}, 3),
+], ids=["thetas-decreasing", "chi-method-unknown", "chi-restarts"])
+def test_failed_run_makes_no_out_directory(tmp_path, capsys, task, extra, rc):
+    # each fails inside the run, after the config is loaded: out is made only
+    # once the task has returned
+    cfg = write_cfg(tmp_path, **extra)
+    out = tmp_path / "out"
+    assert main([task, "--config", cfg, "--seed", "0", "--out", str(out)]) == rc
+    assert "failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def run_config(task, **extra):

@@ -295,7 +295,7 @@ def test_scorer_budget_accounting(concentric):
     scorer = NormRatioScorer(concentric, grid_n=256, gamma_cand_n=64, e_cand_n=48,
                              budget=10)
     from condenser_widths.extremal import _Config
-    cfg = _Config(scorer, [0j], [np.e + 0j], "gamma")
+    cfg = _Config(scorer, scorer.column_sums([0j]), [np.e + 0j], "gamma")
     with pytest.raises(BudgetExceeded):
         for _ in range(100):
             cfg.objective()
@@ -305,14 +305,16 @@ def test_config_sums_follow_moves_and_drops(concentric):
     from condenser_widths.extremal import _Config
     scorer = NormRatioScorer(concentric, grid_n=256, gamma_cand_n=64, e_cand_n=48)
     fixed = [0j, 0.3j]
-    cfg = _Config(scorer, fixed, list(scorer.cands["gamma"][:3]), "gamma")
+    every = len(scorer.cands["gamma"])
+    cfg = _Config(scorer, scorer.column_sums(fixed), list(scorer.cands["gamma"][:3]), "gamma")
     cfg.objective()
     cfg.apply_move(1, 10)
-    cfg.move_scores(0, -np.inf)
+    cfg.best_moves(0, -np.inf, every)
     cfg.apply_drop(0)
-    fresh = _Config(scorer, fixed, cfg.zeros, "gamma")
+    fresh = _Config(scorer, scorer.column_sums(fixed), cfg.zeros, "gamma")
     assert cfg.objective() == fresh.objective()
-    assert np.array_equal(cfg.move_scores(0, -np.inf), fresh.move_scores(0, -np.inf))
+    for got, want in zip(cfg.best_moves(0, -np.inf, every), fresh.best_moves(0, -np.inf, every)):
+        assert np.array_equal(got, want)
     assert cfg.drop_score(1) == fresh.drop_score(1)
 
 

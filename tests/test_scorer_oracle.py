@@ -1,6 +1,8 @@
-"""Oracle for the floor-pruned move scoring: the dense column maximum over the
-eval-major score matrices, kept verbatim, is the reference.  Every live score
-must be bit-identical to it, and no pruned candidate may clear the floor."""
+"""Oracle for the best-first move scoring: the dense column maximum over the
+eval-major score matrices, kept verbatim, is the reference.  best_moves must
+return the first count entries of the dense stable ranking (best first, ties
+to the lowest index) that clear the floor, with scores bit-identical to the
+dense ones."""
 
 import tracemalloc
 
@@ -9,8 +11,9 @@ import pytest
 
 from condenser_widths import Condenser, CurveSpec, EDomain, concentric_condenser, offset_condenser
 from condenser_widths import extremal
-from condenser_widths.extremal import (_IMPROVE_EPS, _ROW_BLOCK, NormRatioScorer, _Config,
-                                       _candidate_rows, _coordinate_descent, _row_bounds,
+from condenser_widths.extremal import (_IMPROVE_EPS, _MAX_SWEEPS, _PROXY_MOVES, _ROW_BLOCK,
+                                       NormRatioScorer, _Config, _candidate_rows,
+                                       _coordinate_descent, _multistart, _row_bounds,
                                        chi_asymptotic_pair, chi_bruteforce)
 from condenser_widths.measure import log_abs
 
@@ -59,21 +62,55 @@ def dense_move_scores(cfg, i, mats):
     return tops_e - tops_g
 
 
+def config(scorer, fixed_zeros, movable_zeros, kind):
+    return _Config(scorer, scorer.column_sums(fixed_zeros), movable_zeros, kind)
+
+
+def dense_ranking(dense, sign):
+    """Every candidate, best sign * score first and ties to the lowest index."""
+    return np.array(sorted(range(dense.size), key=lambda c: (-sign * dense[c], c)),
+                    dtype=np.intp)
+
+
 class DenseConfig(_Config):
-    """A configuration scored and moved through the eval-major matrices."""
+    """A configuration moved through the eval-major matrices."""
 
     def __init__(self, scorer, fixed_zeros, movable_zeros, kind, mats):
-        super().__init__(scorer, fixed_zeros, movable_zeros, kind)
+        super().__init__(scorer, scorer.column_sums(fixed_zeros), movable_zeros, kind)
         self.mats = mats
-
-    def move_scores(self, i, floor):
-        return dense_move_scores(self, i, self.mats)
 
     def apply_move(self, i, cand_idx):
         self.zeros[i] = complex(self.scorer.cands[self.kind][cand_idx])
         self.cols[i] = (self.mats[("e", self.kind)][:, cand_idx].copy(),
                         self.mats[("gamma", self.kind)][:, cand_idx].copy())
         self._sums = None
+
+
+def dense_descent(cfg, mats):
+    """The reference cyclic descent: it scores every move densely and takes
+    the argmax of sign * score."""
+    sign = cfg.sign
+    best = cfg.objective()
+    for _ in range(_MAX_SWEEPS):
+        improved = False
+        i = 0
+        while i < len(cfg.zeros):
+            scores = dense_move_scores(cfg, i, mats)
+            j = int(np.argmax(sign * scores))
+            if sign * scores[j] > sign * best + _IMPROVE_EPS:
+                cfg.apply_move(i, j)
+                best = float(scores[j])
+                improved = True
+            dropped = cfg.drop_score(i)
+            if sign * dropped > sign * best + _IMPROVE_EPS:
+                cfg.apply_drop(i)
+                best = dropped
+                improved = True
+                continue
+            i += 1
+        if not improved:
+            return best, True
+    return best, False
 
 
 def restrict(scorer, kind, idx):
@@ -95,34 +132,41 @@ def scorer(request):
                            e_cand_n=e_cand_n)
 
 
-def check_pruned(out, dense, sign, floor):
-    """Live scores are the dense ones; a pruned score cannot clear the floor."""
-    live = out != -sign * np.inf
-    assert_bit_equal(out[live], dense[live])
-    assert np.all(sign * dense[~live] <= floor)
-    return live
+def check_best(out, dense, ranked, sign, floor, count):
+    """out = (indices, scores) is the first count candidates of the dense
+    ranking that clear the floor, and its scores are the dense ones, bit for
+    bit."""
+    moves, scores = out
+    want = ranked[sign * dense[ranked] > floor][:count]
+    assert np.array_equal(moves, want)
+    assert_bit_equal(scores, dense[want])
 
 
-def check_floors(scores, dense, kind):
-    """scores(floor) against the dense scores of a kind: all live at floor
-    -inf, none at +inf, and the pruning contract at random floors in between."""
+def check_floors(best, dense, kind):
+    """best(floor, count) against the dense scores of a kind, for count 1, 4
+    and every candidate: all candidates in order at floor -inf, none at +inf,
+    and the same at random floors, at ties with random scores and with each
+    dense score, and just above them."""
     rng = np.random.default_rng(11)
     sign = SIGN[kind]
-    assert_bit_equal(scores(-np.inf), dense)
-    assert np.all(scores(np.inf) == -sign * np.inf)
     signed = sign * dense
     ties = signed[rng.integers(0, signed.size, size=2)]
-    floors = [*np.quantile(signed, [0.0, 0.5, 0.99]), *ties, *(ties + _IMPROVE_EPS),
-              np.max(signed), np.max(signed) + rng.uniform(-1.0, 1.0)]
+    floors = [-np.inf, np.inf, *np.quantile(signed, [0.0, 0.5, 0.99]), *ties,
+              *(ties + _IMPROVE_EPS), np.max(signed), np.max(signed) + rng.uniform(-1.0, 1.0),
+              *np.unique(signed)]
+    ranked = dense_ranking(dense, sign)
     for floor in floors:
-        check_pruned(scores(floor), dense, sign, floor)
+        for count in (1, 4, dense.size):
+            check_best(best(floor, count), dense, ranked, sign, floor, count)
+    moves, _ = best(-np.inf, dense.size)
+    assert moves.size == dense.size
 
 
 def check_visits(cfg, mats):
     assert cfg.sign == SIGN[cfg.kind]
     for i in range(len(cfg.zeros)):
         dense = dense_move_scores(cfg, i, mats)
-        check_floors(lambda floor: cfg.move_scores(i, floor), dense, cfg.kind)
+        check_floors(lambda floor, count: cfg.best_moves(i, floor, count), dense, cfg.kind)
 
 
 def check_bases(scorer, mats, bases):
@@ -140,7 +184,7 @@ def check_bases(scorer, mats, bases):
                 lower = scorer._lower_tops(side, kind, base, every)
                 assert np.all(lower <= tops)
                 assert_bit_equal(scorer._lower_tops(side, kind, base, every[1::3]), lower[1::3])
-            check_floors(lambda floor: scorer.move_scores(kind, base_e, base_g, floor),
+            check_floors(lambda floor, count: scorer.best_moves(kind, base_e, base_g, floor, count),
                          tops_e - tops_g, kind)
 
 
@@ -213,7 +257,7 @@ def test_config_takes_candidate_rows(scorer):
              (0.5 * (g_cands[0] + g_cands[1]), None), (0.123 + 0.0456j, None), (mid + 1e-17j, None)]
     zeros = [z for z, _ in cases]
     expected = [(log_abs(scorer.e_eval - z), log_abs(scorer.gamma_eval - z)) for z in zeros]
-    cfg = _Config(scorer, [], zeros, "e")
+    cfg = _Config(scorer, scorer.column_sums([]), zeros, "e")
     for (_, hit), cols, want in zip(cases, cfg.cols, expected):
         for side, col, x in zip(("e", "gamma"), cols, want):
             assert_bit_equal(col, x)
@@ -221,7 +265,7 @@ def test_config_takes_candidate_rows(scorer):
                 assert not any(np.shares_memory(col, m) for m in scorer.mats.values())
             else:
                 assert np.shares_memory(col, scorer.mats[(side, hit[0])][hit[1]])
-    fixed = _Config(scorer, zeros, [], "gamma")
+    fixed = _Config(scorer, scorer.column_sums(zeros), [], "gamma")
     total_e, total_g = np.zeros(scorer.e_eval.size), np.zeros(scorer.gamma_eval.size)
     for xe, xg in expected:
         total_e += xe
@@ -234,14 +278,14 @@ def test_moves_match_dense_scores(scorer):
     mats = eval_major(scorer)
     p = list(scorer.cands["e"][::5][:4])
     q = list(scorer.cands["gamma"][1::7][:5])
-    check_visits(_Config(scorer, p, q, "gamma"), mats)
-    check_visits(_Config(scorer, q, p, "e"), mats)
+    check_visits(config(scorer, p, q, "gamma"), mats)
+    check_visits(config(scorer, q, p, "e"), mats)
 
 
 def test_flat_base_all_p_at_center(scorer):
     mats = eval_major(scorer)
     center = scorer.condenser.e_domain.midpoint
-    cfg = _Config(scorer, [center] * 4, list(scorer.cands["gamma"][:3]), "gamma")
+    cfg = config(scorer, [center] * 4, list(scorer.cands["gamma"][:3]), "gamma")
     check_visits(cfg, mats)
     # exactly flat: every row ties
     check_bases(scorer, mats, lambda n, side, kind: [np.zeros(n), np.full(n, -3.25)])
@@ -251,9 +295,9 @@ def test_clamped_dips_on_eval_points(scorer):
     mats = eval_major(scorer)
     on_eval = [scorer.e_eval[0], scorer.e_eval[-1], scorer.gamma_eval[len(scorer.gamma_eval) // 2]]
     # movable zeros on candidates that can coincide with eval points
-    check_visits(_Config(scorer, on_eval, list(scorer.cands["gamma"][:4]), "gamma"), mats)
-    check_visits(_Config(scorer, on_eval, list(scorer.cands["e"][:3]), "e"), mats)
-    assert np.min(_Config(scorer, on_eval, [], "gamma")._totals()[0]) < -600.0
+    check_visits(config(scorer, on_eval, list(scorer.cands["gamma"][:4]), "gamma"), mats)
+    check_visits(config(scorer, on_eval, list(scorer.cands["e"][:3]), "e"), mats)
+    assert np.min(config(scorer, on_eval, [], "gamma")._totals()[0]) < -600.0
 
 
 def test_random_bases(scorer):
@@ -281,8 +325,8 @@ def test_candidate_counts_off_the_tile_size(keep):
         assert_bit_equal(scorer.mats[key], mats[key].T)
     p = [complex(scorer.cands["e"][0])] * 2
     q = [complex(scorer.cands["gamma"][-1]), 2.5 + 0.5j]
-    check_visits(_Config(scorer, p, q, "gamma"), mats)
-    check_visits(_Config(scorer, q, p, "e"), mats)
+    check_visits(config(scorer, p, q, "gamma"), mats)
+    check_visits(config(scorer, q, p, "e"), mats)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "e"])
@@ -293,28 +337,46 @@ def test_descent_matches_dense_descent(kind):
     p0 = [0.3 + 0.1j, -0.5j, 0.0j]
     q0 = [complex(z) for z in tiled.cands["gamma"][::20]]
     fixed, movable = (p0, q0) if kind == "gamma" else (q0, p0)
-    a = _Config(tiled, fixed, movable, kind)
-    b = DenseConfig(dense, fixed, movable, kind, eval_major(dense))
-    assert _coordinate_descent(a) == _coordinate_descent(b)
+    a = config(tiled, fixed, movable, kind)
+    mats = eval_major(dense)
+    b = DenseConfig(dense, fixed, movable, kind, mats)
+    assert _coordinate_descent(a) == dense_descent(b, mats)
     assert a.zeros == b.zeros
     assert tiled.evals_used == dense.evals_used > 0
 
 
+def counted_rows(monkeypatch):
+    """Patch the scorer to count the exact row maxima it takes; returns the
+    one-entry list that holds the count."""
+    row_tops = NormRatioScorer._row_tops
+    rows = [0]
+
+    def counted(self, side, kind, idx, base):
+        rows[0] += idx.size
+        return row_tops(self, side, kind, idx, base)
+
+    monkeypatch.setattr(extremal.NormRatioScorer, "_row_tops", counted)
+    return rows
+
+
 def checked_scores(monkeypatch):
-    """Patch the scorer so every move scoring is checked against the dense
-    maximum; returns the list of (live, candidates) counts per call."""
-    pruned_scores = NormRatioScorer.move_scores
+    """Patch the scorer so every best_moves call is checked against the dense
+    ranking; returns the list of (exact row maxima, dense row maxima) per
+    call, the dense scoring taking two per candidate."""
+    best_moves = NormRatioScorer.best_moves
+    rows = counted_rows(monkeypatch)
     visits = []
 
-    def checked(self, kind, base_e, base_g, floor):
-        out = pruned_scores(self, kind, base_e, base_g, floor)
+    def checked(self, kind, base_e, base_g, floor, count):
+        before = rows[0]
+        out = best_moves(self, kind, base_e, base_g, floor, count)
+        visits.append((rows[0] - before, 2 * len(self.cands[kind])))
         dense = (np.max(base_e[:, None] + self.mats[("e", kind)].T, axis=0)
                  - np.max(base_g[:, None] + self.mats[("gamma", kind)].T, axis=0))
-        live = check_pruned(out, dense, SIGN[kind], floor)
-        visits.append((int(np.count_nonzero(live)), out.size))
+        check_best(out, dense, dense_ranking(dense, SIGN[kind]), SIGN[kind], floor, count)
         return out
 
-    monkeypatch.setattr(extremal.NormRatioScorer, "move_scores", checked)
+    monkeypatch.setattr(extremal.NormRatioScorer, "best_moves", checked)
     return visits
 
 
@@ -334,7 +396,8 @@ def test_every_visit_of_a_bruteforce_run_matches(monkeypatch):
 
 
 def proxy_walk(scores, val):
-    """The moves chi_bruteforce's proxy loop reads, in order."""
+    """The reference proxy walk: the first 4 moves of the stable ascending
+    sort of the dense scores, up to the first that does not beat val."""
     walk = []
     for j in np.argsort(scores, kind="stable")[:4]:
         if scores[j] >= val - _IMPROVE_EPS:
@@ -347,7 +410,7 @@ def test_bruteforce_proxy_walk_matches_dense(scorer):
     mats = eval_major(scorer)
     center = scorer.condenser.e_domain.midpoint
     q = list(scorer.cands["gamma"][1::9][:4])
-    cfg = _Config(scorer, q, [center, complex(scorer.cands["e"][-1])], "e")
+    cfg = config(scorer, q, [center, complex(scorer.cands["e"][-1])], "e")
     rng = np.random.default_rng(5)
     for i in range(len(cfg.zeros)):
         dense = dense_move_scores(cfg, i, mats)
@@ -356,12 +419,51 @@ def test_bruteforce_proxy_walk_matches_dense(scorer):
         vals = [*ordered[[0, 2, min(4, dense.size - 1)]], ordered[0] + _IMPROVE_EPS,
                 ordered[min(4, dense.size - 1)] + rng.uniform(0.0, 1e-3), np.inf, -np.inf]
         for val in vals:
-            pruned = cfg.move_scores(i, -val + _IMPROVE_EPS)
-            assert proxy_walk(pruned, val) == proxy_walk(dense, val)
+            moves, _ = cfg.best_moves(i, -val + _IMPROVE_EPS, _PROXY_MOVES)
+            assert moves.tolist() == proxy_walk(dense, val)
 
 
 def test_level_descent_scores_few_candidates_exactly(monkeypatch):
     visits = checked_scores(monkeypatch)
     chi_asymptotic_pair(concentric_condenser(), 64, 32, seed=0)
-    live, total = np.sum(visits, axis=0)
-    assert live < 0.05 * total
+    rows, dense_rows = np.sum(visits, axis=0)
+    assert rows < 0.05 * dense_rows
+
+
+def test_bruteforce_best_moves_take_few_exact_rows(monkeypatch):
+    """The nested search of the chi benchmark's level (6, 3) run at seed 1
+    makes 252 move scorings.  Scoring every candidate that clears the floor
+    took 21545 exact row maxima there (14369 on the added side, 7176 on the
+    subtracted side); scoring only the moves the search reads takes at most
+    half of that."""
+    rows = counted_rows(monkeypatch)
+    chi_bruteforce(concentric_condenser(), 6, 3, grid_n=4096, restarts=2, seed=1)
+    assert rows[0] <= 21545 // 2
+
+
+@pytest.mark.parametrize("kind", ["gamma", "e"])
+def test_multistart_sums_the_fixed_zeros_once(monkeypatch, kind):
+    """Every start of a multistart reads one pair of fixed sums, bit-identical
+    to summing the fixed zeros' log_abs columns in order."""
+    scorer = NormRatioScorer(offset_condenser(), grid_n=100, gamma_cand_n=70, e_cand_n=37)
+    p = [0.3 + 0.1j, complex(scorer.cands["e"][5]), -0.5j]
+    q = [complex(z) for z in scorer.cands["gamma"][::9]] + [2.5 + 0.5j]
+    fixed, movable = (p, q) if kind == "gamma" else (q, p)
+    built = []
+
+    class Recorded(_Config):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(extremal, "_Config", Recorded)
+    _multistart(scorer, fixed, [movable, movable[:1], []], kind)
+    want_e, want_g = np.zeros(scorer.e_eval.size), np.zeros(scorer.gamma_eval.size)
+    for z in fixed:
+        want_e += log_abs(scorer.e_eval - z)
+        want_g += log_abs(scorer.gamma_eval - z)
+    assert len(built) == 3
+    for cfg in built:
+        assert cfg.fixed_le is built[0].fixed_le and cfg.fixed_lg is built[0].fixed_lg
+    assert_bit_equal(built[0].fixed_le, want_e)
+    assert_bit_equal(built[0].fixed_lg, want_g)
