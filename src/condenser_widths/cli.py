@@ -34,7 +34,7 @@ from .equilibrium import (_theta_stage, equilibrium_result, exchange_allocation,
 from .errors import BudgetExceeded, CondenserWidthsError, ConfigError, GeometryValidationError
 from .extremal import chi_allocation, chi_estimate
 from .geometry import Condenser, boundary_samples, green_kernel, log_capacity, phi_exterior
-from .measure import DiscreteMeasure, log_potential, to_json
+from .measure import DiscreteMeasure, log_potential, nearest_atom_distance, to_json
 from .nwidth import g_theta_field, width_rate_predict
 
 SCHEMA_VERSION = 1
@@ -225,8 +225,7 @@ def _task_nwidth(cfg: RunConfig):
         xs = np.linspace(-4.0, 4.0, 41)
         grid = np.array([complex(x, y) for y in xs for x in xs])
         if not lam.is_zero:
-            d = np.min(np.abs(grid[:, None] - lam.points[None, :]), axis=1)
-            grid = grid[d >= 1e-2]
+            grid = grid[nearest_atom_distance(lam, grid) >= 1e-2]
         fg = g_theta_field(cfg.condenser, lam, grid)
         rows = [("x", "y", "value")]
         rows += [(repr(z.real), repr(z.imag), repr(v))

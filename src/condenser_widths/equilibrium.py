@@ -165,10 +165,9 @@ def _window_half(grid_n: int, m: int) -> int:
 def exchange_allocation(m: int, grid_n: int) -> int:
     """Float64 entries of the largest array an exchange run of m >= 1 atoms
     on grid_n slots allocates: its window store (a window of 2 half + 1
-    slots per atom, none when a window covers the grid), or its fill block
-    and the block's scratch, _fill_rows(grid_n, m) x grid_n each."""
-    width = 2 * _window_half(grid_n, m) + 1
-    return max(m * width if width < grid_n else 0, _fill_rows(grid_n, m) * grid_n)
+    slots per atom, clamped to the grid), or its fill block and the block's
+    scratch, _fill_rows(grid_n, m) x grid_n each."""
+    return max(m * min(2 * _window_half(grid_n, m) + 1, grid_n), _fill_rows(grid_n, m) * grid_n)
 
 
 def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> ExchangeRun:
@@ -197,13 +196,14 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> Exc
 
     A visit first scores only its window: the half = ceil(_WINDOW_SPACINGS *
     grid_n / m) slots on either side of the atom's slot, taken cyclically
-    (the curve grid is closed) and scanned in increasing slot order.  The
-    engine keeps dpmax = max(dp), recomputed after the start and after each
-    move, and for each atom its window record, taken when its column is
-    filled: the window's place, a view of dp over it, its row of the window
-    store (m x (2 half + 1), col_i over the window in scan order), and
-    out_max, the largest value of col_i outside the window (inf when the
-    window covers the grid, which then needs no store).  IEEE addition is
+    (the curve grid is closed), clamped to the grid, and scanned in
+    increasing slot order.  The engine keeps dpmax = max(dp), recomputed
+    after the start and after each move, and for each atom its window
+    record, taken when its column is filled: the window's place, a view of
+    dp over it, its row of the window store (m x min(2 half + 1, grid_n),
+    col_i over the window in scan order), and out_max, the largest value of
+    col_i outside the window (-inf when the window covers the grid, as at
+    m <= 12, so that window's verdict is always certified).  IEEE addition is
     monotone, so no score outside the window exceeds bound = dpmax + out_max.
     A window maximum above bound is therefore the grid maximum, and the
     window's first argmax is the grid's lowest one.  Otherwise the visit
@@ -226,33 +226,28 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> Exc
     pot = np.zeros(grid_n)
     dp = np.empty(grid_n)
 
-    # a window is the cyclic slot range first, ..., first + width - 1; when it
-    # wraps past the last slot, its slots 0, ..., split - 1 are scored first,
-    # so it is always scanned, and stored, in increasing slot order
+    # a window is the cyclic slot range first, ..., first + width - 1, clamped
+    # to the grid; when it wraps past the last slot, its slots 0, ..., split - 1
+    # are scored first, so it is always scanned, and stored, in increasing slot
+    # order.  A window that covers the grid has no slot outside it.
     half = _window_half(grid_n, m)
-    width = 2 * half + 1
-    windowed = width < grid_n
-    store = np.empty((m, width if windowed else 0))
+    width = min(2 * half + 1, grid_n)
+    store = np.empty((m, width))
     windows = [None] * m
 
     def keep(j, col):
         """Take atom j's window record, (first, split, out_max, dp view,
         store row), from its column col; the dp view, kept so a visit slices
         nothing, is None when the window wraps."""
-        if not windowed:
-            windows[j] = 0, 0, np.inf, None, None
-            return
         first = (slots[j] - half) % grid_n
-        split = first + width - grid_n
+        split = max(0, first + width - grid_n)
         win = store[j]
-        if split > 0:
-            win[:split] = col[:split]
-            win[split:] = col[first:]
-            windows[j] = first, split, float(col[split:first].max()), None, win
-            return
-        win[:] = col[first:first + width]
-        off = max(col[:first].max(initial=-np.inf), col[first + width:].max(initial=-np.inf))
-        windows[j] = first, 0, float(off), dp[first:first + width], win
+        win[:split] = col[:split]
+        win[split:] = col[first:first + width - split]
+        out_max = max(col[split:first].max(initial=-np.inf),
+                      col[first + width:].max(initial=-np.inf))
+        windows[j] = (first, split, float(out_max), None if split else dp[first:first + width],
+                      win)
 
     if start is None:
         slots = []
@@ -289,19 +284,16 @@ def _exchange_maximize(phi_grid, g_inf, m, field_coeff, seed, start=None) -> Exc
             pos = slots[i]
             stay = drive.item(pos) - pot.item(pos) + 1e-12
             first, split, out_max, dp_win, win = windows[i]
-            bound = dpmax + out_max
-            best = -1
-            if bound < np.inf:
-                if split:
-                    np.add(dp[:split], win[:split], window[:split])
-                    np.add(dp[first:], win[split:], window[split:])
-                else:
-                    np.add(dp_win, win, window)
-                k = int(window.argmax())
-                top = window.item(k)
-                if top > bound:
-                    best = k if k < split else first + k - split
-            if best < 0:
+            if split:
+                np.add(dp[:split], win[:split], window[:split])
+                np.add(dp[first:], win[split:], window[split:])
+            else:
+                np.add(dp_win, win, window)
+            k = int(window.argmax())
+            top = window.item(k)
+            if top > dpmax + out_max:
+                best = k if k < split else first + k - split
+            else:
                 full_scans += 1
                 fill(pos, score)
                 np.add(dp, score, score)

@@ -42,7 +42,7 @@ from .errors import BudgetExceeded, GridTooClose, GridTooCoarse, InvalidArgument
 from .equilibrium import _leja_indices, exchange_allocation, fekete_green, leja_weighted
 from .geometry import Condenser, boundary_samples, interior_spots, sample_curve
 from .measure import (_CHUNK_ENTRIES, _SPOTS, DiscreteMeasure, M_functional, log_abs,
-                      log_potential, minimax_scan_sets)
+                      log_potential, minimax_scan_sets, nearest_atom_distance)
 
 _IMPROVE_EPS = 1e-13
 _MAX_SWEEPS = 40  # coordinate-descent budget of the chi estimators
@@ -630,11 +630,9 @@ def zero_distribution_diag(zc: ZeroConfig, c: Condenser, reference: DiscreteMeas
     """
     pts = np.asarray(test_grid, dtype=complex)
     alpha = _alpha_measure(np.asarray(zc.p_zeros, dtype=complex), c, zc.n, boundary_grid_n)
-    for supp in (alpha.points, reference.points):
-        if supp.size and pts.size:
-            d = np.min(np.abs(pts[:, None] - supp[None, :]), axis=1)
-            if np.min(d) < 0.05:
-                raise GridTooClose("test grid comes within 0.05 of a measure support")
+    for mu in (alpha, reference):
+        if not mu.is_zero and pts.size and np.min(nearest_atom_distance(mu, pts)) < 0.05:
+            raise GridTooClose("test grid comes within 0.05 of a measure support")
     ua = np.atleast_1d(log_potential(alpha, pts))
     ur = np.atleast_1d(log_potential(reference, pts))
     return float(np.max(np.abs(ua - ur)))

@@ -185,6 +185,19 @@ def green_potential(mu: DiscreteMeasure, e: EDomain, z):
     return _row_scan(mu, z, make_block)
 
 
+def nearest_atom_distance(mu: DiscreteMeasure, z):
+    """min_i |z - x_i|, the distance from z to the nearest atom of mu, in
+    _row_scan's chunks, so no points x atoms matrix is built; the zero
+    measure gives 0."""
+    def make_block(zs, rows, out):
+        def block(lo, hi):
+            out[lo:hi] = np.min(np.abs(zs[lo:hi, None] - mu.points[None, :]), axis=1)
+
+        return block
+
+    return _row_scan(mu, z, make_block)
+
+
 # ---------------------------------------------------------------------------
 # energies
 

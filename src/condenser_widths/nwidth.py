@@ -16,7 +16,7 @@ from .equilibrium import _ENDPOINT_TOL, ThetaStage, m_theta
 from .errors import GridTooClose
 from .extremal import _SCAN_CAP, chi_estimate
 from .geometry import Condenser, green_pole_infinity
-from .measure import DiscreteMeasure, FieldGrid, green_potential
+from .measure import DiscreteMeasure, FieldGrid, green_potential, nearest_atom_distance
 from .spectral import spectral_capacity
 
 
@@ -70,9 +70,7 @@ def g_theta_field(c: Condenser, lambda_n: DiscreteMeasure, grid) -> FieldGrid:
     by the width theorems.  The grid must stay 1e-3 away from the atoms.
     """
     pts = np.asarray(grid, dtype=complex).ravel()
-    if not lambda_n.is_zero and pts.size:
-        d = np.min(np.abs(pts[:, None] - lambda_n.points[None, :]), axis=1)
-        if np.min(d) < 1e-3:
-            raise GridTooClose("field grid comes within 1e-3 of the measure support")
+    if not lambda_n.is_zero and pts.size and np.min(nearest_atom_distance(lambda_n, pts)) < 1e-3:
+        raise GridTooClose("field grid comes within 1e-3 of the measure support")
     vals = green_potential(lambda_n, c.e_domain, pts) - green_pole_infinity(c.e_domain, pts)
     return FieldGrid(grid_points=pts, values=vals)

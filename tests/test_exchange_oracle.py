@@ -151,6 +151,34 @@ def test_engine_from_start_matches_reference_loop(plate, curve):
                 assert np.array_equal(run.chosen, want), (m, grid_n, coeff, seed)
 
 
+# (m, grid_n, field_coeff) on either side of the whole-grid window: at m = 12
+# a window of 2 * 512 + 1 slots covers the 1024-slot grid, at m = 13 one of
+# 2 * 473 + 1 does not; and single atoms and pairs under a field
+WHOLE_GRID_CASES = [(12, 1024, 11 / 0.5), (13, 1024, 12 / 0.5), (1, 1024, 2.0), (2, 1024, 4.0),
+                    (4, 1024, 8.0)]
+
+
+@pytest.mark.parametrize("plate", [DISK, SEGMENT], ids=["disk", "segment"])
+@pytest.mark.parametrize("curve", list(CURVES), ids=list(CURVES))
+def test_whole_grid_windows_match_reference_loops(plate, curve):
+    for m, grid_n, coeff in WHOLE_GRID_CASES:
+        phi_g, g_inf = curve_grid(plate, CURVES[curve], grid_n)
+        covers = 2 * eq._window_half(grid_n, m) + 1 >= grid_n
+        assert covers == (m <= 12)
+        drawn = np.random.default_rng(grid_n + m).choice(grid_n, m, replace=False)
+        for seed in (0, 1):
+            runs = [(_exchange_maximize(phi_g, g_inf, m, coeff, seed),
+                     reference_exchange(phi_g, g_inf, m, coeff, seed)),
+                    (_exchange_maximize(phi_g, g_inf, m, coeff, seed, start=drawn),
+                     reference_exchange_from(phi_g, g_inf, m, coeff, seed, drawn))]
+            for run, want in runs:
+                assert run.converged
+                assert np.array_equal(run.chosen, want), (m, grid_n, coeff, seed)
+                # a window that covers the grid certifies every visit
+                if covers:
+                    assert run.full_scans == 0
+
+
 def test_columns_bit_identical_to_kernel_from_phi():
     phi_g, _ = curve_grid(SEGMENT, CURVES["ellipse"], 1024)
     on_plate = phi_g.copy()

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from condenser_widths import g_theta_field, to_json, width_lower_bound, width_rate_predict
+from condenser_widths import (DiscreteMeasure, g_theta_field, to_json, width_lower_bound,
+                              width_rate_predict)
 from condenser_widths.equilibrium import gamma_field
 from condenser_widths.errors import GridTooClose
 from condenser_widths.geometry import boundary_samples, sample_curve
@@ -66,6 +69,21 @@ def test_g_theta_field_grid_too_close(concentric, concentric_lambda_256):
     z = concentric_lambda_256.points[0] + 1e-5
     with pytest.raises(GridTooClose):
         g_theta_field(concentric, concentric_lambda_256, np.array([z]))
+
+
+def test_g_theta_field_keeps_no_distance_matrix(offset):
+    # the 1e-3 guard and the field both scan in row chunks: a points x atoms
+    # complex matrix and its moduli would take 96 MiB at 4096 x 1024
+    lam = DiscreteMeasure(sample_curve(offset.gamma, 1024).points, np.full(1024, 0.5 / 1024))
+    pts = 1.0 + 2.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    tracemalloc.start()
+    try:
+        fg = g_theta_field(offset, lam, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(fg.values))
+    assert peak < 16 * 2 ** 20
 
 
 def test_width_report_serializes(concentric):

@@ -9,6 +9,7 @@ import pytest
 from condenser_widths import (Condenser, CurveSpec, EDomain, condenser_capacity,
                               green_pole_infinity, theta_sweep)
 from condenser_widths import equilibrium as eq
+from condenser_widths import spectral
 from condenser_widths.errors import GridTooCoarse
 from condenser_widths.spectral import (CapacitySolve, _closed_matrix, _closed_solve,
                                        spectral_capacity, spectral_equilibrium)
@@ -121,6 +122,23 @@ def test_budget_bound_solve_reports_unconverged(offset):
     solve = spectral_capacity(offset, [(i * step, step - 1e-3) for i in range(40)])
     assert not solve.converged
     assert 0.0 < solve.cap < condenser_capacity(offset)
+
+
+@pytest.mark.parametrize("step, converged", [(1e-8, False), (1e-10, True)])
+def test_capacity_stops_at_its_relative_tolerance(offset, monkeypatch, step, converged):
+    # stand-in whole-curve solves whose capacity moves by `step` relative per
+    # doubling: 1e-8 never settles within the 1e-9 tolerance, so the solve
+    # runs to the 512-unknown budget and reports that; 1e-10 settles at once
+    calls = []
+
+    def solve(c, n):
+        calls.append(n)
+        return (1.0 + step) ** len(calls)
+
+    monkeypatch.setattr(spectral, "_closed_solve", solve)
+    got = spectral_capacity(offset)
+    assert got == CapacitySolve((1.0 + step) ** len(calls), converged)
+    assert calls == ([32, 64, 128, 256, 512] if not converged else [32, 64])
 
 
 def test_constant_radius_polar_table_is_the_circle():
